@@ -1,0 +1,299 @@
+"""Integer Laurent polynomials in two variables and annihilation tests.
+
+A polynomial acts on a coloring by convolution: (f.c)_n = sum over
+terms f_t * c(n - t).  Under this convention multiplying by the
+monomial x^a y^b translates the coloring by (a, b), so the difference
+polynomial x^a y^b - 1 annihilates a coloring exactly when (a, b) is
+one of its period vectors.  All arithmetic is exact.
+"""
+
+from __future__ import annotations
+
+import re
+import warnings
+from dataclasses import dataclass
+from types import MappingProxyType
+
+from .grid import Configuration, DiscreteDomain, PeriodicConfig, Vec2, ZeroVector
+from .linalg import nullspace_vector
+
+
+class TrivialAnnihilatorWarning(UserWarning):
+    """The zero polynomial annihilates everything; the answer says nothing."""
+
+
+class ZeroSeriesWarning(UserWarning):
+    """The coloring is identically zero on the inspected region."""
+
+
+def _term_key(e: Vec2):
+    # canonical term order: descending lexicographic on (x-exp, y-exp)
+    return (-e.x, -e.y)
+
+
+class LaurentPoly:
+    """Finitely supported map exponent -> nonzero integer coefficient."""
+
+    __slots__ = ("_terms", "_hash")
+
+    def __init__(self, terms=None):
+        clean = {}
+        for e, coeff in (terms or {}).items():
+            coeff = int(coeff)
+            if coeff:
+                clean[Vec2(e[0], e[1])] = coeff
+        self._terms = clean
+        self._hash = None
+
+    @classmethod
+    def zero(cls) -> "LaurentPoly":
+        return cls()
+
+    @classmethod
+    def one(cls) -> "LaurentPoly":
+        return cls({Vec2(0, 0): 1})
+
+    @classmethod
+    def monomial(cls, e, coeff: int = 1) -> "LaurentPoly":
+        return cls({Vec2(e[0], e[1]): coeff})
+
+    @property
+    def terms(self):
+        return MappingProxyType(self._terms)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def support(self) -> tuple[Vec2, ...]:
+        return tuple(sorted(self._terms, key=_term_key))
+
+    def coefficient(self, e) -> int:
+        return self._terms.get(Vec2(e[0], e[1]), 0)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        return self._terms == other._terms
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(frozenset(self._terms.items()))
+        return self._hash
+
+    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+        acc = dict(self._terms)
+        for e, coeff in other._terms.items():
+            acc[e] = acc.get(e, 0) + coeff
+        return LaurentPoly(acc)
+
+    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
+        return self + (-other)
+
+    def __neg__(self) -> "LaurentPoly":
+        return LaurentPoly({e: -coeff for e, coeff in self._terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return LaurentPoly({e: coeff * other for e, coeff in self._terms.items()})
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        acc: dict[Vec2, int] = {}
+        for e1, c1 in self._terms.items():
+            for e2, c2 in other._terms.items():
+                e = e1 + e2
+                acc[e] = acc.get(e, 0) + c1 * c2
+        return LaurentPoly(acc)
+
+    __rmul__ = __mul__
+
+    def __str__(self) -> str:
+        return format_poly(self)
+
+    def __repr__(self) -> str:
+        return f"LaurentPoly({format_poly(self)!r})"
+
+
+X = LaurentPoly.monomial((1, 0))
+Y = LaurentPoly.monomial((0, 1))
+
+
+def poly_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    """Convolution product of coefficient maps."""
+    return f * g
+
+
+def _monomial_text(e: Vec2) -> str:
+    parts = []
+    for name, exp in (("x", e.x), ("y", e.y)):
+        if exp == 1:
+            parts.append(name)
+        elif exp != 0:
+            parts.append(f"{name}^{exp}")
+    return "*".join(parts)
+
+
+def format_poly(f: LaurentPoly) -> str:
+    """Canonical text form, e.g. ``x^2*y^3 - x^2 - y^3 + 1``."""
+    if f.is_zero:
+        return "0"
+    chunks = []
+    for e in f.support():
+        coeff = f.coefficient(e)
+        mono = _monomial_text(e)
+        mag = abs(coeff)
+        if mono and mag == 1:
+            body = mono
+        elif mono:
+            body = f"{mag}*{mono}"
+        else:
+            body = str(mag)
+        if not chunks:
+            chunks.append(body if coeff > 0 else f"-{body}")
+        else:
+            chunks.append(f"{'+' if coeff > 0 else '-'} {body}")
+    return " ".join(chunks)
+
+
+_TERM_RE = re.compile(
+    r"^(?P<coeff>\d+)?"
+    r"(?:\*?x(?:\^(?P<xe>-?\d+))?)?"
+    r"(?:\*?y(?:\^(?P<ye>-?\d+))?)?$"
+)
+
+
+def _split_signed_terms(text: str) -> list[tuple[int, str]]:
+    """Split a sum into (sign, term) pairs; '-' after '^' is an exponent."""
+    out: list[tuple[int, str]] = []
+    cur: list[str] = []
+    sign = 1
+    prev = ""
+    for ch in text:
+        if ch in "+-" and prev != "^":
+            if cur:
+                out.append((sign, "".join(cur)))
+                cur = []
+                sign = 1
+            if ch == "-":
+                sign = -sign
+        elif not ch.isspace():
+            cur.append(ch)
+        if not ch.isspace():
+            prev = ch
+    if not cur:
+        raise ValueError(f"dangling sign in {text!r}")
+    out.append((sign, "".join(cur)))
+    return out
+
+
+def parse_poly(text: str) -> LaurentPoly:
+    """Inverse of :func:`format_poly`; accepts any +/- separated sum."""
+    if text.strip() == "0":
+        return LaurentPoly.zero()
+    if not text.strip():
+        raise ValueError("empty polynomial text")
+    acc: dict[Vec2, int] = {}
+    for sign, chunk in _split_signed_terms(text):
+        m = _TERM_RE.match(chunk)
+        has_mono = "x" in chunk or "y" in chunk
+        if not m or (m.group("coeff") is None and not has_mono):
+            raise ValueError(f"cannot parse term {chunk!r} in {text!r}")
+        coeff = sign * int(m.group("coeff") or 1)
+        xe = int(m.group("xe")) if m.group("xe") is not None else (1 if "x" in chunk else 0)
+        ye = int(m.group("ye")) if m.group("ye") is not None else (1 if "y" in chunk else 0)
+        e = Vec2(xe, ye)
+        acc[e] = acc.get(e, 0) + coeff
+    return LaurentPoly(acc)
+
+
+def poly_to_json(f: LaurentPoly) -> dict:
+    return {"terms": [[e.x, e.y, f.coefficient(e)] for e in f.support()]}
+
+
+def poly_from_json(data: dict) -> LaurentPoly:
+    acc: dict[Vec2, int] = {}
+    for a, b, coeff in data["terms"]:
+        e = Vec2(int(a), int(b))
+        acc[e] = acc.get(e, 0) + int(coeff)
+    return LaurentPoly(acc)
+
+
+def difference_poly(v) -> LaurentPoly:
+    """x^a y^b - 1 for v = (a, b); annihilates c iff v is a period of c."""
+    v = Vec2(v[0], v[1])
+    if v.is_zero():
+        raise ZeroVector("difference polynomial needs a nonzero vector")
+    return LaurentPoly({v: 1, Vec2(0, 0): -1})
+
+
+def apply(f: LaurentPoly, c: Configuration, window: DiscreteDomain) -> dict[Vec2, int]:
+    """Values of the formal product f.c on the window cells."""
+    items = [(e, f.coefficient(e)) for e in f.support()]
+    out: dict[Vec2, int] = {}
+    for n in window.cells:
+        out[n] = sum(coeff * c.color_at(n - e) for e, coeff in items)
+    return out
+
+
+def annihilates(f: LaurentPoly, c: Configuration, window: DiscreteDomain) -> bool:
+    """True when f.c vanishes on the whole window."""
+    if f.is_zero:
+        warnings.warn("zero polynomial annihilates trivially",
+                      TrivialAnnihilatorWarning, stacklevel=2)
+        return True
+    return all(v == 0 for v in apply(f, c, window).values())
+
+
+@dataclass(frozen=True)
+class AnnihilatorCertificate:
+    """A nonzero annihilator together with the window it was checked on."""
+
+    poly: LaurentPoly
+    window: DiscreteDomain
+
+    def __post_init__(self):
+        if self.poly.is_zero:
+            raise ValueError("certificate polynomial must be nonzero")
+
+
+def periodic_annihilator(c: PeriodicConfig) -> AnnihilatorCertificate:
+    """Product of the two period difference polynomials, verified.
+
+    The verification window covers two fundamental blocks in each
+    direction.
+    """
+    poly = difference_poly(c.p1) * difference_poly(c.p2)
+    window = DiscreteDomain.rect(2 * c.span_x, 2 * c.span_y)
+    if not annihilates(poly, c, window):
+        raise AssertionError("period difference product failed to annihilate")
+    return AnnihilatorCertificate(poly, window)
+
+
+def annihilator_search(c: Configuration, window: DiscreteDomain,
+                       support_box: DiscreteDomain) -> AnnihilatorCertificate | None:
+    """Nonzero annihilator supported on the given cells, or None.
+
+    Sets up one linear equation per window cell and extracts a
+    primitive integer kernel vector by exact elimination.  The result,
+    when found, annihilates on exactly the given window.
+    """
+    support = support_box.cells
+    if not support:
+        raise ValueError("support box must be nonempty")
+    rows = []
+    zero_series = True
+    for n in window.cells:
+        row = [c.color_at(n - t) for t in support]
+        if zero_series and any(row):
+            zero_series = False
+        rows.append(row)
+    if zero_series:
+        warnings.warn("coloring is the zero series on the window",
+                      ZeroSeriesWarning, stacklevel=2)
+    vec = nullspace_vector(rows)
+    if vec is None:
+        return None
+    poly = LaurentPoly(dict(zip(support, vec)))
+    if not all(v == 0 for v in apply(poly, c, window).values()):
+        raise AssertionError("kernel vector failed re-verification")
+    return AnnihilatorCertificate(poly, window)

@@ -1,0 +1,637 @@
+"""Lattice geometry: cells, domains, patterns and colorings of Z^2.
+
+A coloring is either total and doubly periodic (stored as a reduced
+fundamental block over its period lattice) or a finite rectangular
+window.  Values are plain integers.  Everything here is immutable and
+every operation is pure, so objects can be shared freely across threads.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, NamedTuple
+
+
+class OutOfWindow(LookupError):
+    """A cell outside a window configuration's rectangle was read."""
+
+
+class EmptyWindow(ValueError):
+    """No translate of the shape fits inside the window."""
+
+
+class ZeroVector(ValueError):
+    """A direction or period argument was the zero vector."""
+
+
+class Vec2(NamedTuple):
+    """Integer lattice vector; doubles as cell, translation and exponent."""
+
+    x: int
+    y: int
+
+    def __add__(self, other) -> "Vec2":  # type: ignore[override]
+        return Vec2(self.x + other[0], self.y + other[1])
+
+    def __sub__(self, other) -> "Vec2":
+        return Vec2(self.x - other[0], self.y - other[1])
+
+    def __neg__(self) -> "Vec2":
+        return Vec2(-self.x, -self.y)
+
+    def __mul__(self, k: int) -> "Vec2":  # type: ignore[override]
+        return Vec2(self.x * k, self.y * k)
+
+    __rmul__ = __mul__  # type: ignore[assignment]
+
+    def dot(self, other) -> int:
+        return self.x * other[0] + self.y * other[1]
+
+    def cross(self, other) -> int:
+        return self.x * other[1] - self.y * other[0]
+
+    def perp(self) -> "Vec2":
+        # same length, rotated so that (x, y) -> (y, -x)
+        return Vec2(self.y, -self.x)
+
+    def is_zero(self) -> bool:
+        return self.x == 0 and self.y == 0
+
+    def chebyshev(self) -> int:
+        return max(abs(self.x), abs(self.y))
+
+
+ORIGIN = Vec2(0, 0)
+
+
+def _canonical_key(v: Vec2):
+    # iteration order everywhere: lexicographic by (y, x)
+    return (v.y, v.x)
+
+
+class Rect(NamedTuple):
+    """Axis-aligned rectangle with inclusive corners."""
+
+    x0: int
+    y0: int
+    x1: int
+    y1: int
+
+    @classmethod
+    def of_size(cls, width: int, height: int, origin: Vec2 = ORIGIN) -> "Rect":
+        if width < 1 or height < 1:
+            raise ValueError("rectangle sides must be positive")
+        ox, oy = origin
+        return cls(ox, oy, ox + width - 1, oy + height - 1)
+
+    @property
+    def width(self) -> int:
+        return self.x1 - self.x0 + 1
+
+    @property
+    def height(self) -> int:
+        return self.y1 - self.y0 + 1
+
+    def contains(self, v) -> bool:
+        return self.x0 <= v[0] <= self.x1 and self.y0 <= v[1] <= self.y1
+
+    def cells(self) -> Iterator[Vec2]:
+        for y in range(self.y0, self.y1 + 1):
+            for x in range(self.x0, self.x1 + 1):
+                yield Vec2(x, y)
+
+    def translate(self, t) -> "Rect":
+        return Rect(self.x0 + t[0], self.y0 + t[1], self.x1 + t[0], self.y1 + t[1])
+
+
+@dataclass(frozen=True)
+class Alphabet:
+    """Strictly increasing tuple of the distinct integer colors in use."""
+
+    colors: tuple[int, ...]
+
+    def __post_init__(self):
+        colors = tuple(int(c) for c in self.colors)
+        if not colors:
+            raise ValueError("alphabet must be nonempty")
+        if any(a >= b for a, b in zip(colors, colors[1:])):
+            raise ValueError("alphabet colors must be strictly increasing")
+        object.__setattr__(self, "colors", colors)
+
+    @classmethod
+    def of(cls, colors: Iterable[int]) -> "Alphabet":
+        cs = [int(c) for c in colors]
+        if len(set(cs)) != len(cs):
+            raise ValueError("alphabet colors must be distinct")
+        return cls(tuple(sorted(cs)))
+
+    def index(self, color: int) -> int:
+        lo, hi = 0, len(self.colors)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self.colors[mid] < color:
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo == len(self.colors) or self.colors[lo] != color:
+            raise ValueError(f"color {color} not in alphabet")
+        return lo
+
+    def __contains__(self, color: int) -> bool:
+        try:
+            self.index(color)
+            return True
+        except ValueError:
+            return False
+
+    def __len__(self) -> int:
+        return len(self.colors)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.colors)
+
+
+@dataclass(frozen=True)
+class DiscreteDomain:
+    """Finite set of cells in canonical (y, x) order.
+
+    May be empty: edge and box constructions legitimately produce empty
+    cell sets.  Operations that need a nonempty shape check for it.
+    """
+
+    cells: tuple[Vec2, ...]
+
+    def __post_init__(self):
+        canon = tuple(sorted({Vec2(int(c[0]), int(c[1])) for c in self.cells},
+                             key=_canonical_key))
+        object.__setattr__(self, "cells", canon)
+        object.__setattr__(self, "_set", frozenset(canon))
+
+    @classmethod
+    def rect(cls, width: int, height: int, origin: Vec2 = ORIGIN) -> "DiscreteDomain":
+        return cls(tuple(Rect.of_size(width, height, origin).cells()))
+
+    @classmethod
+    def from_rect(cls, rect: Rect) -> "DiscreteDomain":
+        return cls(tuple(rect.cells()))
+
+    def __iter__(self) -> Iterator[Vec2]:
+        return iter(self.cells)
+
+    def __len__(self) -> int:
+        return len(self.cells)
+
+    def __contains__(self, v) -> bool:
+        return Vec2(v[0], v[1]) in self._set  # type: ignore[attr-defined]
+
+    def translate(self, t) -> "DiscreteDomain":
+        return DiscreteDomain(tuple(c + t for c in self.cells))
+
+    def minus(self, other: "DiscreteDomain") -> "DiscreteDomain":
+        return DiscreteDomain(tuple(c for c in self.cells if c not in other))
+
+    def union(self, other: "DiscreteDomain") -> "DiscreteDomain":
+        return DiscreteDomain(self.cells + other.cells)
+
+    def intersection(self, other: "DiscreteDomain") -> "DiscreteDomain":
+        return DiscreteDomain(tuple(c for c in self.cells if c in other))
+
+    def bounding_rect(self) -> Rect:
+        if not self.cells:
+            raise ValueError("empty domain has no bounding rectangle")
+        xs = [c.x for c in self.cells]
+        ys = [c.y for c in self.cells]
+        return Rect(min(xs), min(ys), max(xs), max(ys))
+
+    def max_extent(self) -> int:
+        r = self.bounding_rect()
+        return max(r.width, r.height)
+
+    def is_rectangle(self) -> bool:
+        if not self.cells:
+            return False
+        r = self.bounding_rect()
+        return len(self.cells) == r.width * r.height
+
+
+class Configuration:
+    """Common interface of periodic and window colorings."""
+
+    def color_at(self, n: Vec2) -> int:
+        raise NotImplementedError
+
+    def readable(self, n: Vec2) -> bool:
+        raise NotImplementedError
+
+    def translate(self, t: Vec2) -> "Configuration":
+        raise NotImplementedError
+
+
+def _lattice_hnf(gens: list[Vec2]) -> tuple[int, int, int]:
+    """Reduce lattice generators to the basis (a, 0), (b, c).
+
+    Returns (a, b, c) with a > 0, c > 0, 0 <= b < a.  Raises if the
+    generators do not span a rank-2 lattice.
+    """
+    gens = [Vec2(g[0], g[1]) for g in gens if not Vec2(g[0], g[1]).is_zero()]
+    # vector w with minimal positive y-component: fold extended gcds
+    w = None
+    for g in gens:
+        if g.y == 0:
+            continue
+        if w is None:
+            w = g if g.y > 0 else -g
+            continue
+        # combine w and g to reach y = gcd(w.y, g.y)
+        gcd, s, t = _ext_gcd(w.y, g.y)
+        w = Vec2(s * w.x + t * g.x, gcd)
+    xs = []
+    for g in gens:
+        if w is not None and g.y != 0:
+            g = g - (g.y // w.y) * w
+        if g.y == 0 and g.x != 0:
+            xs.append(abs(g.x))
+    if w is None or not xs:
+        raise ValueError("period vectors must be linearly independent")
+    a = math.gcd(*xs)
+    c = w.y
+    b = w.x % a
+    return a, b, c
+
+
+def _ext_gcd(p: int, q: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*p + t*q = g = gcd(p, q), g > 0 for (p, q) != (0, 0)."""
+    old_r, r = p, q
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        quo = old_r // r
+        old_r, r = r, old_r - quo * r
+        old_s, s = s, old_s - quo * s
+        old_t, t = t, old_t - quo * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
+def _block_color(a: int, b: int, c: int, block, n) -> int:
+    k, j = divmod(n[1], c)
+    i = (n[0] - k * b) % a
+    return block[j][i]
+
+
+def _is_block_period(a: int, b: int, c: int, block, t: Vec2) -> bool:
+    # lattice membership is a fast path; the block test is exact anyway
+    if t[1] % c == 0 and (t[0] - (t[1] // c) * b) % a == 0:
+        return True
+    for j in range(c):
+        for i in range(a):
+            if _block_color(a, b, c, block, (i - t[0], j - t[1])) != block[j][i]:
+                return False
+    return True
+
+
+def _saturate(a: int, b: int, c: int, block) -> tuple[int, int, int, tuple]:
+    """Grow the stored lattice to the full period lattice of the block.
+
+    Scans coset representatives of Z^2 modulo the current lattice for
+    block-preserving translations; each hit strictly shrinks the
+    determinant, so this terminates quickly.
+    """
+    while True:
+        extended = False
+        for j in range(c):
+            for i in range(a):
+                t = Vec2(i, j)
+                if t.is_zero():
+                    continue
+                if t.y % c == 0 and (t.x - (t.y // c) * b) % a == 0:
+                    continue  # already in the lattice
+                if _is_block_period(a, b, c, block, t):
+                    a2, b2, c2 = _lattice_hnf([Vec2(a, 0), Vec2(b, c), t])
+                    block2 = tuple(
+                        tuple(_block_color(a, b, c, block, (x, y)) for x in range(a2))
+                        for y in range(c2)
+                    )
+                    a, b, c, block = a2, b2, c2, block2
+                    extended = True
+                    break
+            if extended:
+                break
+        if not extended:
+            return a, b, c, block
+
+
+@dataclass(frozen=True)
+class PeriodicConfig(Configuration):
+    """Total coloring with two independent periods.
+
+    Canonical storage: the *maximal* period lattice in Hermite form
+    (a, 0), (b, c) with 0 <= b < a, and the block on [0,a) x [0,c).
+    Equal colorings therefore compare equal regardless of which period
+    pair was used to build them.
+    """
+
+    span_x: int
+    shear: int
+    span_y: int
+    block: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        block = tuple(tuple(int(v) for v in row) for row in self.block)
+        if self.span_x < 1 or self.span_y < 1 or not 0 <= self.shear < self.span_x:
+            raise ValueError("invalid reduced period basis")
+        if len(block) != self.span_y or any(len(r) != self.span_x for r in block):
+            raise ValueError("block does not match the fundamental rectangle")
+        a, b, c, block = _saturate(self.span_x, self.shear, self.span_y, block)
+        object.__setattr__(self, "span_x", a)
+        object.__setattr__(self, "shear", b)
+        object.__setattr__(self, "span_y", c)
+        object.__setattr__(self, "block", block)
+
+    @classmethod
+    def from_periods(cls, p1: Vec2, p2: Vec2,
+                     values: Callable[[int, int], int]) -> "PeriodicConfig":
+        p1, p2 = Vec2(*p1), Vec2(*p2)
+        if p1.cross(p2) == 0:
+            raise ValueError("period vectors must be linearly independent")
+        a, b, c = _lattice_hnf([p1, p2])
+        for j in range(c):
+            for i in range(a):
+                v = values(i, j)
+                for p in (p1, p2):
+                    if values(i + p.x, j + p.y) != v:
+                        raise ValueError(
+                            f"values are not {tuple(p)}-periodic at ({i},{j})")
+        block = tuple(tuple(values(i, j) for i in range(a)) for j in range(c))
+        return cls(a, b, c, block)
+
+    @classmethod
+    def from_block(cls, rows: Iterable[Iterable[int]]) -> "PeriodicConfig":
+        block = tuple(tuple(int(v) for v in row) for row in rows)
+        if not block or not block[0]:
+            raise ValueError("block must be nonempty")
+        return cls(len(block[0]), 0, len(block), block)
+
+    @classmethod
+    def constant(cls, color: int) -> "PeriodicConfig":
+        return cls.from_block([[color]])
+
+    @property
+    def p1(self) -> Vec2:
+        return Vec2(self.span_x, 0)
+
+    @property
+    def p2(self) -> Vec2:
+        return Vec2(self.shear, self.span_y)
+
+    @property
+    def determinant(self) -> int:
+        return self.span_x * self.span_y
+
+    def color_at(self, n) -> int:
+        return _block_color(self.span_x, self.shear, self.span_y, self.block, n)
+
+    def readable(self, n) -> bool:
+        return True
+
+    def translate(self, t) -> "PeriodicConfig":
+        block = tuple(
+            tuple(self.color_at(Vec2(i, j) - t) for i in range(self.span_x))
+            for j in range(self.span_y)
+        )
+        return PeriodicConfig(self.span_x, self.shear, self.span_y, block)
+
+    def is_period(self, t) -> bool:
+        t = Vec2(t[0], t[1])
+        if t.is_zero():
+            return False
+        return _is_block_period(self.span_x, self.shear, self.span_y, self.block, t)
+
+    def colors(self) -> tuple[int, ...]:
+        return tuple(sorted({v for row in self.block for v in row}))
+
+
+@dataclass(frozen=True)
+class WindowConfig(Configuration):
+    """Coloring known on one axis-aligned rectangle only."""
+
+    rect: Rect
+    values: tuple[tuple[int, ...], ...]  # rows, values[j][i] at (x0+i, y0+j)
+
+    def __post_init__(self):
+        rect = Rect(*self.rect)
+        values = tuple(tuple(int(v) for v in row) for row in self.values)
+        if len(values) != rect.height or any(len(r) != rect.width for r in values):
+            raise ValueError("window values do not match the rectangle")
+        object.__setattr__(self, "rect", rect)
+        object.__setattr__(self, "values", values)
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Iterable[int]],
+                  origin: Vec2 = ORIGIN) -> "WindowConfig":
+        values = tuple(tuple(int(v) for v in row) for row in rows)
+        if not values or not values[0]:
+            raise ValueError("window must be nonempty")
+        return cls(Rect.of_size(len(values[0]), len(values), origin), values)
+
+    def color_at(self, n) -> int:
+        if not self.rect.contains(n):
+            raise OutOfWindow(f"cell {tuple(n)} outside window {tuple(self.rect)}")
+        return self.values[n[1] - self.rect.y0][n[0] - self.rect.x0]
+
+    def readable(self, n) -> bool:
+        return self.rect.contains(n)
+
+    def translate(self, t) -> "WindowConfig":
+        return WindowConfig(self.rect.translate(t), self.values)
+
+    def domain(self) -> DiscreteDomain:
+        return DiscreteDomain.from_rect(self.rect)
+
+    def colors(self) -> tuple[int, ...]:
+        return tuple(sorted({v for row in self.values for v in row}))
+
+
+@dataclass(frozen=True)
+class Pattern:
+    """Coloring of a finite domain; equality includes the domain."""
+
+    domain: DiscreteDomain
+    values: tuple[int, ...]  # aligned with domain.cells
+
+    def __post_init__(self):
+        values = tuple(int(v) for v in self.values)
+        if len(values) != len(self.domain):
+            raise ValueError("pattern values must cover the domain exactly")
+        object.__setattr__(self, "values", values)
+
+    @classmethod
+    def of(cls, domain: DiscreteDomain, mapping) -> "Pattern":
+        return cls(domain, tuple(mapping[c] for c in domain.cells))
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Iterable[int]],
+                  origin: Vec2 = ORIGIN) -> "Pattern":
+        rows = tuple(tuple(int(v) for v in row) for row in rows)
+        dom = DiscreteDomain.rect(len(rows[0]), len(rows), origin)
+        return cls(dom, tuple(rows[c.y - origin[1]][c.x - origin[0]]
+                              for c in dom.cells))
+
+    def at(self, cell) -> int:
+        cell = Vec2(cell[0], cell[1])
+        for c, v in zip(self.domain.cells, self.values):
+            if c == cell:
+                return v
+        raise KeyError(cell)
+
+    def items(self) -> Iterator[tuple[Vec2, int]]:
+        return zip(self.domain.cells, self.values)
+
+
+def translate(c: Configuration, t) -> Configuration:
+    return c.translate(Vec2(t[0], t[1]))
+
+
+def color_at(c: Configuration, n) -> int:
+    return c.color_at(Vec2(n[0], n[1]))
+
+
+def _fitting_translates(shape: DiscreteDomain,
+                        window: DiscreteDomain) -> list[Vec2]:
+    """Translations t with shape + t inside the window, canonical order."""
+    if not len(window):
+        return []
+    sb = shape.bounding_rect()
+    wb = window.bounding_rect()
+    full_rect = window.is_rectangle()
+    out = []
+    for ty in range(wb.y0 - sb.y0, wb.y1 - sb.y1 + 1):
+        for tx in range(wb.x0 - sb.x0, wb.x1 - sb.x1 + 1):
+            t = Vec2(tx, ty)
+            if full_rect or all(cell + t in window for cell in shape.cells):
+                out.append(t)
+    return out
+
+
+def patterns_of(c: Configuration, shape: DiscreteDomain,
+                window: DiscreteDomain) -> list[Pattern]:
+    """Distinct shape-patterns read at every translate inside the window.
+
+    Patterns are re-indexed to the shape's own cells and returned sorted
+    by their value tuples, so the result does not depend on enumeration
+    order.  An empty shape has exactly one (empty) pattern.
+    """
+    if not len(shape):
+        return [Pattern(shape, ())]
+    translates = _fitting_translates(shape, window)
+    if not translates:
+        raise EmptyWindow(
+            f"no translate of the {len(shape)}-cell shape fits in the window")
+    seen = set()
+    for t in translates:
+        seen.add(tuple(c.color_at(cell + t) for cell in shape.cells))
+    return [Pattern(shape, vals) for vals in sorted(seen)]
+
+
+@dataclass(frozen=True)
+class ComplexityReport:
+    """Pattern count against the low-complexity bound |D|."""
+
+    count: int
+    bound: int
+    window_cells: int
+
+    @property
+    def low(self) -> bool:
+        return self.count <= self.bound
+
+    def __bool__(self) -> bool:
+        return self.low
+
+
+def is_low_complexity(c: Configuration, shape: DiscreteDomain,
+                      window: DiscreteDomain) -> ComplexityReport:
+    count = len(patterns_of(c, shape, window))
+    return ComplexityReport(count, len(shape), len(window))
+
+
+@dataclass(frozen=True)
+class PeriodScan:
+    """Observed period vectors, plus candidates with no comparable pair."""
+
+    periods: tuple[Vec2, ...]
+    skipped: tuple[Vec2, ...]
+
+    def __iter__(self) -> Iterator[Vec2]:
+        return iter(self.periods)
+
+    def __contains__(self, t) -> bool:
+        return Vec2(t[0], t[1]) in self.periods
+
+    def __len__(self) -> int:
+        return len(self.periods)
+
+
+def find_periods(c: Configuration, window: DiscreteDomain | None,
+                 bound: int) -> PeriodScan:
+    """Nonzero vectors t (Chebyshev norm <= bound) preserving the coloring.
+
+    Periodic configurations are tested exactly against their block;
+    windows compare every cell pair (n, n-t) available inside the
+    window.  Candidates with no comparable pair are skipped and
+    reported, not treated as periods.
+    """
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    candidates = [Vec2(x, y)
+                  for y in range(-bound, bound + 1)
+                  for x in range(-bound, bound + 1)
+                  if (x, y) != (0, 0)]
+    if isinstance(c, PeriodicConfig):
+        return PeriodScan(tuple(t for t in candidates if c.is_period(t)), ())
+    if window is None:
+        raise ValueError("window configurations need an explicit window")
+    cells = list(window.cells)
+    periods, skipped = [], []
+    for t in candidates:
+        compared = False
+        holds = True
+        for n in cells:
+            m = n - t
+            if m in window:
+                compared = True
+                if c.color_at(n) != c.color_at(m):
+                    holds = False
+                    break
+        if not compared:
+            skipped.append(t)
+        elif holds:
+            periods.append(t)
+    return PeriodScan(tuple(periods), tuple(skipped))
+
+
+@dataclass(frozen=True)
+class TwoPeriodicReport:
+    two_periodic: bool
+    horizontal: Vec2 | None  # smallest (k, 0) period within bound, if any
+    vertical: Vec2 | None    # smallest (0, k) period within bound, if any
+    scan: PeriodScan
+
+    def __bool__(self) -> bool:
+        return self.two_periodic
+
+
+def is_two_periodic(c: Configuration, window: DiscreteDomain | None,
+                    bound: int) -> TwoPeriodicReport:
+    """True when two linearly independent periods exist within the bound."""
+    scan = find_periods(c, window, bound)
+    two = any(p.cross(q) != 0
+              for i, p in enumerate(scan.periods)
+              for q in scan.periods[i + 1:])
+    horizontal = next((Vec2(k, 0) for k in range(1, bound + 1)
+                       if Vec2(k, 0) in scan), None)
+    vertical = next((Vec2(0, k) for k in range(1, bound + 1)
+                     if Vec2(0, k) in scan), None)
+    return TwoPeriodicReport(two, horizontal, vertical, scan)
