@@ -35,32 +35,13 @@ def _digest(path: str) -> str:
         return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
 
 
-def _load_json(path: str, schema: str) -> dict:
+def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ser.SchemaError(
                 f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
-    _validate_schema(data, schema, path)
-    return data
-
-
-def _validate_schema(data, schema_name: str, path: str) -> None:
-    import jsonschema
-    from importlib import resources
-
-    text = (resources.files("tilecraft") / "schemas"
-            / f"{schema_name}.schema.json").read_text()
-    validator = jsonschema.Draft202012Validator(json.loads(text))
-    errors = sorted(validator.iter_errors(data),
-                    key=lambda e: (list(e.absolute_path), e.message))
-    if errors:
-        details = [
-            f"$.{'.'.join(str(p) for p in e.absolute_path)}: {e.message}"
-            if e.absolute_path else f"$: {e.message}"
-            for e in errors]
-        raise ser.SchemaError(f"{path}: schema validation failed", details)
 
 
 def _parse_vec(text: str) -> Vec2:
@@ -88,14 +69,21 @@ def _parse_box(text: str) -> DiscreteDomain:
             f"expected 'WxH' or 'WxH@x,y', got {text!r}") from None
 
 
-def _default_budget() -> int:
-    env = os.environ.get("TILECRAFT_BUDGET")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return DEFAULT_BUDGET
+def _budget(args) -> int:
+    """--budget, else TILECRAFT_BUDGET, else the default; must be positive."""
+    text = args.budget
+    if text is None:
+        text = os.environ.get("TILECRAFT_BUDGET")
+    if text is None:
+        return DEFAULT_BUDGET
+    try:
+        budget = int(text)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise ser.SchemaError(
+            f"node budget must be a positive integer, got {text!r}")
+    return budget
 
 
 def _emit(report: dict, args, started: float) -> None:
@@ -124,8 +112,7 @@ def _make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decide", help="emptiness/periodicity decision")
     p.add_argument("pattern_set_file")
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--parallel", action="store_true")
+    p.add_argument("--budget")
     p.add_argument("--symmetry-pruning", action="store_true")
 
     p = sub.add_parser("complexity", help="pattern count on a shape")
@@ -143,7 +130,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--dir", type=_parse_vec, required=True, dest="direction")
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--R", type=int, default=4, dest="radius")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget")
 
     p = sub.add_parser("balanced", help="balanced-set search")
     p.add_argument("config_file")
@@ -154,16 +141,14 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--area-budget", type=int, default=6)
 
     for sp in sub.choices.values():
-        sp.add_argument("--json", action="store_true", default=True)
         sp.add_argument("--ascii", action="store_true", default=False)
     return parser
 
 
 def _cmd_decide(args, report: dict) -> int:
-    ps = ser.pattern_set_from_json(
-        _load_json(args.pattern_set_file, "pattern_set"))
-    budget = args.budget if args.budget is not None else _default_budget()
-    outcome, nodes = decide_with_usage(ps, budget, parallel=args.parallel,
+    ps = ser.pattern_set_from_json(_load_json(args.pattern_set_file))
+    budget = _budget(args)
+    outcome, nodes = decide_with_usage(ps, budget,
                                        symmetry_pruning=args.symmetry_pruning)
     report["outcome"] = ser.outcome_to_json(outcome)
     report["budget"] = {"limit": budget, "nodes_used": nodes}
@@ -176,8 +161,7 @@ def _cmd_decide(args, report: dict) -> int:
 
 
 def _cmd_complexity(args, report: dict) -> int:
-    config = ser.configuration_from_json(
-        _load_json(args.config_file, "configuration"))
+    config = ser.configuration_from_json(_load_json(args.config_file))
     rep = is_low_complexity(config, args.shape, args.window)
     report["outcome"] = {
         "count": rep.count,
@@ -189,8 +173,7 @@ def _cmd_complexity(args, report: dict) -> int:
 
 
 def _cmd_annihilator(args, report: dict) -> int:
-    config = ser.configuration_from_json(
-        _load_json(args.config_file, "configuration"))
+    config = ser.configuration_from_json(_load_json(args.config_file))
     if isinstance(config, PeriodicConfig):
         cert = periodic_annihilator(config)
         report["outcome"] = {"found": True, "mode": "periodic",
@@ -209,9 +192,8 @@ def _cmd_annihilator(args, report: dict) -> int:
 
 
 def _cmd_determinism(args, report: dict) -> int:
-    ps = ser.pattern_set_from_json(
-        _load_json(args.pattern_set_file, "pattern_set"))
-    budget = args.budget if args.budget is not None else _default_budget()
+    ps = ser.pattern_set_from_json(_load_json(args.pattern_set_file))
+    budget = _budget(args)
     (cl,) = classify_directions(ps, [args.direction], args.k, args.radius,
                                 budget)
     report["outcome"] = ser.classification_to_json(cl)
@@ -220,8 +202,7 @@ def _cmd_determinism(args, report: dict) -> int:
 
 
 def _cmd_balanced(args, report: dict) -> int:
-    config = ser.configuration_from_json(
-        _load_json(args.config_file, "configuration"))
+    config = ser.configuration_from_json(_load_json(args.config_file))
     window = args.window
     if window is None:
         if not isinstance(config, PeriodicConfig):

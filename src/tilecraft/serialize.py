@@ -2,12 +2,17 @@
 
 The JSON forms are canonical: keys sorted, sets emitted in canonical
 order, so serializing the same object twice gives identical bytes.
-Input documents are validated against the schemas in docs/schemas.
+Input documents are checked first against the JSON Schemas in
+src/tilecraft/schemas/, then for what a schema cannot state: patterns
+cover the shape, colors are in the alphabet, and so on.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import os
+import re
 
 from .algebra import AnnihilatorCertificate, format_poly, poly_to_json
 from .balanced import BalancedReport, BalancedSearchResult
@@ -23,6 +28,78 @@ class SchemaError(ValueError):
     def __init__(self, message: str, errors: list[str] | None = None):
         super().__init__(message)
         self.errors = errors or []
+
+
+@functools.cache
+def _schema(name: str) -> dict:
+    path = os.path.join(os.path.dirname(__file__), "schemas",
+                        f"{name}.schema.json")
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _is_type(value, name: str) -> bool:
+    if name == "integer":
+        # as in JSON Schema: 1.0 is an integer, true is not
+        return (isinstance(value, int) and not isinstance(value, bool)
+                or isinstance(value, float) and value.is_integer())
+    return isinstance(value, {"object": dict, "array": list, "string": str}[name])
+
+
+def _schema_errors(value, schema: dict, path: tuple = ()):
+    """Yield (path, message) for each schema keyword that value fails.
+
+    Interprets the JSON Schema keywords the shipped schemas use, with
+    the semantics and messages of a Draft 2020-12 validator: every
+    keyword is checked, even after a type failure, and a failed oneOf
+    is a single error.
+    """
+    if "type" in schema and not _is_type(value, schema["type"]):
+        yield path, f"{value!r} is not of type {schema['type']!r}"
+    if "const" in schema and value != schema["const"]:
+        yield path, f"{schema['const']!r} was expected"
+    if isinstance(value, str) and "pattern" in schema \
+            and not re.search(schema["pattern"], value):
+        yield path, f"{value!r} does not match {schema['pattern']!r}"
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                yield path, f"{key!r} is a required property"
+        properties = schema.get("properties", {})
+        for key, sub in properties.items():
+            if key in value:
+                yield from _schema_errors(value[key], sub, path + (key,))
+        extras = sorted(k for k in value if k not in properties)
+        if schema.get("additionalProperties") is False and extras:
+            verb = "was" if len(extras) == 1 else "were"
+            yield path, (f"Additional properties are not allowed "
+                         f"({', '.join(map(repr, extras))} {verb} unexpected)")
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            short = "should be non-empty" if schema["minItems"] == 1 \
+                else "is too short"
+            yield path, f"{value!r} {short}"
+        if len(value) > schema.get("maxItems", len(value)):
+            yield path, f"{value!r} is too long"
+        if "items" in schema:
+            for i, item in enumerate(value):
+                yield from _schema_errors(item, schema["items"], path + (i,))
+    if "oneOf" in schema:
+        valid = sum(next(_schema_errors(value, sub, path), None) is None
+                    for sub in schema["oneOf"])
+        if valid != 1:
+            how = "not valid under any" if valid == 0 \
+                else "valid under more than one"
+            yield path, f"{value!r} is {how} of the given schemas"
+
+
+def _validate(data, name: str) -> None:
+    """Raise SchemaError listing every '$.path: message' violation."""
+    errors = sorted(_schema_errors(data, _schema(name)))
+    if errors:
+        raise SchemaError(f"{name} schema validation failed", [
+            f"$.{'.'.join(map(str, path))}: {message}" if path
+            else f"$: {message}" for path, message in errors])
 
 
 _GLYPHS = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -52,19 +129,11 @@ def shape_to_json(domain: DiscreteDomain):
 
 
 def shape_from_json(data) -> DiscreteDomain:
+    """A schema-valid shape: 'rect w h' or a list of [x, y] cells."""
     if isinstance(data, str):
-        parts = data.split()
-        if len(parts) != 3 or parts[0] != "rect":
-            raise SchemaError(f"bad shape string {data!r}; expected 'rect n m'")
-        try:
-            w, h = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise SchemaError(f"bad shape string {data!r}") from None
-        return DiscreteDomain.rect(w, h)
-    try:
-        return DiscreteDomain(tuple(Vec2(int(c[0]), int(c[1])) for c in data))
-    except (TypeError, IndexError, ValueError):
-        raise SchemaError(f"bad shape cell list {data!r}") from None
+        _, w, h = data.split()
+        return DiscreteDomain.rect(int(w), int(h))
+    return DiscreteDomain(tuple(Vec2(int(x), int(y)) for x, y in data))
 
 
 def _pattern_to_json(pattern: Pattern):
@@ -83,9 +152,6 @@ def _pattern_from_json(data, shape: DiscreteDomain) -> Pattern:
     Row-major takes precedence when the dimensions match the shape's
     rectangle; otherwise a cell list is expected.
     """
-    if not isinstance(data, list) or not data or not all(
-            isinstance(row, list) for row in data):
-        raise SchemaError(f"bad pattern {data!r}")
     rect_form = False
     if shape.is_rectangle():
         r = shape.bounding_rect()
@@ -115,17 +181,12 @@ def pattern_set_to_json(ps: PatternSet) -> dict:
     }
 
 
-def pattern_set_from_json(data: dict) -> PatternSet:
-    if not isinstance(data, dict):
-        raise SchemaError("pattern set document must be an object")
-    missing = [k for k in ("shape", "alphabet", "allowed") if k not in data]
-    if missing:
-        raise SchemaError("pattern set document incomplete",
-                          [f"missing key: {k}" for k in missing])
+def pattern_set_from_json(data) -> PatternSet:
+    _validate(data, "pattern_set")
     shape = shape_from_json(data["shape"])
     try:
         alphabet = Alphabet.of(data["alphabet"])
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise SchemaError(f"bad alphabet: {exc}") from None
     patterns = [_pattern_from_json(p, shape) for p in data["allowed"]]
     for p in patterns:
@@ -155,43 +216,33 @@ def configuration_to_json(c) -> dict:
     raise TypeError(f"not a configuration: {c!r}")
 
 
-def configuration_from_json(data: dict):
-    if not isinstance(data, dict) or "kind" not in data:
-        raise SchemaError("configuration document needs a 'kind'")
-    kind = data["kind"]
-    if kind == "window":
-        try:
-            origin = data.get("origin", [0, 0])
-            return WindowConfig.from_rows(data["rows"],
-                                          Vec2(int(origin[0]), int(origin[1])))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"bad window configuration: {exc}") from None
-    if kind == "periodic":
-        try:
-            rows = [list(map(int, row)) for row in data["block"]]
-            p1 = Vec2(*map(int, data["p1"])) if "p1" in data else Vec2(len(rows[0]), 0)
-            p2 = Vec2(*map(int, data["p2"])) if "p2" in data else Vec2(0, len(rows))
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
-            raise SchemaError(f"bad periodic configuration: {exc}") from None
-        if not rows or not rows[0]:
-            raise SchemaError("periodic block must be nonempty")
-        if p1.cross(p2) == 0:
-            raise SchemaError("periods must be linearly independent")
-        # the block rows must cover the reduced fundamental rectangle
-        a, b, c = _lattice_hnf([p1, p2])
-        if len(rows[0]) < a or len(rows) < c:
-            raise SchemaError(
-                f"block rows must cover the {a}x{c} reduced fundamental "
-                f"rectangle of the declared periods")
-        config = PeriodicConfig(a, b, c, tuple(tuple(r[:a]) for r in rows[:c]))
-        for j, row in enumerate(rows):
-            for i, v in enumerate(row):
-                if config.color_at(Vec2(i, j)) != v:
-                    raise SchemaError(
-                        f"block value at ({i},{j}) is inconsistent with the "
-                        f"declared periods")
-        return config
-    raise SchemaError(f"unknown configuration kind {kind!r}")
+def configuration_from_json(data):
+    _validate(data, "configuration")
+    if data["kind"] == "window":
+        rows = data["rows"]
+        if any(len(row) != len(rows[0]) for row in rows):
+            raise SchemaError("window rows must all have the same length")
+        origin = Vec2(*map(int, data.get("origin", (0, 0))))
+        return WindowConfig.from_rows(rows, origin)
+    rows = [list(map(int, row)) for row in data["block"]]
+    p1 = Vec2(*map(int, data.get("p1", (len(rows[0]), 0))))
+    p2 = Vec2(*map(int, data.get("p2", (0, len(rows)))))
+    if p1.cross(p2) == 0:
+        raise SchemaError("periods must be linearly independent")
+    # the block rows must cover the reduced fundamental rectangle
+    a, b, c = _lattice_hnf([p1, p2])
+    if len(rows[0]) < a or len(rows) < c:
+        raise SchemaError(
+            f"block rows must cover the {a}x{c} reduced fundamental "
+            f"rectangle of the declared periods")
+    config = PeriodicConfig(a, b, c, tuple(tuple(r[:a]) for r in rows[:c]))
+    for j, row in enumerate(rows):
+        for i, v in enumerate(row):
+            if config.color_at(Vec2(i, j)) != v:
+                raise SchemaError(
+                    f"block value at ({i},{j}) is inconsistent with the "
+                    f"declared periods")
+    return config
 
 
 # --- results ---------------------------------------------------------------

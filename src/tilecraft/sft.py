@@ -272,10 +272,10 @@ def _search(ps: PatternSet, width: int, height: int, wrap: bool, budget: int,
         advanced = False
         ci = choice[pos]
         while ci + 1 < len(cand):
+            if nodes >= budget:
+                return _SearchRun(solutions, False, nodes, True)
             ci += 1
             nodes += 1
-            if nodes > budget:
-                return _SearchRun(solutions, False, nodes, True)
             rows[y] = (rows[y] & ~(mask << xb)) | (cand[ci] << xb)
             ok = True
             for reads, codeset in checks_at[pos]:
@@ -366,16 +366,7 @@ def _stage_pairs(s: int) -> list[tuple[int, int]]:
                   if max(p, q) == s)
 
 
-def _stage_task(ps: PatternSet, kind: str, arg, budget: int,
-                symmetry_pruning: bool):
-    if kind == "square":
-        return _valid_square(ps, arg, budget, symmetry_pruning)
-    p, q = arg
-    return _torus_search(ps, p, q, budget, symmetry_pruning)
-
-
-def decide(ps: PatternSet, budget: int = DEFAULT_BUDGET, parallel: bool = False,
-           max_workers: int | None = None,
+def decide(ps: PatternSet, budget: int = DEFAULT_BUDGET,
            symmetry_pruning: bool = False) -> DecisionOutcome:
     """Dovetailed emptiness / periodic-witness decision.
 
@@ -385,13 +376,11 @@ def decide(ps: PatternSet, budget: int = DEFAULT_BUDGET, parallel: bool = False,
     non-emptiness.  Budgets are counted in search nodes, so equal
     inputs give equal outcomes.
     """
-    outcome, _ = decide_with_usage(ps, budget, parallel, max_workers,
-                                   symmetry_pruning)
+    outcome, _ = decide_with_usage(ps, budget, symmetry_pruning)
     return outcome
 
 
 def decide_with_usage(ps: PatternSet, budget: int = DEFAULT_BUDGET,
-                      parallel: bool = False, max_workers: int | None = None,
                       symmetry_pruning: bool = False
                       ) -> tuple[DecisionOutcome, int]:
     """decide, plus the total number of search nodes spent."""
@@ -405,19 +394,6 @@ def decide_with_usage(ps: PatternSet, budget: int = DEFAULT_BUDGET,
     while nodes_total < budget:
         stage += 1
         n = n0 + stage
-        pairs = _stage_pairs(stage)
-        if parallel:
-            outcome, used = _run_stage_parallel(
-                ps, n, pairs, budget - nodes_total, max_workers,
-                symmetry_pruning)
-            nodes_total += used
-            max_n = n
-            max_pq = stage
-            if outcome is BUDGET_EXCEEDED:
-                return undecided(), nodes_total
-            if outcome is not None:
-                return outcome, nodes_total
-            continue
         result, used = _valid_square(ps, n, budget - nodes_total,
                                      symmetry_pruning)
         nodes_total += used
@@ -426,7 +402,7 @@ def decide_with_usage(ps: PatternSet, budget: int = DEFAULT_BUDGET,
         max_n = n
         if result is None:
             return Empty(n), nodes_total
-        for p, q in pairs:
+        for p, q in _stage_pairs(stage):
             result, used = _torus_search(ps, p, q, budget - nodes_total,
                                          symmetry_pruning)
             nodes_total += used
@@ -436,36 +412,6 @@ def decide_with_usage(ps: PatternSet, budget: int = DEFAULT_BUDGET,
                 return NonEmptyPeriodic(result), nodes_total
         max_pq = stage
     return undecided(), nodes_total
-
-
-def _run_stage_parallel(ps: PatternSet, n: int, pairs, stage_budget: int,
-                        max_workers, symmetry_pruning):
-    """One dovetail stage fanned out over processes.
-
-    All stage tasks always run to completion and the combined result is
-    chosen afterwards, so the outcome cannot depend on scheduling.  The
-    returned witness is the first in the stage's enumeration order.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-
-    tasks = [("square", n)] + [("torus", pq) for pq in pairs]
-    with ProcessPoolExecutor(max_workers=max_workers) as pool:
-        futures = [pool.submit(_stage_task, ps, kind, arg, stage_budget,
-                               symmetry_pruning)
-                   for kind, arg in tasks]
-        results = [f.result() for f in futures]
-    used = sum(nodes for _, nodes in results)
-    square_result = results[0][0]
-    torus_results = [r for r, _ in results[1:]]
-    if square_result is None:
-        return Empty(n), used
-    for r in torus_results:
-        if r is not None and r is not BUDGET_EXCEEDED:
-            return NonEmptyPeriodic(r), used
-    if square_result is BUDGET_EXCEEDED or any(
-            r is BUDGET_EXCEEDED for r in torus_results):
-        return BUDGET_EXCEEDED, used
-    return None, used
 
 
 # ---------------------------------------------------------------------------

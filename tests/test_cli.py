@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from tilecraft.cli import main
 
 CHECKERBOARD = {"shape": "rect 2 2", "alphabet": [0, 1],
@@ -65,12 +67,19 @@ def test_decide_malformed(tmp_path, capsys):
     assert "line" in report_of(out)["error"]
 
 
-def test_decide_schema_violations_enumerated(tmp_path, capsys):
-    f = write(tmp_path, "bad.json", {"shape": 7, "alphabet": []})
+@pytest.mark.parametrize("doc, n_errors", [
+    ({"shape": 7, "alphabet": []}, 3),
+    ({"shape": "rect 2 2", "alphabet": "01", "allowed": [[[0, 1]]],
+      "extra": 1}, 2),
+    ({"shape": [[0, 0], [1]], "alphabet": [0, 1]}, 2),
+    ({"alphabet": [], "allowed": {}}, 3),
+], ids=["wrong-types", "extra-key", "short-cell", "missing-keys"])
+def test_decide_schema_violations_enumerated(tmp_path, capsys, doc, n_errors):
+    f = write(tmp_path, "bad.json", doc)
     code, out = run(capsys, "decide", f)
     assert code == 3
     rep = report_of(out)
-    assert len(rep["error_details"]) >= 2
+    assert len(rep["error_details"]) == n_errors
 
 
 def test_decide_missing_file(capsys):
@@ -205,16 +214,26 @@ def test_ascii_mode(tmp_path, capsys):
     assert "10\n01" in out
 
 
-def test_decide_parallel_flag(tmp_path, capsys):
-    f = write(tmp_path, "cb.json", CHECKERBOARD)
-    code, out = run(capsys, "decide", f, "--parallel", "--budget", "50000")
-    assert code == 0
-    assert report_of(out)["outcome"]["witness"]["values"] == [[0, 1], [1, 0]]
-
-
 def test_env_budget(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("TILECRAFT_BUDGET", "2")
     f = write(tmp_path, "cb.json", CHECKERBOARD)
     code, out = run(capsys, "decide", f)
     assert code == 2
     assert report_of(out)["budget"]["limit"] == 2
+
+
+@pytest.mark.parametrize("budget", ["0", "-3", "abc"])
+def test_bad_budget_is_input_error(tmp_path, capsys, budget):
+    f = write(tmp_path, "cb.json", CHECKERBOARD)
+    code, out = run(capsys, "decide", f, "--budget", budget)
+    assert code == 3
+    assert "budget" in report_of(out)["error"]
+
+
+@pytest.mark.parametrize("budget", ["abc", "0", pytest.param("", id="empty")])
+def test_bad_env_budget_is_input_error(tmp_path, capsys, monkeypatch, budget):
+    monkeypatch.setenv("TILECRAFT_BUDGET", budget)
+    f = write(tmp_path, "cb.json", CHECKERBOARD)
+    code, out = run(capsys, "determinism", f, "--dir", "1,0")
+    assert code == 3
+    assert "budget" in report_of(out)["error"]

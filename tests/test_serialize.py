@@ -1,7 +1,10 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
+from tilecraft import serialize
 from tilecraft.grid import Alphabet, DiscreteDomain, PeriodicConfig
 from tilecraft.serialize import (SchemaError, canonical_json,
                                  configuration_from_json,
@@ -115,3 +118,97 @@ def test_canonical_json_stable():
     obj = {"b": [3, 2], "a": {"y": 1, "x": 2}}
     assert canonical_json(obj) == canonical_json(
         {"a": {"x": 2, "y": 1}, "b": [3, 2]})
+
+
+# --- schema validation against jsonschema as the oracle -----------------------
+
+VALID_DOCS = {
+    "pattern_set": [
+        {"shape": "rect 2 2", "alphabet": [0, 1],
+         "allowed": [[[0, 1], [1, 0]], [[1, 0], [0, 1]]]},
+        {"shape": [[0, 0], [1, 0], [0, 1]], "alphabet": [0, 1, 2],
+         "allowed": [[[0, 0, 1], [1, 0, 2], [0, 1, 0]]]},
+    ],
+    "configuration": [
+        {"kind": "window", "origin": [1, -2], "rows": [[0, 1], [1, 0]]},
+        {"kind": "periodic", "p1": [2, 0], "p2": [0, 1], "block": [[0, 1]]},
+    ],
+}
+
+_SCALARS = [0, -7, 1.0, 1.5, True, False, None, "", "rect 2 2",
+            "rect 2 2\n", "rect x 2", "window", "periodic", [], {}, [0],
+            [[0, 1]], [0, 0, 0], {"kind": "window"}]
+_KEYS = ["shape", "alphabet", "allowed", "kind", "rows", "origin", "block",
+         "p1", "p2", "extra"]
+
+
+def _containers(doc, out):
+    if isinstance(doc, (list, dict)):
+        out.append(doc)
+        for child in (doc.values() if isinstance(doc, dict) else doc):
+            _containers(child, out)
+    return out
+
+
+def _copy(value):
+    return json.loads(json.dumps(value))
+
+
+def _mutate(doc, rng):
+    """One random edit somewhere in doc (in place); returns the new root."""
+    nodes = _containers(doc, [])
+    if not nodes or rng.random() < 0.05:
+        return _copy(rng.choice(_SCALARS))
+    node = rng.choice(nodes)
+    keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+    op = rng.randrange(4)
+    if op == 0 and keys:
+        node[rng.choice(keys)] = _copy(rng.choice(_SCALARS))
+    elif op == 1 and keys:
+        del node[rng.choice(keys)]
+    elif isinstance(node, dict):
+        node[rng.choice(_KEYS)] = _copy(rng.choice(_SCALARS))
+    elif op == 2 and keys:
+        node.append(_copy(node[rng.choice(keys)]))
+    else:
+        node.append(_copy(rng.choice([0, 1.0, "0", [0], [0, 1, 2]])))
+    return doc
+
+
+def mutated_docs(seed: int, count: int):
+    """(schema name, document) pairs: valid documents after 1-3 edits."""
+    rng = random.Random(seed)
+    names = sorted(VALID_DOCS)
+    for i in range(count):
+        name = names[i % 2]
+        doc = _copy(rng.choice(VALID_DOCS[name]))
+        for _ in range(rng.randint(1, 3)):
+            doc = _mutate(doc, rng)
+        yield name, doc
+
+
+def test_schema_check_matches_jsonschema():
+    jsonschema = pytest.importorskip("jsonschema")
+    schema_dir = Path(serialize.__file__).parent / "schemas"
+    oracles = {name: jsonschema.Draft202012Validator(json.loads(
+        (schema_dir / f"{name}.schema.json").read_text()))
+        for name in VALID_DOCS}
+    mismatches = []
+    n_invalid = 0
+    for name, doc in mutated_docs(seed=2, count=20_000):
+        errors = sorted(oracles[name].iter_errors(doc),
+                        key=lambda e: (list(e.absolute_path), e.message))
+        expected = [
+            f"$.{'.'.join(map(str, e.absolute_path))}: {e.message}"
+            if e.absolute_path else f"$: {e.message}" for e in errors]
+        try:
+            serialize._validate(doc, name)
+            got = []
+        except SchemaError as exc:
+            got = exc.errors
+        if got != expected:
+            mismatches.append((name, doc, got, expected))
+        n_invalid += bool(expected)
+    assert mismatches[:3] == []
+    # the corpus exercises both outcomes
+    assert 2_000 < n_invalid < 18_000

@@ -96,7 +96,7 @@ def test_decide_full_shift(full_shift_set):
 def test_decide_undecided_reports_budget(checkerboard_set):
     out = decide(checkerboard_set, budget=2)
     assert isinstance(out, Undecided)
-    assert out.nodes_used >= 2
+    assert out.nodes_used == 2
     assert out.low_complexity
 
 
@@ -114,12 +114,6 @@ def test_decide_symmetry_flag_same_outcomes():
         ps = make_pattern_set(tuples)
         assert decide(ps, 100_000) == decide(ps, 100_000,
                                              symmetry_pruning=True)
-
-
-def test_decide_parallel_matches_serial(checkerboard_set, left0_right1_set):
-    for ps in (checkerboard_set, left0_right1_set):
-        assert decide(ps, 50_000) == decide(ps, 50_000, parallel=True,
-                                            max_workers=2)
 
 
 # --- validate_witness ---------------------------------------------------------
