@@ -42,6 +42,8 @@ def _load_json(path: str):
         except json.JSONDecodeError as exc:
             raise ser.SchemaError(
                 f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
+        except RecursionError:
+            raise ser.SchemaError(f"{path}: JSON nested too deeply") from None
 
 
 def _parse_vec(text: str) -> Vec2:

@@ -218,13 +218,15 @@ def configuration_to_json(c) -> dict:
 
 def configuration_from_json(data):
     _validate(data, "configuration")
-    if data["kind"] == "window":
-        rows = data["rows"]
-        if any(len(row) != len(rows[0]) for row in rows):
-            raise SchemaError("window rows must all have the same length")
+    window = data["kind"] == "window"
+    rows = data["rows"] if window else data["block"]
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise SchemaError(f"{'window' if window else 'block'} rows must all "
+                          f"have the same length")
+    if window:
         origin = Vec2(*map(int, data.get("origin", (0, 0))))
         return WindowConfig.from_rows(rows, origin)
-    rows = [list(map(int, row)) for row in data["block"]]
+    rows = [list(map(int, row)) for row in rows]
     p1 = Vec2(*map(int, data.get("p1", (len(rows[0]), 0))))
     p2 = Vec2(*map(int, data.get("p2", (0, len(rows)))))
     if p1.cross(p2) == 0:

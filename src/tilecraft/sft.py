@@ -15,7 +15,8 @@ assigned so far (prefix pruning).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import lru_cache
+from typing import Iterable, Iterator, Sequence
 
 from .grid import (Alphabet, DiscreteDomain, Pattern, PeriodicConfig, Vec2,
                    ZeroVector)
@@ -152,13 +153,14 @@ class _Compiled:
 
 
 def _build_checks(ps: PatternSet, comp: _Compiled, width: int, height: int,
-                  wrap: bool):
-    """Per-position checks: (cells read so far, allowed prefix codes).
+                  wrap: bool, rank: Sequence[int]):
+    """Per-step checks: (cells read so far, allowed prefix codes).
 
-    For every translate of the shape and every assignment position that
-    touches it, registers a check of the translate's already-assigned
-    cells against the allowed patterns truncated to those cells.  The
-    final check per translate is full membership.
+    ``rank[y * width + x]`` is the step at which cell (x, y) is assigned.
+    For every translate of the shape and every step that touches it,
+    registers a check of the translate's already-assigned cells against
+    the allowed patterns truncated to those cells.  The final check per
+    translate is full membership.
     """
     cells = comp.cells
     b = comp.bits
@@ -181,7 +183,7 @@ def _build_checks(ps: PatternSet, comp: _Compiled, width: int, height: int,
                 if wrap:
                     ax %= width
                     ay %= height
-                placed.append((ay * width + ax, k, ax, ay))
+                placed.append((rank[ay * width + ax], k, ax, ay))
             placed.sort()
             seq = tuple(k for _, k, _, _ in placed)
             if seq not in prefix_cache:
@@ -197,9 +199,9 @@ def _build_checks(ps: PatternSet, comp: _Compiled, width: int, height: int,
                 prefix_cache[seq] = sets
             sets = prefix_cache[seq]
             reads: list[tuple[int, int]] = []
-            for i, (pos, k, ax, ay) in enumerate(placed):
+            for i, (step, k, ax, ay) in enumerate(placed):
                 reads.append((ax * b, ay))
-                checks_at[pos].append((tuple(reads), sets[i]))
+                checks_at[step].append((tuple(reads), sets[i]))
     return checks_at
 
 
@@ -228,52 +230,75 @@ def _orbit_minimal_colors(ps: PatternSet, comp: _Compiled) -> list[int]:
 
 @dataclass
 class _SearchRun:
-    solutions: list
-    exhausted: bool          # full tree explored
-    nodes: int
-    budget_exceeded: bool
+    """Nodes spent by one _search so far, and whether it hit the budget."""
+
+    nodes: int = 0
+    budget_exceeded: bool = False
+
+
+@lru_cache(maxsize=64)
+def _layout(width: int, height: int, head: tuple, bits: int):
+    """Assignment order: rank per cell, (row, bit offset) per step.
+
+    The order is row-major, or the head cells first and then the other
+    cells by Chebyshev distance from the last head cell, ties row-major.
+    Cached because a census runs many searches of the same few sizes.
+    """
+    order = [(x, y) for y in range(height) for x in range(width)]
+    if head:
+        cx, cy = head[-1]
+        first = set(head)
+        order = list(head) + sorted(
+            (c for c in order if c not in first),
+            key=lambda c: max(abs(c[0] - cx), abs(c[1] - cy)))
+    rank = [0] * len(order)
+    for i, (x, y) in enumerate(order):
+        rank[y * width + x] = i
+    return tuple(rank), tuple((y, x * bits) for x, y in order)
 
 
 def _search(ps: PatternSet, width: int, height: int, wrap: bool, budget: int,
-            fixed: dict | None = None, limit: int = 1,
-            symmetry_pruning: bool = False) -> _SearchRun:
-    """Backtracking over the grid, row-major cells, ascending colors."""
+            run: _SearchRun, head: Sequence[tuple[int, int]] = (),
+            symmetry_pruning: bool = False) -> Iterator[tuple]:
+    """Backtracking over the grid in _layout order, ascending colors.
+
+    Yields each solution as rows of colors and counts nodes in ``run``.
+    With head cells, the search backs up into the last head cell after
+    each solution, so it yields exactly one solution per extendable
+    coloring of the head, in lexicographic order.
+    """
     comp = _Compiled(ps)
     b, mask = comp.bits, comp.mask
     ncells = width * height
-    checks_at = _build_checks(ps, comp, width, height, wrap)
+    rank, steps = _layout(width, height, tuple(head), b)
+    checks_at = _build_checks(ps, comp, width, height, wrap, rank)
     full_range = tuple(range(comp.n_colors))
     candidates = [full_range] * ncells
     if symmetry_pruning:
         candidates[0] = tuple(_orbit_minimal_colors(ps, comp))
-    if fixed:
-        for cell, color in fixed.items():
-            idx = cell[1] * width + cell[0]
-            candidates[idx] = (comp.color_index[color],)
+    back = (len(head) or ncells) - 1
 
     rows = [0] * height
     choice = [-1] * ncells
-    solutions = []
     nodes = 0
     pos = 0
     while True:
         if pos == ncells:
-            grid = tuple(
+            run.nodes = nodes
+            yield tuple(
                 tuple(comp.colors[(rows[y] >> (x * b)) & mask]
                       for x in range(width))
                 for y in range(height))
-            solutions.append(grid)
-            if len(solutions) >= limit:
-                return _SearchRun(solutions, False, nodes, False)
-            pos -= 1
+            pos = back
         cand = candidates[pos]
-        y, xb = divmod(pos, width)
-        xb *= b
+        y, xb = steps[pos]
         advanced = False
         ci = choice[pos]
         while ci + 1 < len(cand):
             if nodes >= budget:
-                return _SearchRun(solutions, False, nodes, True)
+                run.nodes = nodes
+                run.budget_exceeded = True
+                return
             ci += 1
             nodes += 1
             rows[y] = (rows[y] & ~(mask << xb)) | (cand[ci] << xb)
@@ -299,7 +324,8 @@ def _search(ps: PatternSet, width: int, height: int, wrap: bool, budget: int,
             choice[pos] = -1
             pos -= 1
             if pos < 0:
-                return _SearchRun(solutions, True, nodes, False)
+                run.nodes = nodes
+                return
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +341,12 @@ def _square_extent_check(ps: PatternSet, n: int):
 def _valid_square(ps: PatternSet, n: int, budget: int,
                   symmetry_pruning: bool = False):
     _square_extent_check(ps, n)
-    run = _search(ps, n, n, wrap=False, budget=budget,
-                  symmetry_pruning=symmetry_pruning)
+    run = _SearchRun()
+    grid = next(_search(ps, n, n, False, budget, run,
+                        symmetry_pruning=symmetry_pruning), None)
     if run.budget_exceeded:
         return BUDGET_EXCEEDED, run.nodes
-    return (run.solutions[0] if run.solutions else None), run.nodes
+    return grid, run.nodes
 
 
 def valid_square(ps: PatternSet, n: int, budget: int = DEFAULT_BUDGET,
@@ -333,12 +360,13 @@ def _torus_search(ps: PatternSet, p: int, q: int, budget: int,
                   symmetry_pruning: bool = False):
     if p < 1 or q < 1:
         raise ValueError("torus sides must be >= 1")
-    run = _search(ps, p, q, wrap=True, budget=budget,
-                  symmetry_pruning=symmetry_pruning)
+    run = _SearchRun()
+    grid = next(_search(ps, p, q, True, budget, run,
+                        symmetry_pruning=symmetry_pruning), None)
     if run.budget_exceeded:
         return BUDGET_EXCEEDED, run.nodes
-    if run.solutions:
-        return TorusWitness(p, q, run.solutions[0]), run.nodes
+    if grid is not None:
+        return TorusWitness(p, q, grid), run.nodes
     return None, run.nodes
 
 
@@ -452,6 +480,10 @@ class DeterminismReport:
     Forced is sound evidence of determinism at radius k.  NonForced is
     evidence at the consistency radius only: the witnesses are locally
     valid in the probe square but might not extend to the subshift.
+
+    ``box_colorings`` counts the extendable box colorings examined, in
+    lexicographic order, up to and including the witness's (all of them
+    when forced; those seen before the budget ran out when inconclusive).
     """
 
     direction: Vec2
@@ -465,18 +497,18 @@ class DeterminismReport:
     note: str = ""
 
 
-_ENUMERATION_CAP = 512
-
-
 def determinism_probe(ps: PatternSet, u, k: int, radius: int,
                       budget: int = DEFAULT_BUDGET) -> DeterminismReport:
     """Check whether box contents force the center cell's color.
 
-    Enumerates the colorings of box+center that extend to a locally
-    valid square of the given radius around the center.  If some box
-    coloring extends with two different center colors the direction is
-    reported non-forced; if every extendable box coloring pins the
-    center it is reported forced.
+    One search of the square of the given radius around the center
+    assigns the box cells first, then the center, and yields one locally
+    valid square per extendable box+center coloring, in lexicographic
+    order.  The first box coloring that extends with two different
+    center colors is the non-forced witness; if every extendable box
+    coloring pins the center, the direction is reported forced.
+    ``box_colorings`` is the number of extendable box colorings
+    examined, in lexicographic order, up to and including the witness.
     """
     u = Vec2(u[0], u[1])
     if u.is_zero():
@@ -485,93 +517,27 @@ def determinism_probe(ps: PatternSet, u, k: int, radius: int,
         raise ValueError("consistency radius must be at least k")
     box = box_cells(u, k)
     side = 2 * radius + 1
-    offset = Vec2(radius, radius)
-    box_sq = [c + offset for c in box.cells]
-    center_sq = offset
-    colors = ps.alphabet.colors
-
-    # Fast path: if the probe square has few valid colorings overall,
-    # read the box-to-center map off the full enumeration.
-    run = _search(ps, side, side, wrap=False, budget=budget,
-                  limit=_ENUMERATION_CAP + 1)
-    nodes_used = run.nodes
+    center = Vec2(radius, radius)
+    box_sq = [c + center for c in box.cells]
+    run = _SearchRun()
+    colorings = 0
+    last = first = None
+    for grid in _search(ps, side, side, False, budget, run,
+                        head=box_sq + [center]):
+        beta = tuple(grid[c.y][c.x] for c in box_sq)
+        value = grid[center.y][center.x]
+        if beta == last:
+            witness = NonForcedWitness(Pattern(box, beta), (first, value))
+            return DeterminismReport(u, k, radius, "non_forced", box,
+                                     witness, colorings, run.nodes)
+        colorings += 1
+        last, first = beta, value
     if run.budget_exceeded:
-        return DeterminismReport(u, k, radius, "inconclusive", box, None, 0,
-                                 nodes_used, "budget exhausted")
-    if run.exhausted:
-        groups: dict[tuple, set] = {}
-        for grid in run.solutions:
-            beta = tuple(grid[c.y][c.x] for c in box_sq)
-            groups.setdefault(beta, set()).add(grid[center_sq.y][center_sq.x])
-        for beta in sorted(groups):
-            if len(groups[beta]) >= 2:
-                centers = tuple(sorted(groups[beta]))[:2]
-                witness = NonForcedWitness(Pattern(box, beta), centers)
-                return DeterminismReport(u, k, radius, "non_forced", box,
-                                         witness, len(groups), nodes_used)
-        note = "" if groups else "no locally valid square at this radius"
-        return DeterminismReport(u, k, radius, "forced", box, None,
-                                 len(groups), nodes_used, note)
-
-    # Slow path: too many squares to enumerate; walk box colorings
-    # depth-first, pruning prefixes that cannot extend.
-    remaining = [budget - nodes_used]
-
-    def extendable(fixed: dict) -> bool | None:
-        sub = _search(ps, side, side, wrap=False, budget=remaining[0],
-                      fixed=fixed, limit=1)
-        remaining[0] -= sub.nodes
-        if sub.budget_exceeded:
-            return None
-        return bool(sub.solutions)
-
-    box_count = 0
-    stack_fixed: dict = {}
-
-    def walk(i: int):
-        nonlocal box_count
-        if i == len(box_sq):
-            extensions = []
-            for v in colors:
-                stack_fixed[center_sq] = v
-                ok = extendable(dict(stack_fixed))
-                del stack_fixed[center_sq]
-                if ok is None:
-                    return "budget"
-                if ok:
-                    extensions.append(v)
-                    if len(extensions) == 2:
-                        break
-            box_count += 1
-            if len(extensions) >= 2:
-                beta = tuple(stack_fixed[c] for c in box_sq)
-                return NonForcedWitness(Pattern(box, beta),
-                                        (extensions[0], extensions[1]))
-            return None
-        for v in colors:
-            stack_fixed[box_sq[i]] = v
-            ok = extendable(dict(stack_fixed))
-            if ok is None:
-                del stack_fixed[box_sq[i]]
-                return "budget"
-            if ok:
-                res = walk(i + 1)
-                if res is not None:
-                    del stack_fixed[box_sq[i]]
-                    return res
-            del stack_fixed[box_sq[i]]
-        return None
-
-    res = walk(0)
-    nodes_used = budget - remaining[0]
-    if res == "budget":
         return DeterminismReport(u, k, radius, "inconclusive", box, None,
-                                 box_count, nodes_used, "budget exhausted")
-    if isinstance(res, NonForcedWitness):
-        return DeterminismReport(u, k, radius, "non_forced", box, res,
-                                 box_count, nodes_used)
-    return DeterminismReport(u, k, radius, "forced", box, None, box_count,
-                             nodes_used)
+                                 colorings, run.nodes, "budget exhausted")
+    note = "" if colorings else "no locally valid square at this radius"
+    return DeterminismReport(u, k, radius, "forced", box, None, colorings,
+                             run.nodes, note)
 
 
 @dataclass(frozen=True)

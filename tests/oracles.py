@@ -1,4 +1,4 @@
-"""Independent oracle implementations used only by the acceptance suite.
+"""Independent oracle implementations used only by the tests.
 
 Everything here deliberately avoids the engine's bit-packed search:
 plain loops, literal enumeration, numpy vectorization and Fraction
@@ -6,6 +6,7 @@ arithmetic, so that agreement with the engine is meaningful.
 """
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
@@ -121,3 +122,71 @@ def orbit_forced_at(config, u, k):
                 if config.color_at(-d1) != config.color_at(-d2):
                     return False
     return True
+
+
+def naive_square_extends(tuples, shape_cells, colors, side, fixed):
+    """Whether a side x side coloring agreeing with ``fixed`` exists.
+
+    ``fixed`` maps (x, y) cells of the square to colors.  The free cells
+    are filled in row-major order by plain recursion; after each
+    assignment every fully colored translate of the shape through that
+    cell is looked up in ``tuples``.
+    """
+    allowed = set(map(tuple, tuples))
+    grid = [[None] * side for _ in range(side)]
+    for (x, y), v in fixed.items():
+        grid[y][x] = v
+    free = [(x, y) for y in range(side) for x in range(side)
+            if (x, y) not in fixed]
+    xs = [c[0] for c in shape_cells]
+    ys = [c[1] for c in shape_cells]
+    through = {(x, y): [] for y in range(side) for x in range(side)}
+    for ty in range(-min(ys), side - max(ys)):
+        for tx in range(-min(xs), side - max(xs)):
+            for cx, cy in shape_cells:
+                through[(tx + cx, ty + cy)].append((tx, ty))
+
+    def consistent(translates):
+        for tx, ty in translates:
+            block = tuple(grid[ty + cy][tx + cx] for cx, cy in shape_cells)
+            if None not in block and block not in allowed:
+                return False
+        return True
+
+    def place(i):
+        if i == len(free):
+            return True
+        x, y = free[i]
+        for v in colors:
+            grid[y][x] = v
+            if consistent(through[(x, y)]) and place(i + 1):
+                return True
+        grid[y][x] = None
+        return False
+
+    return all(consistent(through[cell]) for cell in fixed) and place(0)
+
+
+def naive_probe(tuples, shape_cells, colors, u, k, radius):
+    """(verdict, witness, box_colorings) of a determinism probe.
+
+    Goes through the box+center colorings in lexicographic order (box
+    cells in ``box_cells`` order, then the center) and asks
+    ``naive_square_extends`` whether each extends to the square of the
+    given radius.  The witness is (box values, (center, center)) of the
+    first box coloring with two extending centers; ``box_colorings``
+    counts the extendable box colorings up to and including it.
+    """
+    box = box_cells(u, k).cells
+    side = 2 * radius + 1
+    count = 0
+    for beta in product(colors, repeat=len(box)):
+        fixed = {(c.x + radius, c.y + radius): v for c, v in zip(box, beta)}
+        centers = [v for v in colors
+                   if naive_square_extends(tuples, shape_cells, colors, side,
+                                           {**fixed, (radius, radius): v})]
+        if centers:
+            count += 1
+        if len(centers) >= 2:
+            return "non_forced", (beta, tuple(centers[:2])), count
+    return "forced", None, count

@@ -67,6 +67,30 @@ def test_decide_malformed(tmp_path, capsys):
     assert "line" in report_of(out)["error"]
 
 
+def test_decide_deeply_nested_is_input_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, out = run(capsys, "decide", str(path))
+    assert code == 3
+    assert "nested too deeply" in report_of(out)["error"]
+
+
+def test_decide_empty_rect_shape_is_schema_error(tmp_path, capsys):
+    f = write(tmp_path, "bad.json", {**CHECKERBOARD, "shape": "rect 0 2"})
+    code, out = run(capsys, "decide", f)
+    assert code == 3
+    assert report_of(out)["error_details"][0].startswith("$.shape: ")
+
+
+def test_complexity_ragged_block_is_input_error(tmp_path, capsys):
+    f = write(tmp_path, "p.json", {"kind": "periodic", "p1": [2, 0],
+                                   "p2": [0, 2], "block": [[0, 1], [1]]})
+    code, out = run(capsys, "complexity", f, "--shape", "2x2",
+                    "--window", "4x4")
+    assert code == 3
+    assert "same length" in report_of(out)["error"]
+
+
 @pytest.mark.parametrize("doc, n_errors", [
     ({"shape": 7, "alphabet": []}, 3),
     ({"shape": "rect 2 2", "alphabet": "01", "allowed": [[[0, 1]]],

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from tilecraft.algebra import difference_poly, poly_mul
@@ -8,6 +11,7 @@ from tilecraft.sft import (BUDGET_EXCEEDED, Empty, NonEmptyPeriodic,
                            classify_directions, decide, determinism_probe,
                            torus_search, valid_square, validate_witness)
 
+import oracles
 from conftest import make_pattern_set
 
 
@@ -193,17 +197,47 @@ def test_probe_budget_inconclusive(full_shift_set):
 def test_probe_witness_locally_consistent(full_shift_set):
     # both center extensions of a non-forced witness must extend to a
     # locally valid square of the probe's radius
-    from tilecraft.sft import _search
     radius = 4
     rep = determinism_probe(full_shift_set, Vec2(1, 0), 3, radius)
     assert rep.verdict == "non_forced"
+    tuples = [p.values for p in full_shift_set.allowed]
+    shape = [(c.x, c.y) for c in full_shift_set.shape.cells]
     offset = Vec2(radius, radius)
     for center in rep.witness.centers:
         fixed = {cell + offset: v for cell, v in rep.witness.box_pattern.items()}
         fixed[offset] = center
-        run = _search(full_shift_set, 2 * radius + 1, 2 * radius + 1,
-                      wrap=False, budget=200_000, fixed=fixed, limit=1)
-        assert run.solutions
+        assert oracles.naive_square_extends(
+            tuples, shape, full_shift_set.alphabet.colors, 2 * radius + 1,
+            fixed)
+
+
+def test_probe_matches_naive_oracle():
+    # verdict, witness and box_colorings against the brute-force probe on
+    # seeded binary 2x2 sets
+    rng = random.Random(5)
+    shape = DiscreteDomain.rect(2, 2)
+    full = list(itertools.product((0, 1), repeat=4))
+    directions = [Vec2(1, 0), Vec2(0, 1), Vec2(-1, 0), Vec2(1, 1),
+                  Vec2(-1, 1), Vec2(2, -1)]
+    seen = {"forced": 0, "non_forced": 0}
+    for _ in range(40):
+        tuples = rng.sample(full, rng.randint(3, 10))
+        ps = PatternSet.from_value_tuples(Alphabet.of([0, 1]), shape, tuples)
+        u = rng.choice(directions)
+        k = rng.randint(1, 2)
+        radius = rng.randint(k, 3)
+        rep = determinism_probe(ps, u, k, radius, budget=400_000)
+        verdict, witness, count = oracles.naive_probe(
+            tuples, [(c.x, c.y) for c in shape.cells], (0, 1), u, k, radius)
+        assert rep.verdict == verdict
+        assert rep.box_colorings == count
+        if witness is None:
+            assert rep.witness is None
+        else:
+            assert (rep.witness.box_pattern.values,
+                    rep.witness.centers) == witness
+        seen[verdict] += 1
+    assert min(seen.values()) >= 5
 
 
 def test_probe_radius_check(checkerboard_set):
@@ -212,10 +246,10 @@ def test_probe_radius_check(checkerboard_set):
 
 
 def test_probe_slow_path_row_constant_system():
-    # rows are constant but independent: too many valid squares to
-    # enumerate, so the probe walks box colorings with extendability
-    # checks; horizontally the center is forced by its row, vertically
-    # nothing forces it
+    # rows are constant but independent, so the probe square has 3^9
+    # valid colorings and the probe must project them onto the box:
+    # horizontally the center is forced by its row, vertically nothing
+    # forces it
     from itertools import product
     shape = DiscreteDomain.rect(2, 2)
     alphabet = Alphabet.of([0, 1, 2])
