@@ -258,7 +258,7 @@ def _layout(width: int, height: int, head: tuple, bits: int):
 
 
 def _search(ps: PatternSet, width: int, height: int, wrap: bool, budget: int,
-            run: _SearchRun, head: Sequence[tuple[int, int]] = (),
+            run: _SearchRun, head: tuple = (),
             symmetry_pruning: bool = False) -> Iterator[tuple]:
     """Backtracking over the grid in _layout order, ascending colors.
 
@@ -270,7 +270,7 @@ def _search(ps: PatternSet, width: int, height: int, wrap: bool, budget: int,
     comp = _Compiled(ps)
     b, mask = comp.bits, comp.mask
     ncells = width * height
-    rank, steps = _layout(width, height, tuple(head), b)
+    rank, steps = _layout(width, height, head, b)
     checks_at = _build_checks(ps, comp, width, height, wrap, rank)
     full_range = tuple(range(comp.n_colors))
     candidates = [full_range] * ncells
@@ -523,7 +523,7 @@ def determinism_probe(ps: PatternSet, u, k: int, radius: int,
     colorings = 0
     last = first = None
     for grid in _search(ps, side, side, False, budget, run,
-                        head=box_sq + [center]):
+                        head=(*box_sq, center)):
         beta = tuple(grid[c.y][c.x] for c in box_sq)
         value = grid[center.y][center.x]
         if beta == last:
