@@ -15,7 +15,6 @@ assigned so far (prefix pruning).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .grid import (Alphabet, DiscreteDomain, Pattern, PeriodicConfig, Vec2,
@@ -154,13 +153,14 @@ class _Compiled:
 
 def _build_checks(ps: PatternSet, comp: _Compiled, width: int, height: int,
                   wrap: bool, rank: Sequence[int]):
-    """Per-step checks: (cells read so far, allowed prefix codes).
+    """Per-step checks: (cells read, allowed prefix codes, earlier steps).
 
     ``rank[y * width + x]`` is the step at which cell (x, y) is assigned.
     For every translate of the shape and every step that touches it,
     registers a check of the translate's already-assigned cells against
     the allowed patterns truncated to those cells.  The final check per
-    translate is full membership.
+    translate is full membership.  The third item is a bit mask of the
+    other steps the check reads: the cells to blame when it fails.
     """
     cells = comp.cells
     b = comp.bits
@@ -199,9 +199,11 @@ def _build_checks(ps: PatternSet, comp: _Compiled, width: int, height: int,
                 prefix_cache[seq] = sets
             sets = prefix_cache[seq]
             reads: list[tuple[int, int]] = []
+            earlier = 0
             for i, (step, k, ax, ay) in enumerate(placed):
                 reads.append((ax * b, ay))
-                checks_at[step].append((tuple(reads), sets[i]))
+                checks_at[step].append((tuple(reads), sets[i], earlier))
+                earlier |= 1 << step
     return checks_at
 
 
@@ -236,25 +238,24 @@ class _SearchRun:
     budget_exceeded: bool = False
 
 
-@lru_cache(maxsize=64)
 def _layout(width: int, height: int, head: tuple, bits: int):
     """Assignment order: rank per cell, (row, bit offset) per step.
 
     The order is row-major, or the head cells first and then the other
     cells by Chebyshev distance from the last head cell, ties row-major.
-    Cached because a census runs many searches of the same few sizes.
     """
     order = [(x, y) for y in range(height) for x in range(width)]
+    rank = range(width * height)
     if head:
         cx, cy = head[-1]
         first = set(head)
         order = list(head) + sorted(
             (c for c in order if c not in first),
             key=lambda c: max(abs(c[0] - cx), abs(c[1] - cy)))
-    rank = [0] * len(order)
-    for i, (x, y) in enumerate(order):
-        rank[y * width + x] = i
-    return tuple(rank), tuple((y, x * bits) for x, y in order)
+        rank = [0] * len(order)
+        for i, (x, y) in enumerate(order):
+            rank[y * width + x] = i
+    return rank, [(y, x * bits) for x, y in order]
 
 
 def _search(ps: PatternSet, width: int, height: int, wrap: bool, budget: int,
@@ -265,7 +266,13 @@ def _search(ps: PatternSet, width: int, height: int, wrap: bool, budget: int,
     Yields each solution as rows of colors and counts nodes in ``run``.
     With head cells, the search backs up into the last head cell after
     each solution, so it yields exactly one solution per extendable
-    coloring of the head, in lexicographic order.
+    coloring of the head, in lexicographic order.  It also backjumps: a
+    step whose colors all fail returns to the latest step its failed
+    checks read, or that failures below it were blamed on, so a head
+    coloring that cannot extend is refuted without trying every coloring
+    of the steps in between.  ``conflict[step]`` holds that blame as a
+    bit mask of steps.  Without head cells the search backtracks one
+    step at a time, so decide's node counts stay as they were.
     """
     comp = _Compiled(ps)
     b, mask = comp.bits, comp.mask
@@ -280,6 +287,7 @@ def _search(ps: PatternSet, width: int, height: int, wrap: bool, budget: int,
 
     rows = [0] * height
     choice = [-1] * ncells
+    conflict = [0] * ncells
     nodes = 0
     pos = 0
     while True:
@@ -290,6 +298,7 @@ def _search(ps: PatternSet, width: int, height: int, wrap: bool, budget: int,
                       for x in range(width))
                 for y in range(height))
             pos = back
+            conflict[pos] = (1 << pos) - 1  # every head step may matter
         cand = candidates[pos]
         y, xb = steps[pos]
         advanced = False
@@ -303,13 +312,14 @@ def _search(ps: PatternSet, width: int, height: int, wrap: bool, budget: int,
             nodes += 1
             rows[y] = (rows[y] & ~(mask << xb)) | (cand[ci] << xb)
             ok = True
-            for reads, codeset in checks_at[pos]:
+            for reads, codeset, earlier in checks_at[pos]:
                 code = 0
                 sh = 0
                 for cxb, cy in reads:
                     code |= ((rows[cy] >> cxb) & mask) << sh
                     sh += b
                 if code not in codeset:
+                    conflict[pos] |= earlier
                     ok = False
                     break
             if ok:
@@ -320,9 +330,16 @@ def _search(ps: PatternSet, width: int, height: int, wrap: bool, budget: int,
             pos += 1
             if pos < ncells:
                 choice[pos] = -1
+                conflict[pos] = 0
         else:
             choice[pos] = -1
-            pos -= 1
+            if head:
+                culprits = conflict[pos]
+                pos = culprits.bit_length() - 1
+                if pos >= 0:
+                    conflict[pos] |= culprits ^ (1 << pos)
+            else:
+                pos -= 1
             if pos < 0:
                 run.nodes = nodes
                 return

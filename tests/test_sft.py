@@ -211,24 +211,30 @@ def test_probe_witness_locally_consistent(full_shift_set):
             fixed)
 
 
-def test_probe_matches_naive_oracle():
+@pytest.mark.parametrize("colors, shapes, max_radius", [
+    ((0, 1), [(2, 2)], 3),
+    ((0, 1, 2), [(2, 2), (3, 1)], 2),
+])
+def test_probe_matches_naive_oracle(colors, shapes, max_radius):
     # verdict, witness and box_colorings against the brute-force probe on
-    # seeded binary 2x2 sets
+    # seeded small sets; with three colors the probe search backjumps
+    # over head cells often, and dense 2x2 and 3x1 sets exercise that
     rng = random.Random(5)
-    shape = DiscreteDomain.rect(2, 2)
-    full = list(itertools.product((0, 1), repeat=4))
     directions = [Vec2(1, 0), Vec2(0, 1), Vec2(-1, 0), Vec2(1, 1),
                   Vec2(-1, 1), Vec2(2, -1)]
     seen = {"forced": 0, "non_forced": 0}
     for _ in range(40):
-        tuples = rng.sample(full, rng.randint(3, 10))
-        ps = PatternSet.from_value_tuples(Alphabet.of([0, 1]), shape, tuples)
+        w, h = rng.choice(shapes)
+        shape = DiscreteDomain.rect(w, h)
+        full = list(itertools.product(colors, repeat=w * h))
+        tuples = rng.sample(full, rng.randint(3, len(full) * 5 // 8))
+        ps = PatternSet.from_value_tuples(Alphabet.of(colors), shape, tuples)
         u = rng.choice(directions)
         k = rng.randint(1, 2)
-        radius = rng.randint(k, 3)
+        radius = rng.randint(k, max_radius)
         rep = determinism_probe(ps, u, k, radius, budget=400_000)
         verdict, witness, count = oracles.naive_probe(
-            tuples, [(c.x, c.y) for c in shape.cells], (0, 1), u, k, radius)
+            tuples, [(c.x, c.y) for c in shape.cells], colors, u, k, radius)
         assert rep.verdict == verdict
         assert rep.box_colorings == count
         if witness is None:
@@ -260,6 +266,19 @@ def test_probe_slow_path_row_constant_system():
     assert horizontal.box_colorings == 27  # free rows through the box column
     vertical = determinism_probe(ps, Vec2(0, 1), 2, 4, budget=500_000)
     assert vertical.verdict == "non_forced"
+
+
+def test_probe_independent_rows_small_budget():
+    # the rows of a 3x1 set are independent; a box coloring whose row has
+    # no completion must be refuted without trying every coloring of the
+    # other rows, so both sides decide within 2,000 nodes
+    ps = PatternSet.from_value_tuples(
+        Alphabet.of([0, 1, 2]), DiscreteDomain.rect(3, 1),
+        [(0, 0, 2), (0, 2, 0), (1, 0, 0), (1, 0, 1), (1, 2, 0), (2, 1, 2),
+         (2, 2, 2)])
+    for u in (Vec2(1, 0), Vec2(-1, 0)):
+        rep = determinism_probe(ps, u, 3, 3, budget=2_000)
+        assert (rep.verdict, rep.box_colorings) == ("forced", 1)
 
 
 def test_classify(checkerboard_set, full_shift_set, all_zero_set):
