@@ -245,14 +245,13 @@ def _layout(width: int, height: int, head: tuple, bits: int):
     cells by Chebyshev distance from the last head cell, ties row-major.
     """
     order = [(x, y) for y in range(height) for x in range(width)]
-    rank = range(width * height)
+    rank = list(range(width * height))
     if head:
         cx, cy = head[-1]
         first = set(head)
         order = list(head) + sorted(
             (c for c in order if c not in first),
             key=lambda c: max(abs(c[0] - cx), abs(c[1] - cy)))
-        rank = [0] * len(order)
         for i, (x, y) in enumerate(order):
             rank[y * width + x] = i
     return rank, [(y, x * bits) for x, y in order]
