@@ -244,16 +244,18 @@ def _layout(width: int, height: int, head: tuple, bits: int):
     The order is row-major, or the head cells first and then the other
     cells by Chebyshev distance from the last head cell, ties row-major.
     """
-    order = [(x, y) for y in range(height) for x in range(width)]
     rank = list(range(width * height))
-    if head:
-        cx, cy = head[-1]
-        first = set(head)
-        order = list(head) + sorted(
-            (c for c in order if c not in first),
-            key=lambda c: max(abs(c[0] - cx), abs(c[1] - cy)))
-        for i, (x, y) in enumerate(order):
-            rank[y * width + x] = i
+    if not head:
+        return rank, [(y, x * bits) for y in range(height)
+                      for x in range(width)]
+    cx, cy = head[-1]
+    first = set(head)
+    order = list(head) + sorted(
+        ((x, y) for y in range(height) for x in range(width)
+         if (x, y) not in first),
+        key=lambda c: max(abs(c[0] - cx), abs(c[1] - cy)))
+    for i, (x, y) in enumerate(order):
+        rank[y * width + x] = i
     return rank, [(y, x * bits) for x, y in order]
 
 
@@ -271,7 +273,8 @@ def _search(ps: PatternSet, width: int, height: int, wrap: bool, budget: int,
     coloring that cannot extend is refuted without trying every coloring
     of the steps in between.  ``conflict[step]`` holds that blame as a
     bit mask of steps.  Without head cells the search backtracks one
-    step at a time, so decide's node counts stay as they were.
+    step at a time: decide reports its node counts, and backjumping
+    would change them.
     """
     comp = _Compiled(ps)
     b, mask = comp.bits, comp.mask
@@ -297,7 +300,7 @@ def _search(ps: PatternSet, width: int, height: int, wrap: bool, budget: int,
                       for x in range(width))
                 for y in range(height))
             pos = back
-            conflict[pos] = (1 << pos) - 1  # every head step may matter
+            conflict[pos] = (1 << pos) - 1  # skip no head step from here
         cand = candidates[pos]
         y, xb = steps[pos]
         advanced = False
