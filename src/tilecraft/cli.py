@@ -29,6 +29,10 @@ EXIT_UNDECIDED = 2
 EXIT_INPUT_ERROR = 3
 EXIT_DOMAIN_ERROR = 4
 
+# a schema message quotes the offending value, which can be as large as
+# the input; report details are cut to this many characters after the path
+_DETAIL_CHARS = 200
+
 
 def _digest(path: str) -> str:
     with open(path, "rb") as fh:
@@ -44,6 +48,13 @@ def _load_json(path: str):
                 f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
         except RecursionError:
             raise ser.SchemaError(f"{path}: JSON nested too deeply") from None
+
+
+def _bounded(detail: str) -> str:
+    path, sep, message = detail.partition(": ")
+    if len(message) <= _DETAIL_CHARS:
+        return detail
+    return f"{path}{sep}{message[:_DETAIL_CHARS]}..."
 
 
 def _parse_vec(text: str) -> Vec2:
@@ -255,7 +266,7 @@ def main(argv=None) -> int:
     except (OSError, ser.SchemaError) as exc:
         report["error"] = str(exc)
         if isinstance(exc, ser.SchemaError) and exc.errors:
-            report["error_details"] = exc.errors
+            report["error_details"] = [_bounded(d) for d in exc.errors]
         _emit(report, args, started)
         return EXIT_INPUT_ERROR
     except (ZeroVector, EmptyWindow, OutOfWindow, bal.NotConvex,

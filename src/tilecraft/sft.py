@@ -10,10 +10,22 @@ The search core packs partial colorings into one integer per row and,
 after each assignment, re-checks only the shape translates touching
 that cell, against the allowed patterns truncated to the cells
 assigned so far (prefix pruning).
+
+Search set-up has two parts.  The pattern-set part (_Compiled: color
+codes, allowed patterns, prefix code sets per cell order, orbit-minimal
+colors) is built once per decision and shared by all of its square and
+torus searches.  The geometry part (_geometry: the step order and, per
+step, the checks with the cells they read) depends only on the shape,
+the grid, the head cells and the bits per color, so one
+least-recently-used cache, bounded by total weight, shares it across
+pattern sets.  A check names its prefix code set by index, and each
+search resolves the indices against its pattern set's prefix sets.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -130,81 +142,135 @@ DecisionOutcome = Empty | NonEmptyPeriodic | Undecided
 
 
 class _Compiled:
-    """Bit layout and integer codes for one pattern set."""
+    """The pattern-set part of a search, built once per pattern set:
+    color codes, patterns as color indices, the first step's colors
+    (orbit minima under symmetry pruning), the shape extent, and the
+    prefix code sets per cell order, memoized."""
 
-    __slots__ = ("bits", "mask", "codes", "cells", "n_colors", "colors",
-                 "color_index")
+    __slots__ = ("bits", "mask", "cells", "extent", "n_colors", "colors",
+                 "first", "patterns", "prefix")
 
-    def __init__(self, ps: PatternSet):
+    def __init__(self, ps: PatternSet, symmetry_pruning: bool = False):
         self.colors = ps.alphabet.colors
         self.n_colors = len(self.colors)
-        self.color_index = {c: i for i, c in enumerate(self.colors)}
         self.bits = max(1, (self.n_colors - 1).bit_length())
         self.mask = (1 << self.bits) - 1
         self.cells = ps.shape.cells
-        codes = set()
-        for pat in ps.allowed:
-            code = 0
-            for k, v in enumerate(pat.values):
-                code |= self.color_index[v] << (k * self.bits)
-            codes.add(code)
-        self.codes = frozenset(codes)
+        self.extent = ps.shape.max_extent()
+        index = {c: i for i, c in enumerate(self.colors)}
+        self.patterns = [tuple(index[v] for v in p.values)
+                         for p in ps.allowed]
+        self.first = tuple(_orbit_minimal_colors(ps, self) if symmetry_pruning
+                           else range(self.n_colors))
+        self.prefix: dict[tuple, list[frozenset]] = {}
+
+    def prefix_sets(self, seq: tuple) -> list[frozenset]:
+        """Per i, the allowed codes of shape cells seq[:i+1], in that order."""
+        sets = self.prefix.get(seq)
+        if sets is None:
+            levels = [set() for _ in seq]
+            for pat in self.patterns:
+                code = 0
+                for i, k in enumerate(seq):
+                    code |= pat[k] << (i * self.bits)
+                    levels[i].add(code)
+            sets = self.prefix[seq] = [frozenset(s) for s in levels]
+        return sets
 
 
-def _build_checks(ps: PatternSet, comp: _Compiled, width: int, height: int,
-                  wrap: bool, rank: Sequence[int]):
-    """Per-step checks: (cells read, allowed prefix codes, earlier steps).
+def _geometry(cells: tuple, width: int, height: int, wrap: bool, head: tuple,
+              bits: int):
+    """The pattern-set-free part of a search: (steps, seqs, checks).
 
-    ``rank[y * width + x]`` is the step at which cell (x, y) is assigned.
-    For every translate of the shape and every step that touches it,
-    registers a check of the translate's already-assigned cells against
-    the allowed patterns truncated to those cells.  The final check per
-    translate is full membership.  The third item is a bit mask of the
-    other steps the check reads: the cells to blame when it fails.
+    Cells go row-major, or head cells first and then the rest by
+    Chebyshev distance from the last head cell, ties row-major; ``steps``
+    gives each step's (bit offset, row).  ``checks[step]`` holds, for each
+    translate of the shape touching that step, (cells read, prefix index,
+    earlier steps): the translate's assigned cells as (bit offset, row)
+    pairs, one object per grid cell, in assignment order; ``len(cells) *
+    s + i`` for its first i+1 cells in its cell order ``seqs[s]`` (the
+    last check of a translate is full membership); and a bit mask of the
+    other steps it reads, which are blamed when it fails.
     """
-    cells = comp.cells
-    b = comp.bits
-    xs = [c.x for c in cells]
-    ys = [c.y for c in cells]
+    order = [(x, y) for y in range(height) for x in range(width)]
+    if head:
+        hx, hy = head[-1]
+        first = set(head)
+        order = list(head) + sorted(
+            (c for c in order if c not in first),
+            key=lambda c: max(abs(c[0] - hx), abs(c[1] - hy)))
+    pairs = [(x * bits, y) for y in range(height) for x in range(width)]
+    rank = [0] * len(order)
+    for i, (x, y) in enumerate(order):
+        rank[y * width + x] = i
+    steps = [pairs[y * width + x] for x, y in order]
+    xs = [c[0] for c in cells]
+    ys = [c[1] for c in cells]
     if wrap:
         txs = range(width)
         tys = range(height)
     else:
         txs = range(-min(xs), width - max(xs))
         tys = range(-min(ys), height - max(ys))
-    sorted_values = [p.values for p in ps.sorted_allowed()]
-    checks_at: list[list[tuple]] = [[] for _ in range(width * height)]
-    prefix_cache: dict[tuple, list[frozenset]] = {}
+    seq_index: dict[tuple, int] = {}
+    checks: list[list[tuple]] = [[] for _ in range(width * height)]
     for ty in tys:
         for tx in txs:
             placed = []
-            for k, cell in enumerate(cells):
-                ax, ay = cell.x + tx, cell.y + ty
+            for k, (cx, cy) in enumerate(cells):
+                ax, ay = cx + tx, cy + ty
                 if wrap:
                     ax %= width
                     ay %= height
-                placed.append((rank[ay * width + ax], k, ax, ay))
+                cell = ay * width + ax
+                placed.append((rank[cell], k, cell))
             placed.sort()
-            seq = tuple(k for _, k, _, _ in placed)
-            if seq not in prefix_cache:
-                sets = []
-                for i in range(len(seq)):
-                    codes = set()
-                    for values in sorted_values:
-                        code = 0
-                        for j in range(i + 1):
-                            code |= comp.color_index[values[seq[j]]] << (j * b)
-                        codes.add(code)
-                    sets.append(frozenset(codes))
-                prefix_cache[seq] = sets
-            sets = prefix_cache[seq]
-            reads: list[tuple[int, int]] = []
+            seq = tuple(k for _, k, _ in placed)
+            base = seq_index.setdefault(seq, len(seq_index)) * len(cells)
+            reads: tuple = ()
             earlier = 0
-            for i, (step, k, ax, ay) in enumerate(placed):
-                reads.append((ax * b, ay))
-                checks_at[step].append((tuple(reads), sets[i], earlier))
+            for i, (step, _, cell) in enumerate(placed):
+                reads += (pairs[cell],)
+                checks[step].append((reads, base + i, earlier))
                 earlier |= 1 << step
-    return checks_at
+    return steps, list(seq_index), checks
+
+
+class _GeometryCache:
+    """Geometries shared across pattern sets, least recently used first.
+
+    A geometry weighs width * height * |shape|, a bound on its checks;
+    the kept weight is at most ``cap``, and a heavier geometry is built
+    for its one search and dropped.
+    """
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        self.weight = 0
+        self.entries: OrderedDict[tuple, tuple] = OrderedDict()
+        self.lock = threading.Lock()
+
+    def get(self, *key):
+        """The geometry of _geometry(*key), built on a miss."""
+        with self.lock:
+            entry = self.entries.get(key)
+            if entry is not None:
+                self.entries.move_to_end(key)
+                return entry[1]
+            weight = key[1] * key[2] * len(key[0])
+            geometry = _geometry(*key)
+            if weight <= self.cap:
+                self.entries[key] = weight, geometry
+                self.weight += weight
+                while self.weight > self.cap:
+                    self.weight -= self.entries.popitem(last=False)[1][0]
+            return geometry
+
+
+# A census of 2x2, 3x2 and 3x3 sets reuses 32-38 geometries of total
+# weight 1,293-1,830; a larger cap also keeps the probes' side-17 squares
+# (weight 1,156-2,601) and raises peak memory.
+_GEOMETRIES = _GeometryCache(2048)
 
 
 def _orbit_minimal_colors(ps: PatternSet, comp: _Compiled) -> list[int]:
@@ -238,33 +304,14 @@ class _SearchRun:
     budget_exceeded: bool = False
 
 
-def _layout(width: int, height: int, head: tuple, bits: int):
-    """Assignment order: rank per cell, (row, bit offset) per step.
+def _search(comp: _Compiled, width: int, height: int, wrap: bool,
+            budget: int, run: _SearchRun, head: tuple = ()) -> Iterator[tuple]:
+    """Backtracking over the grid in _geometry order, ascending colors.
 
-    The order is row-major, or the head cells first and then the other
-    cells by Chebyshev distance from the last head cell, ties row-major.
-    """
-    rank = list(range(width * height))
-    if not head:
-        return rank, [(y, x * bits) for y in range(height)
-                      for x in range(width)]
-    cx, cy = head[-1]
-    first = set(head)
-    order = list(head) + sorted(
-        ((x, y) for y in range(height) for x in range(width)
-         if (x, y) not in first),
-        key=lambda c: max(abs(c[0] - cx), abs(c[1] - cy)))
-    for i, (x, y) in enumerate(order):
-        rank[y * width + x] = i
-    return rank, [(y, x * bits) for x, y in order]
-
-
-def _search(ps: PatternSet, width: int, height: int, wrap: bool, budget: int,
-            run: _SearchRun, head: tuple = (),
-            symmetry_pruning: bool = False) -> Iterator[tuple]:
-    """Backtracking over the grid in _layout order, ascending colors.
-
-    Yields each solution as rows of colors and counts nodes in ``run``.
+    The geometry comes from a cache shared by all pattern sets, and
+    ``sets`` lists this pattern set's prefix code sets as its checks
+    index them.  Yields each solution as rows of colors and counts
+    nodes in ``run``.
     With head cells, the search backs up into the last head cell after
     each solution, so it yields exactly one solution per extendable
     coloring of the head, in lexicographic order.  It also backjumps: a
@@ -276,15 +323,13 @@ def _search(ps: PatternSet, width: int, height: int, wrap: bool, budget: int,
     step at a time: decide reports its node counts, and backjumping
     would change them.
     """
-    comp = _Compiled(ps)
     b, mask = comp.bits, comp.mask
     ncells = width * height
-    rank, steps = _layout(width, height, head, b)
-    checks_at = _build_checks(ps, comp, width, height, wrap, rank)
-    full_range = tuple(range(comp.n_colors))
-    candidates = [full_range] * ncells
-    if symmetry_pruning:
-        candidates[0] = tuple(_orbit_minimal_colors(ps, comp))
+    steps, seqs, checks_at = _GEOMETRIES.get(comp.cells, width, height,
+                                             wrap, head, b)
+    sets = [s for seq in seqs for s in comp.prefix_sets(seq)]
+    candidates = [tuple(range(comp.n_colors))] * ncells
+    candidates[0] = comp.first
     back = (len(head) or ncells) - 1
 
     rows = [0] * height
@@ -302,7 +347,7 @@ def _search(ps: PatternSet, width: int, height: int, wrap: bool, budget: int,
             pos = back
             conflict[pos] = (1 << pos) - 1  # skip no head step from here
         cand = candidates[pos]
-        y, xb = steps[pos]
+        xb, y = steps[pos]
         advanced = False
         ci = choice[pos]
         while ci + 1 < len(cand):
@@ -314,13 +359,13 @@ def _search(ps: PatternSet, width: int, height: int, wrap: bool, budget: int,
             nodes += 1
             rows[y] = (rows[y] & ~(mask << xb)) | (cand[ci] << xb)
             ok = True
-            for reads, codeset, earlier in checks_at[pos]:
+            for reads, i, earlier in checks_at[pos]:
                 code = 0
                 sh = 0
                 for cxb, cy in reads:
                     code |= ((rows[cy] >> cxb) & mask) << sh
                     sh += b
-                if code not in codeset:
+                if code not in sets[i]:
                     conflict[pos] |= earlier
                     ok = False
                     break
@@ -351,18 +396,12 @@ def _search(ps: PatternSet, width: int, height: int, wrap: bool, budget: int,
 # public operations
 
 
-def _square_extent_check(ps: PatternSet, n: int):
-    extent = ps.shape.max_extent()
-    if n < extent:
-        raise ValueError(f"square side {n} smaller than shape extent {extent}")
-
-
-def _valid_square(ps: PatternSet, n: int, budget: int,
-                  symmetry_pruning: bool = False):
-    _square_extent_check(ps, n)
+def _valid_square(comp: _Compiled, n: int, budget: int):
+    if n < comp.extent:
+        raise ValueError(
+            f"square side {n} smaller than shape extent {comp.extent}")
     run = _SearchRun()
-    grid = next(_search(ps, n, n, False, budget, run,
-                        symmetry_pruning=symmetry_pruning), None)
+    grid = next(_search(comp, n, n, False, budget, run), None)
     if run.budget_exceeded:
         return BUDGET_EXCEEDED, run.nodes
     return grid, run.nodes
@@ -371,17 +410,15 @@ def _valid_square(ps: PatternSet, n: int, budget: int,
 def valid_square(ps: PatternSet, n: int, budget: int = DEFAULT_BUDGET,
                  symmetry_pruning: bool = False):
     """First locally valid n x n coloring, None, or BUDGET_EXCEEDED."""
-    result, _ = _valid_square(ps, n, budget, symmetry_pruning)
+    result, _ = _valid_square(_Compiled(ps, symmetry_pruning), n, budget)
     return result
 
 
-def _torus_search(ps: PatternSet, p: int, q: int, budget: int,
-                  symmetry_pruning: bool = False):
+def _torus_search(comp: _Compiled, p: int, q: int, budget: int):
     if p < 1 or q < 1:
         raise ValueError("torus sides must be >= 1")
     run = _SearchRun()
-    grid = next(_search(ps, p, q, True, budget, run,
-                        symmetry_pruning=symmetry_pruning), None)
+    grid = next(_search(comp, p, q, True, budget, run), None)
     if run.budget_exceeded:
         return BUDGET_EXCEEDED, run.nodes
     if grid is not None:
@@ -392,7 +429,7 @@ def _torus_search(ps: PatternSet, p: int, q: int, budget: int,
 def torus_search(ps: PatternSet, p: int, q: int, budget: int = DEFAULT_BUDGET,
                  symmetry_pruning: bool = False):
     """First valid p x q wraparound coloring, None, or BUDGET_EXCEEDED."""
-    result, _ = _torus_search(ps, p, q, budget, symmetry_pruning)
+    result, _ = _torus_search(_Compiled(ps, symmetry_pruning), p, q, budget)
     return result
 
 
@@ -431,7 +468,8 @@ def decide_with_usage(ps: PatternSet, budget: int = DEFAULT_BUDGET,
                       symmetry_pruning: bool = False
                       ) -> tuple[DecisionOutcome, int]:
     """decide, plus the total number of search nodes spent."""
-    n0 = ps.shape.max_extent()
+    comp = _Compiled(ps, symmetry_pruning)
+    n0 = comp.extent
     nodes_total = 0
     max_n = 0
     max_pq = 0
@@ -441,8 +479,7 @@ def decide_with_usage(ps: PatternSet, budget: int = DEFAULT_BUDGET,
     while nodes_total < budget:
         stage += 1
         n = n0 + stage
-        result, used = _valid_square(ps, n, budget - nodes_total,
-                                     symmetry_pruning)
+        result, used = _valid_square(comp, n, budget - nodes_total)
         nodes_total += used
         if result is BUDGET_EXCEEDED:
             return undecided(), nodes_total
@@ -450,8 +487,7 @@ def decide_with_usage(ps: PatternSet, budget: int = DEFAULT_BUDGET,
         if result is None:
             return Empty(n), nodes_total
         for p, q in _stage_pairs(stage):
-            result, used = _torus_search(ps, p, q, budget - nodes_total,
-                                         symmetry_pruning)
+            result, used = _torus_search(comp, p, q, budget - nodes_total)
             nodes_total += used
             if result is BUDGET_EXCEEDED:
                 return undecided(), nodes_total
@@ -541,7 +577,7 @@ def determinism_probe(ps: PatternSet, u, k: int, radius: int,
     run = _SearchRun()
     colorings = 0
     last = first = None
-    for grid in _search(ps, side, side, False, budget, run,
+    for grid in _search(_Compiled(ps), side, side, False, budget, run,
                         head=(*box_sq, center)):
         beta = tuple(grid[c.y][c.x] for c in box_sq)
         value = grid[center.y][center.x]

@@ -48,14 +48,19 @@ def exhaustive_square_exists(tuples, n):
     return False
 
 
-def naive_torus_exists(tuples, p, q):
-    """Recursive wraparound search, re-validating whole grids, no bit tricks."""
-    allowed = set(tuples)
+def naive_torus_exists(tuples, p, q, shape_cells=((0, 0), (1, 0), (0, 1), (1, 1)),
+                       colors=(0, 1)):
+    """Recursive wraparound search, re-validating whole grids, no bit tricks.
+
+    ``tuples`` lists the allowed colors of ``shape_cells`` in that order;
+    the defaults are binary 2x2 patterns in canonical (y, x) cell order.
+    """
+    allowed = set(map(tuple, tuples))
     grid = [[None] * p for _ in range(q)]
 
     def block_at(tx, ty):
-        return (grid[ty % q][tx % p], grid[ty % q][(tx + 1) % p],
-                grid[(ty + 1) % q][tx % p], grid[(ty + 1) % q][(tx + 1) % p])
+        return tuple(grid[(ty + cy) % q][(tx + cx) % p]
+                     for cx, cy in shape_cells)
 
     def consistent():
         for ty in range(q):
@@ -71,7 +76,7 @@ def naive_torus_exists(tuples, p, q):
         if idx == p * q:
             return consistent()
         y, x = divmod(idx, p)
-        for v in (0, 1):
+        for v in colors:
             grid[y][x] = v
             if consistent() and place(idx + 1):
                 return True

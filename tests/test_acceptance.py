@@ -17,9 +17,9 @@ from tilecraft.balanced import balanced_search, is_balanced
 from tilecraft.grid import (Alphabet, DiscreteDomain, PeriodicConfig, Vec2,
                             WindowConfig, find_periods, patterns_of)
 from tilecraft.serialize import canonical_json, outcome_to_json
-from tilecraft.sft import (Empty, NonEmptyPeriodic, PatternSet, Undecided,
-                           decide, determinism_probe, torus_search,
-                           validate_witness)
+from tilecraft.sft import (Empty, NonEmptyPeriodic, PatternSet, TorusWitness,
+                           Undecided, decide, decide_with_usage,
+                           determinism_probe, torus_search, validate_witness)
 
 import oracles
 from conftest import FIVE_PATTERN_ROWS, make_pattern_set
@@ -38,12 +38,17 @@ def all_low_complexity_sets():
         yield from itertools.combinations(ALL_TUPLES, size)
 
 
+# Total search nodes of the scan at SCAN_BUDGET: node counts are part of
+# the determinism contract, so any change to the search order shows here.
+SCAN_NODES = 94_025
+
+
 @pytest.fixture(scope="module")
 def scan():
     results = []
     for tuples in all_low_complexity_sets():
         ps = make_pattern_set(tuples)
-        results.append((tuples, ps, decide(ps, SCAN_BUDGET)))
+        results.append((tuples, ps, *decide_with_usage(ps, SCAN_BUDGET)))
     return results
 
 
@@ -56,23 +61,44 @@ def _verdict(name, ok, detail=""):
 
 
 def test_criterion_1_exhaustive_scan_decides_everything(scan):
-    undecided = [t for t, _, out in scan if isinstance(out, Undecided)]
-    empties = sum(isinstance(out, Empty) for _, _, out in scan)
-    witnesses = sum(isinstance(out, NonEmptyPeriodic) for _, _, out in scan)
+    undecided = [t for t, _, out, _ in scan if isinstance(out, Undecided)]
+    empties = sum(isinstance(out, Empty) for _, _, out, _ in scan)
+    witnesses = sum(isinstance(out, NonEmptyPeriodic) for _, _, out, _ in scan)
     assert len(scan) == 2517
     # no stragglers beyond the oracle-calibrated ranges
-    assert all(out.n <= 6 for _, _, out in scan if isinstance(out, Empty))
+    assert all(out.n <= 6 for _, _, out, _ in scan if isinstance(out, Empty))
     assert all(max(out.witness.p, out.witness.q) <= 6
-               for _, _, out in scan if isinstance(out, NonEmptyPeriodic))
+               for _, _, out, _ in scan if isinstance(out, NonEmptyPeriodic))
     _verdict("1", not undecided,
              f"2517 sets, {empties} empty, {witnesses} periodic, "
              f"{len(undecided)} undecided")
 
 
+def test_criterion_1b_node_counts_repeat(scan):
+    # a second pass over color-shifted copies of the sets (the census
+    # trick: no set repeats, every search geometry does) must give every
+    # outcome and node count of the first, shifted back
+    shifted = Alphabet.of([1, 2])
+    mismatches = 0
+    for tuples, _, out, nodes in scan:
+        ps = PatternSet.from_value_tuples(
+            shifted, DiscreteDomain.rect(2, 2),
+            [tuple(v + 1 for v in t) for t in tuples])
+        again, again_nodes = decide_with_usage(ps, SCAN_BUDGET)
+        if isinstance(again, NonEmptyPeriodic):
+            w = again.witness
+            again = NonEmptyPeriodic(TorusWitness(w.p, w.q, tuple(
+                tuple(v - 1 for v in row) for row in w.values)))
+        mismatches += (again, again_nodes) != (out, nodes)
+    total = sum(nodes for *_, nodes in scan)
+    _verdict("1b", total == SCAN_NODES and mismatches == 0,
+             f"{total} nodes; color-shifted pass: {mismatches} mismatches")
+
+
 def test_criterion_2_witness_soundness(scan):
     violations = 0
     checked = 0
-    for _, ps, out in scan:
+    for _, ps, out, _ in scan:
         if not isinstance(out, NonEmptyPeriodic):
             continue
         checked += 1
@@ -92,7 +118,7 @@ def test_criterion_2_witness_soundness(scan):
 def test_criterion_3_emptiness_soundness(scan):
     disagreements = 0
     checked = 0
-    for tuples, ps, out in scan:
+    for tuples, ps, out, _ in scan:
         if not isinstance(out, Empty):
             continue
         checked += 1
@@ -106,7 +132,7 @@ def test_criterion_3_emptiness_soundness(scan):
 def test_criterion_3b_empty_sets_admit_no_torus(scan):
     # the two semi-decisions never both fire: emptiness excludes tori
     rng = random.Random(101)
-    empties = [(t, ps) for t, ps, out in scan if isinstance(out, Empty)]
+    empties = [(t, ps) for t, ps, out, _ in scan if isinstance(out, Empty)]
     sample = rng.sample(empties, 40)
     for tuples, ps in sample:
         for p in range(1, 4):
@@ -122,7 +148,7 @@ def test_criterion_4_annihilator_identities(scan):
     window20 = DiscreteDomain.rect(20, 20)
     bad = 0
     checked = 0
-    for _, ps, out in scan:
+    for _, ps, out, _ in scan:
         if not isinstance(out, NonEmptyPeriodic):
             continue
         checked += 1

@@ -75,6 +75,19 @@ def test_decide_deeply_nested_is_input_error(tmp_path, capsys):
     assert "nested too deeply" in report_of(out)["error"]
 
 
+def test_decide_deep_shape_details_are_bounded(tmp_path, capsys):
+    # the schema message quotes the offending value; for a shape nested
+    # 900 lists deep the report's detail must not grow with it
+    deep = json.loads("[" * 900 + "]" * 900)
+    f = write(tmp_path, "deep.json", {**CHECKERBOARD, "shape": deep})
+    code, out = run(capsys, "decide", f)
+    assert code == 3
+    (detail,) = report_of(out)["error_details"]
+    assert detail.startswith("$.shape: [[[")
+    assert detail.endswith("...")
+    assert len(detail) <= 250
+
+
 def test_decide_empty_rect_shape_is_schema_error(tmp_path, capsys):
     f = write(tmp_path, "bad.json", {**CHECKERBOARD, "shape": "rect 0 2"})
     code, out = run(capsys, "decide", f)

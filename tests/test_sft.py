@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+from tilecraft import sft
 from tilecraft.algebra import difference_poly, poly_mul
+from tilecraft.balanced import is_convex
 from tilecraft.grid import (Alphabet, DiscreteDomain, PeriodicConfig, Vec2,
                             ZeroVector, patterns_of)
 from tilecraft.sft import (BUDGET_EXCEEDED, Empty, NonEmptyPeriodic,
@@ -371,6 +373,101 @@ def test_torus_existence_matches_naive_oracle():
                 assert engine is not BUDGET_EXCEEDED
                 assert (engine is not None) == oracles.naive_torus_exists(
                     tuples, p, q)
+
+
+def _convex_non_rectangles():
+    """Convex, non-rectangular shapes of 2-5 cells in the 3x3 box, at the origin."""
+    box = [(x, y) for y in range(3) for x in range(3)]
+    shapes = []
+    for bits in range(1, 1 << 9):
+        cells = [c for i, c in enumerate(box) if bits >> i & 1]
+        shape = DiscreteDomain(cells)
+        if (2 <= len(cells) <= 5 and min(x for x, _ in cells) == 0
+                and min(y for _, y in cells) == 0 and is_convex(shape)
+                and not shape.is_rectangle()):
+            shapes.append(shape)
+    return shapes
+
+
+def test_convex_shapes_match_naive_oracles(monkeypatch):
+    # square and torus existence beyond the binary 2x2 case; each case is
+    # searched with an empty geometry cache, then twice with one shared by
+    # all cases, where 2- and 3-color sets on the same shapes meet
+    rng = random.Random(58)
+    shapes = rng.sample(_convex_non_rectangles(), 6)
+    tori = [(p, q) for p in (1, 2, 3) for q in (1, 2, 3)]
+    shared = sft._GeometryCache(sft._GEOMETRIES.cap)
+    seen = {True: 0, False: 0}
+    for _ in range(24):
+        colors = rng.choice([(0, 1), (0, 1, 2)])
+        shape = rng.choice(shapes)
+        cells = [(c.x, c.y) for c in shape.cells]
+        full = list(itertools.product(colors, repeat=len(cells)))
+        tuples = rng.sample(full, rng.randint(1, len(cells) + 2))
+        ps = PatternSet.from_value_tuples(Alphabet.of(colors), shape, tuples)
+        n = shape.max_extent() + rng.randint(0, 1)
+        expected = [oracles.naive_square_extends(tuples, cells, colors, n, {})]
+        expected += [oracles.naive_torus_exists(tuples, p, q, cells, colors)
+                     for p, q in tori]
+        results = []
+        for cache in (sft._GeometryCache(shared.cap), shared, shared):
+            monkeypatch.setattr(sft, "_GEOMETRIES", cache)
+            found = [valid_square(ps, n, budget=200_000)]
+            found += [torus_search(ps, p, q, budget=200_000) for p, q in tori]
+            assert BUDGET_EXCEEDED not in found
+            assert [f is not None for f in found] == expected
+            if found[0] is not None:
+                assert oracles.naive_square_extends(tuples, cells, colors, n, {
+                    (x, y): v for y, row in enumerate(found[0])
+                    for x, v in enumerate(row)})
+            assert all(validate_witness(ps, w) for w in found[1:] if w)
+            results.append(found)
+        assert results[0] == results[1] == results[2]
+        for e in expected:
+            seen[e] += 1
+    assert min(seen.values()) >= 20
+
+
+def test_geometry_cache_stays_under_its_cap(monkeypatch, checkerboard_set):
+    cache = sft._GeometryCache(sft._GEOMETRIES.cap)
+    monkeypatch.setattr(sft, "_GEOMETRIES", cache)
+    built = []
+    build = sft._geometry
+    monkeypatch.setattr(sft, "_geometry",
+                        lambda *key: built.append(key) or build(*key))
+    three = PatternSet.from_value_tuples(
+        Alphabet.of([0, 1, 2]), DiscreteDomain.rect(3, 1),
+        [(0, 1, 2), (1, 2, 0), (2, 0, 1)])
+    for ps in (checkerboard_set, three):
+        decide(ps, 20_000)
+        for u in (Vec2(1, 0), Vec2(0, 1), Vec2(-1, 0), Vec2(0, -1),
+                  Vec2(1, 1), Vec2(-1, 1)):
+            determinism_probe(ps, u, 2, 4)
+    assert sum(w * h * len(cells) for cells, w, h, *_ in set(built)) > cache.cap
+    assert cache.weight == sum(w for w, _ in cache.entries.values())
+    assert 0 < cache.weight <= cache.cap
+    # a geometry heavier than the cap is built, used and dropped
+    far = PatternSet.from_value_tuples(
+        Alphabet.of([0, 1]), DiscreteDomain([(0, 0), (199, 0)]), [(0, 0)])
+    kept = list(cache.entries)
+    assert valid_square(far, 200, budget=1) is BUDGET_EXCEEDED
+    assert built[-1][1:3] == (200, 200)
+    assert list(cache.entries) == kept
+
+
+def test_geometry_cache_evicts_least_recently_used(monkeypatch):
+    cache = sft._GeometryCache(10)
+    monkeypatch.setattr(sft, "_GEOMETRIES", cache)
+    ps = PatternSet.from_value_tuples(Alphabet.of([0, 1]),
+                                      DiscreteDomain.rect(1, 1), [(0,)])
+    sizes = lambda: [key[1:3] for key in cache.entries]  # noqa: E731
+    torus_search(ps, 2, 2)  # weight 4
+    torus_search(ps, 1, 3)  # weight 3
+    torus_search(ps, 2, 2)  # a hit makes 2x2 the most recently used
+    assert sizes() == [(1, 3), (2, 2)]
+    torus_search(ps, 1, 4)  # weight 4: 11 > 10 evicts 1x3
+    assert sizes() == [(2, 2), (1, 4)]
+    assert cache.weight == 8
 
 
 # --- dovetail cross-checks -------------------------------------------------------
