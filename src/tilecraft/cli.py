@@ -46,6 +46,8 @@ def _load_json(path: str):
         except json.JSONDecodeError as exc:
             raise ser.SchemaError(
                 f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
+        except ValueError as exc:  # over 4,300 digits, or not UTF-8
+            raise ser.SchemaError(f"{path}: {exc}") from None
         except RecursionError:
             raise ser.SchemaError(f"{path}: JSON nested too deeply") from None
 
@@ -126,7 +128,6 @@ def _make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decide", help="emptiness/periodicity decision")
     p.add_argument("pattern_set_file")
     p.add_argument("--budget")
-    p.add_argument("--symmetry-pruning", action="store_true")
 
     p = sub.add_parser("complexity", help="pattern count on a shape")
     p.add_argument("config_file")
@@ -161,8 +162,7 @@ def _make_parser() -> argparse.ArgumentParser:
 def _cmd_decide(args, report: dict) -> int:
     ps = ser.pattern_set_from_json(_load_json(args.pattern_set_file))
     budget = _budget(args)
-    outcome, nodes = decide_with_usage(ps, budget,
-                                       symmetry_pruning=args.symmetry_pruning)
+    outcome, nodes = decide_with_usage(ps, budget)
     report["outcome"] = ser.outcome_to_json(outcome)
     report["budget"] = {"limit": budget, "nodes_used": nodes}
     if isinstance(outcome, NonEmptyPeriodic):

@@ -191,9 +191,6 @@ class DiscreteDomain:
     def minus(self, other: "DiscreteDomain") -> "DiscreteDomain":
         return DiscreteDomain(tuple(c for c in self.cells if c not in other))
 
-    def union(self, other: "DiscreteDomain") -> "DiscreteDomain":
-        return DiscreteDomain(self.cells + other.cells)
-
     def intersection(self, other: "DiscreteDomain") -> "DiscreteDomain":
         return DiscreteDomain(tuple(c for c in self.cells if c in other))
 
@@ -219,9 +216,6 @@ class Configuration:
     """Common interface of periodic and window colorings."""
 
     def color_at(self, n: Vec2) -> int:
-        raise NotImplementedError
-
-    def readable(self, n: Vec2) -> bool:
         raise NotImplementedError
 
     def translate(self, t: Vec2) -> "Configuration":
@@ -282,9 +276,6 @@ def _block_color(a: int, b: int, c: int, block, n) -> int:
 
 
 def _is_block_period(a: int, b: int, c: int, block, t: Vec2) -> bool:
-    # lattice membership is a fast path; the block test is exact anyway
-    if t[1] % c == 0 and (t[0] - (t[1] // c) * b) % a == 0:
-        return True
     for j in range(c):
         for i in range(a):
             if _block_color(a, b, c, block, (i - t[0], j - t[1])) != block[j][i]:
@@ -296,8 +287,9 @@ def _saturate(a: int, b: int, c: int, block) -> tuple[int, int, int, tuple]:
     """Grow the stored lattice to the full period lattice of the block.
 
     Scans coset representatives of Z^2 modulo the current lattice for
-    block-preserving translations; each hit strictly shrinks the
-    determinant, so this terminates quickly.
+    block-preserving translations; only the zero representative is in
+    the lattice.  Each hit strictly shrinks the determinant, so this
+    terminates quickly.
     """
     while True:
         extended = False
@@ -306,8 +298,6 @@ def _saturate(a: int, b: int, c: int, block) -> tuple[int, int, int, tuple]:
                 t = Vec2(i, j)
                 if t.is_zero():
                     continue
-                if t.y % c == 0 and (t.x - (t.y // c) * b) % a == 0:
-                    continue  # already in the lattice
                 if _is_block_period(a, b, c, block, t):
                     a2, b2, c2 = _lattice_hnf([Vec2(a, 0), Vec2(b, c), t])
                     block2 = tuple(
@@ -386,15 +376,8 @@ class PeriodicConfig(Configuration):
     def p2(self) -> Vec2:
         return Vec2(self.shear, self.span_y)
 
-    @property
-    def determinant(self) -> int:
-        return self.span_x * self.span_y
-
     def color_at(self, n) -> int:
         return _block_color(self.span_x, self.shear, self.span_y, self.block, n)
-
-    def readable(self, n) -> bool:
-        return True
 
     def translate(self, t) -> "PeriodicConfig":
         block = tuple(
@@ -404,10 +387,12 @@ class PeriodicConfig(Configuration):
         return PeriodicConfig(self.span_x, self.shear, self.span_y, block)
 
     def is_period(self, t) -> bool:
-        t = Vec2(t[0], t[1])
-        if t.is_zero():
+        """Membership in the stored lattice, which is the maximal one."""
+        x, y = t[0], t[1]
+        if x == 0 and y == 0:
             return False
-        return _is_block_period(self.span_x, self.shear, self.span_y, self.block, t)
+        return (y % self.span_y == 0
+                and (x - y // self.span_y * self.shear) % self.span_x == 0)
 
     def colors(self) -> tuple[int, ...]:
         return tuple(sorted({v for row in self.block for v in row}))
@@ -440,9 +425,6 @@ class WindowConfig(Configuration):
         if not self.rect.contains(n):
             raise OutOfWindow(f"cell {tuple(n)} outside window {tuple(self.rect)}")
         return self.values[n[1] - self.rect.y0][n[0] - self.rect.x0]
-
-    def readable(self, n) -> bool:
-        return self.rect.contains(n)
 
     def translate(self, t) -> "WindowConfig":
         return WindowConfig(self.rect.translate(t), self.values)
@@ -478,13 +460,6 @@ class Pattern:
         dom = DiscreteDomain.rect(len(rows[0]), len(rows), origin)
         return cls(dom, tuple(rows[c.y - origin[1]][c.x - origin[0]]
                               for c in dom.cells))
-
-    def at(self, cell) -> int:
-        cell = Vec2(cell[0], cell[1])
-        for c, v in zip(self.domain.cells, self.values):
-            if c == cell:
-                return v
-        raise KeyError(cell)
 
     def items(self) -> Iterator[tuple[Vec2, int]]:
         return zip(self.domain.cells, self.values)

@@ -146,11 +146,13 @@ def _pattern_to_json(pattern: Pattern):
     return [[c.x, c.y, v] for c, v in pattern.items()]
 
 
-def _pattern_from_json(data, shape: DiscreteDomain) -> Pattern:
+def _pattern_from_json(data, shape: DiscreteDomain, index: int) -> Pattern:
     """Row-major rows (for rectangle shapes) or [x, y, color] cell lists.
 
     Row-major takes precedence when the dimensions match the shape's
-    rectangle; otherwise a cell list is expected.
+    rectangle; otherwise a cell list is expected.  Errors name the
+    pattern by its index in ``allowed``, since the pattern itself can be
+    as large as the input.
     """
     rect_form = False
     if shape.is_rectangle():
@@ -164,7 +166,8 @@ def _pattern_from_json(data, shape: DiscreteDomain) -> Pattern:
     elif all(len(row) == 3 for row in data):
         cells = {Vec2(int(x), int(y)): int(v) for x, y, v in data}
     else:
-        raise SchemaError(f"bad pattern {data!r}")
+        raise SchemaError(f"allowed[{index}] is neither rows of the shape's "
+                          f"rectangle nor [x, y, color] cells")
     if set(cells) != set(shape.cells):
         raise SchemaError("pattern cells do not cover the shape")
     return Pattern.of(shape, cells)
@@ -188,7 +191,8 @@ def pattern_set_from_json(data) -> PatternSet:
         alphabet = Alphabet.of(data["alphabet"])
     except ValueError as exc:
         raise SchemaError(f"bad alphabet: {exc}") from None
-    patterns = [_pattern_from_json(p, shape) for p in data["allowed"]]
+    patterns = [_pattern_from_json(p, shape, i)
+                for i, p in enumerate(data["allowed"])]
     for p in patterns:
         for v in p.values:
             if v not in alphabet:

@@ -12,14 +12,14 @@ that cell, against the allowed patterns truncated to the cells
 assigned so far (prefix pruning).
 
 Search set-up has two parts.  The pattern-set part (_Compiled: color
-codes, allowed patterns, prefix code sets per cell order, orbit-minimal
-colors) is built once per decision and shared by all of its square and
-torus searches.  The geometry part (_geometry: the step order and, per
-step, the checks with the cells they read) depends only on the shape,
-the grid, the head cells and the bits per color, so one
-least-recently-used cache, bounded by total weight, shares it across
-pattern sets.  A check names its prefix code set by index, and each
-search resolves the indices against its pattern set's prefix sets.
+codes, allowed patterns, prefix code sets per cell order) is built once
+per decision and shared by all of its square and torus searches.  The
+geometry part (_geometry: the step order and, per step, the checks with
+the cells they read) depends only on the shape, the grid, the head
+cells and the bits per color, so one least-recently-used cache, bounded
+by total weight, shares it across pattern sets.  A check names its
+prefix code set by index, and each search resolves the indices against
+its pattern set's prefix sets.
 """
 
 from __future__ import annotations
@@ -143,14 +143,13 @@ DecisionOutcome = Empty | NonEmptyPeriodic | Undecided
 
 class _Compiled:
     """The pattern-set part of a search, built once per pattern set:
-    color codes, patterns as color indices, the first step's colors
-    (orbit minima under symmetry pruning), the shape extent, and the
+    color codes, patterns as color indices, the shape extent, and the
     prefix code sets per cell order, memoized."""
 
     __slots__ = ("bits", "mask", "cells", "extent", "n_colors", "colors",
-                 "first", "patterns", "prefix")
+                 "patterns", "prefix")
 
-    def __init__(self, ps: PatternSet, symmetry_pruning: bool = False):
+    def __init__(self, ps: PatternSet):
         self.colors = ps.alphabet.colors
         self.n_colors = len(self.colors)
         self.bits = max(1, (self.n_colors - 1).bit_length())
@@ -160,8 +159,6 @@ class _Compiled:
         index = {c: i for i, c in enumerate(self.colors)}
         self.patterns = [tuple(index[v] for v in p.values)
                          for p in ps.allowed]
-        self.first = tuple(_orbit_minimal_colors(ps, self) if symmetry_pruning
-                           else range(self.n_colors))
         self.prefix: dict[tuple, list[frozenset]] = {}
 
     def prefix_sets(self, seq: tuple) -> list[frozenset]:
@@ -273,29 +270,6 @@ class _GeometryCache:
 _GEOMETRIES = _GeometryCache(2048)
 
 
-def _orbit_minimal_colors(ps: PatternSet, comp: _Compiled) -> list[int]:
-    """Color indices minimal in their orbit under pattern-set symmetries.
-
-    Only color permutations that fix the allowed set are considered;
-    restricting the first assigned cell to orbit minima preserves the
-    canonical (lexicographically first) witness.
-    """
-    from itertools import permutations
-    n = comp.n_colors
-    if n > 6:
-        return list(range(n))
-    tuples = {p.values for p in ps.allowed}
-    colors = comp.colors
-    orbit_min = list(range(n))
-    for perm in permutations(range(n)):
-        mapping = {colors[i]: colors[perm[i]] for i in range(n)}
-        if {tuple(mapping[v] for v in t) for t in tuples} == tuples:
-            for i in range(n):
-                if perm[i] < orbit_min[i]:
-                    orbit_min[i] = perm[i]
-    return [i for i in range(n) if orbit_min[i] == i]
-
-
 @dataclass
 class _SearchRun:
     """Nodes spent by one _search so far, and whether it hit the budget."""
@@ -328,8 +302,7 @@ def _search(comp: _Compiled, width: int, height: int, wrap: bool,
     steps, seqs, checks_at = _GEOMETRIES.get(comp.cells, width, height,
                                              wrap, head, b)
     sets = [s for seq in seqs for s in comp.prefix_sets(seq)]
-    candidates = [tuple(range(comp.n_colors))] * ncells
-    candidates[0] = comp.first
+    n_colors = comp.n_colors
     back = (len(head) or ncells) - 1
 
     rows = [0] * height
@@ -346,18 +319,17 @@ def _search(comp: _Compiled, width: int, height: int, wrap: bool,
                 for y in range(height))
             pos = back
             conflict[pos] = (1 << pos) - 1  # skip no head step from here
-        cand = candidates[pos]
         xb, y = steps[pos]
         advanced = False
         ci = choice[pos]
-        while ci + 1 < len(cand):
+        while ci + 1 < n_colors:
             if nodes >= budget:
                 run.nodes = nodes
                 run.budget_exceeded = True
                 return
             ci += 1
             nodes += 1
-            rows[y] = (rows[y] & ~(mask << xb)) | (cand[ci] << xb)
+            rows[y] = (rows[y] & ~(mask << xb)) | (ci << xb)
             ok = True
             for reads, i, earlier in checks_at[pos]:
                 code = 0
@@ -396,41 +368,33 @@ def _search(comp: _Compiled, width: int, height: int, wrap: bool,
 # public operations
 
 
-def _valid_square(comp: _Compiled, n: int, budget: int):
+def _first(comp: _Compiled, width: int, height: int, wrap: bool,
+           budget: int):
+    """The first solution's rows, None or BUDGET_EXCEEDED; and the nodes
+    spent."""
+    run = _SearchRun()
+    grid = next(_search(comp, width, height, wrap, budget, run), None)
+    return BUDGET_EXCEEDED if run.budget_exceeded else grid, run.nodes
+
+
+def valid_square(ps: PatternSet, n: int, budget: int = DEFAULT_BUDGET):
+    """First locally valid n x n coloring, None, or BUDGET_EXCEEDED."""
+    comp = _Compiled(ps)
     if n < comp.extent:
         raise ValueError(
             f"square side {n} smaller than shape extent {comp.extent}")
-    run = _SearchRun()
-    grid = next(_search(comp, n, n, False, budget, run), None)
-    if run.budget_exceeded:
-        return BUDGET_EXCEEDED, run.nodes
-    return grid, run.nodes
+    return _first(comp, n, n, False, budget)[0]
 
 
-def valid_square(ps: PatternSet, n: int, budget: int = DEFAULT_BUDGET,
-                 symmetry_pruning: bool = False):
-    """First locally valid n x n coloring, None, or BUDGET_EXCEEDED."""
-    result, _ = _valid_square(_Compiled(ps, symmetry_pruning), n, budget)
-    return result
-
-
-def _torus_search(comp: _Compiled, p: int, q: int, budget: int):
+def torus_search(ps: PatternSet, p: int, q: int,
+                 budget: int = DEFAULT_BUDGET):
+    """First valid p x q wraparound coloring, None, or BUDGET_EXCEEDED."""
     if p < 1 or q < 1:
         raise ValueError("torus sides must be >= 1")
-    run = _SearchRun()
-    grid = next(_search(comp, p, q, True, budget, run), None)
-    if run.budget_exceeded:
-        return BUDGET_EXCEEDED, run.nodes
-    if grid is not None:
-        return TorusWitness(p, q, grid), run.nodes
-    return None, run.nodes
-
-
-def torus_search(ps: PatternSet, p: int, q: int, budget: int = DEFAULT_BUDGET,
-                 symmetry_pruning: bool = False):
-    """First valid p x q wraparound coloring, None, or BUDGET_EXCEEDED."""
-    result, _ = _torus_search(_Compiled(ps, symmetry_pruning), p, q, budget)
-    return result
+    result, _ = _first(_Compiled(ps), p, q, True, budget)
+    if result is None or result is BUDGET_EXCEEDED:
+        return result
+    return TorusWitness(p, q, result)
 
 
 def validate_witness(ps: PatternSet, witness: TorusWitness) -> bool:
@@ -450,8 +414,7 @@ def _stage_pairs(s: int) -> list[tuple[int, int]]:
                   if max(p, q) == s)
 
 
-def decide(ps: PatternSet, budget: int = DEFAULT_BUDGET,
-           symmetry_pruning: bool = False) -> DecisionOutcome:
+def decide(ps: PatternSet, budget: int = DEFAULT_BUDGET) -> DecisionOutcome:
     """Dovetailed emptiness / periodic-witness decision.
 
     Stage s runs the square search at side extent+s, then every torus
@@ -460,15 +423,14 @@ def decide(ps: PatternSet, budget: int = DEFAULT_BUDGET,
     non-emptiness.  Budgets are counted in search nodes, so equal
     inputs give equal outcomes.
     """
-    outcome, _ = decide_with_usage(ps, budget, symmetry_pruning)
+    outcome, _ = decide_with_usage(ps, budget)
     return outcome
 
 
-def decide_with_usage(ps: PatternSet, budget: int = DEFAULT_BUDGET,
-                      symmetry_pruning: bool = False
+def decide_with_usage(ps: PatternSet, budget: int = DEFAULT_BUDGET
                       ) -> tuple[DecisionOutcome, int]:
     """decide, plus the total number of search nodes spent."""
-    comp = _Compiled(ps, symmetry_pruning)
+    comp = _Compiled(ps)
     n0 = comp.extent
     nodes_total = 0
     max_n = 0
@@ -479,7 +441,7 @@ def decide_with_usage(ps: PatternSet, budget: int = DEFAULT_BUDGET,
     while nodes_total < budget:
         stage += 1
         n = n0 + stage
-        result, used = _valid_square(comp, n, budget - nodes_total)
+        result, used = _first(comp, n, n, False, budget - nodes_total)
         nodes_total += used
         if result is BUDGET_EXCEEDED:
             return undecided(), nodes_total
@@ -487,12 +449,13 @@ def decide_with_usage(ps: PatternSet, budget: int = DEFAULT_BUDGET,
         if result is None:
             return Empty(n), nodes_total
         for p, q in _stage_pairs(stage):
-            result, used = _torus_search(comp, p, q, budget - nodes_total)
+            result, used = _first(comp, p, q, True, budget - nodes_total)
             nodes_total += used
             if result is BUDGET_EXCEEDED:
                 return undecided(), nodes_total
             if result is not None:
-                return NonEmptyPeriodic(result), nodes_total
+                witness = TorusWitness(p, q, result)
+                return NonEmptyPeriodic(witness), nodes_total
         max_pq = stage
     return undecided(), nodes_total
 

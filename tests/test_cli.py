@@ -88,6 +88,34 @@ def test_decide_deep_shape_details_are_bounded(tmp_path, capsys):
     assert len(detail) <= 250
 
 
+@pytest.mark.parametrize("text", [
+    '{"shape": "rect 1 1", "alphabet": [0, 1' + "0" * 5000
+    + '], "allowed": [[[0]]]}',
+    b'{"shape": "rect 1 1", "alphabet": [0], "allowed": [[[0]]]}\xff',
+], ids=["overlong-integer", "not-utf8"])
+def test_decide_unreadable_json_is_input_error(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
+    code, out = run(capsys, "decide", str(path))
+    assert code == 3
+    assert len(report_of(out)["error"]) < 300
+
+
+def test_decide_bad_pattern_error_is_bounded(tmp_path, capsys):
+    # a pattern that is neither rows of the shape nor a cell list is
+    # named by its index, not quoted, so the error does not grow with it
+    f = write(tmp_path, "tall.json",
+              {**CHECKERBOARD, "allowed": [[[0, 1]] * 1000]})
+    code, out = run(capsys, "decide", f)
+    assert code == 3
+    error = report_of(out)["error"]
+    assert "allowed[0]" in error
+    assert len(error) < 200
+
+
 def test_decide_empty_rect_shape_is_schema_error(tmp_path, capsys):
     f = write(tmp_path, "bad.json", {**CHECKERBOARD, "shape": "rect 0 2"})
     code, out = run(capsys, "decide", f)
@@ -126,6 +154,14 @@ def test_decide_missing_file(capsys):
 
 def test_usage_error_exit(capsys):
     assert main(["decide"]) == 3
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag", ["--symmetry-pruning", "--parallel",
+                                  "--json"])
+def test_removed_decide_flags_are_usage_errors(tmp_path, capsys, flag):
+    f = write(tmp_path, "cb.json", CHECKERBOARD)
+    assert main(["decide", f, flag]) == 3
     capsys.readouterr()
 
 

@@ -111,17 +111,6 @@ def test_decide_deterministic(checkerboard_set, left0_right1_set):
         assert decide(ps, 50_000) == decide(ps, 50_000)
 
 
-def test_decide_symmetry_flag_same_outcomes():
-    tuples_list = [((0, 1, 1, 0), (1, 0, 0, 1)),
-                   ((0, 0, 0, 0), (1, 1, 1, 1)),
-                   ((0, 1, 0, 1),),
-                   ((0, 0, 1, 1), (1, 1, 0, 0), (0, 1, 0, 1))]
-    for tuples in tuples_list:
-        ps = make_pattern_set(tuples)
-        assert decide(ps, 100_000) == decide(ps, 100_000,
-                                             symmetry_pruning=True)
-
-
 # --- validate_witness ---------------------------------------------------------
 
 def test_validate_checkerboard(checkerboard_set):
