@@ -227,9 +227,23 @@ def difference_poly(v) -> LaurentPoly:
 
 
 def apply(f: LaurentPoly, c: Configuration, window: DiscreteDomain) -> dict[Vec2, int]:
-    """Values of the formal product f.c on the window cells."""
+    """Values of the formal product f.c on the window cells, computed
+    once per lattice coset of a periodic c (the same values)."""
     items = [(e, f.coefficient(e)) for e in f.support()]
     out: dict[Vec2, int] = {}
+    if isinstance(c, PeriodicConfig):
+        table = [[None] * c.span_x for _ in range(c.span_y)]
+        y = None
+        for n in window.cells:
+            if n.y != y:  # _block_color's lattice reduction, split by row
+                y = n.y
+                k, j = divmod(y, c.span_y)
+                row, shift = table[j], k * c.shear
+            i = (n.x - shift) % c.span_x
+            if row[i] is None:
+                row[i] = sum(coeff * c.color_at(n - e) for e, coeff in items)
+            out[n] = row[i]
+        return out
     for n in window.cells:
         out[n] = sum(coeff * c.color_at(n - e) for e, coeff in items)
     return out

@@ -68,6 +68,12 @@ def _parse_vec(text: str) -> Vec2:
             f"expected 'x,y' integers, got {text!r}") from None
 
 
+def _positive_int(text: str) -> int:
+    if int(text) < 1:  # argparse reports a ValueError as a usage error too
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _parse_box(text: str) -> DiscreteDomain:
     """Size spec 'WxH' with optional origin '@x,y'."""
     try:
@@ -142,17 +148,17 @@ def _make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("determinism", help="direction forcing probe")
     p.add_argument("pattern_set_file")
     p.add_argument("--dir", type=_parse_vec, required=True, dest="direction")
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--R", type=int, default=4, dest="radius")
+    p.add_argument("--k", type=_positive_int, default=2)
+    p.add_argument("--R", type=_positive_int, default=4, dest="radius")
     p.add_argument("--budget")
 
     p = sub.add_parser("balanced", help="balanced-set search")
     p.add_argument("config_file")
     p.add_argument("--u", type=_parse_vec, required=True, dest="direction")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--m", type=_positive_int, required=True)
     p.add_argument("--window", type=_parse_box, default=None)
-    p.add_argument("--area-budget", type=int, default=6)
+    p.add_argument("--area-budget", type=_positive_int, default=6)
 
     for sp in sub.choices.values():
         sp.add_argument("--ascii", action="store_true", default=False)
@@ -253,6 +259,8 @@ def main(argv=None) -> int:
     parser = _make_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "determinism" and args.radius < args.k:
+            parser.error("--R must be at least --k")
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage errors; 2 collides
         # with the undecided exit code, so usage errors map to 3

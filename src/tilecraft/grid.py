@@ -167,6 +167,9 @@ class DiscreteDomain:
                              key=_canonical_key))
         object.__setattr__(self, "cells", canon)
         object.__setattr__(self, "_set", frozenset(canon))
+        xs = [c.x for c in canon]
+        object.__setattr__(self, "_rect", Rect(
+            min(xs), canon[0].y, max(xs), canon[-1].y) if canon else None)
 
     @classmethod
     def rect(cls, width: int, height: int, origin: Vec2 = ORIGIN) -> "DiscreteDomain":
@@ -197,9 +200,7 @@ class DiscreteDomain:
     def bounding_rect(self) -> Rect:
         if not self.cells:
             raise ValueError("empty domain has no bounding rectangle")
-        xs = [c.x for c in self.cells]
-        ys = [c.y for c in self.cells]
-        return Rect(min(xs), min(ys), max(xs), max(ys))
+        return self._rect  # type: ignore[attr-defined]
 
     def max_extent(self) -> int:
         r = self.bounding_rect()
@@ -474,20 +475,18 @@ def color_at(c: Configuration, n) -> int:
 
 
 def _fitting_translates(shape: DiscreteDomain,
-                        window: DiscreteDomain) -> list[Vec2]:
+                        window: DiscreteDomain) -> Iterator[Vec2]:
     """Translations t with shape + t inside the window, canonical order."""
     if not len(window):
-        return []
+        return
     sb = shape.bounding_rect()
     wb = window.bounding_rect()
     full_rect = window.is_rectangle()
-    out = []
     for ty in range(wb.y0 - sb.y0, wb.y1 - sb.y1 + 1):
         for tx in range(wb.x0 - sb.x0, wb.x1 - sb.x1 + 1):
             t = Vec2(tx, ty)
             if full_rect or all(cell + t in window for cell in shape.cells):
-                out.append(t)
-    return out
+                yield t
 
 
 def patterns_of(c: Configuration, shape: DiscreteDomain,
@@ -496,17 +495,26 @@ def patterns_of(c: Configuration, shape: DiscreteDomain,
 
     Patterns are re-indexed to the shape's own cells and returned sorted
     by their value tuples, so the result does not depend on enumeration
-    order.  An empty shape has exactly one (empty) pattern.
+    order.  An empty shape has exactly one (empty) pattern.  A periodic
+    configuration is read once per lattice coset, with the same result.
     """
     if not len(shape):
         return [Pattern(shape, ())]
-    translates = _fitting_translates(shape, window)
-    if not translates:
+    periodic = isinstance(c, PeriodicConfig)
+    cosets, seen = set(), set()
+    for t in _fitting_translates(shape, window):
+        if periodic:  # t modulo the lattice, as _block_color reduces it
+            k, j = divmod(t.y, c.span_y)
+            key = ((t.x - k * c.shear) % c.span_x, j)
+            if key in cosets:
+                continue
+            cosets.add(key)
+        seen.add(tuple(c.color_at(cell + t) for cell in shape.cells))
+        if periodic and len(cosets) == c.span_x * c.span_y:
+            break
+    if not seen:
         raise EmptyWindow(
             f"no translate of the {len(shape)}-cell shape fits in the window")
-    seen = set()
-    for t in translates:
-        seen.add(tuple(c.color_at(cell + t) for cell in shape.cells))
     return [Pattern(shape, vals) for vals in sorted(seen)]
 
 

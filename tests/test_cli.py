@@ -165,6 +165,23 @@ def test_removed_decide_flags_are_usage_errors(tmp_path, capsys, flag):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["determinism", "CB", "--dir", "1,0", "--k", "0"],
+    ["determinism", "CB", "--dir", "1,0", "--k", "2", "--R", "1"],
+    ["balanced", "CONST", "--u", "0,1", "--n", "0", "--m", "2"],
+    ["balanced", "CONST", "--u", "0,1", "--n", "2", "--m", "0"],
+    ["balanced", "CONST", "--u", "0,1", "--n", "2", "--m", "2",
+     "--area-budget", "0"],
+    ["balanced", "CONST", "--u", "0,1", "--n", "2", "--m", "2",
+     "--area-budget", "-1"],
+], ids=["k0", "R_below_k", "n0", "m0", "area_budget0", "area_budget_neg"])
+def test_out_of_range_options_are_usage_errors(tmp_path, capsys, argv):
+    files = {"CB": write(tmp_path, "cb.json", CHECKERBOARD),
+             "CONST": write(tmp_path, "c.json", CONSTANT)}
+    assert main([files.get(a, a) for a in argv]) == 3
+    capsys.readouterr()
+
+
 def test_complexity_checkerboard(tmp_path, capsys):
     cb = {"kind": "periodic", "p1": [1, 1], "p2": [2, 0],
           "block": [[0, 1], [1, 0]]}

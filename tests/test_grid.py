@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tilecraft.algebra import LaurentPoly, annihilates, apply, difference_poly
 from tilecraft.grid import (Alphabet, DiscreteDomain, EmptyWindow, OutOfWindow,
                             Pattern, PeriodicConfig, Rect, Vec2, WindowConfig,
                             find_periods, is_low_complexity, is_two_periodic,
@@ -124,6 +127,71 @@ def test_patterns_translation_covariant(checkerboard, vertical_stripes):
             moved = patterns_of(c.translate(t), shape,
                                 rect_window(5, 5, Vec2(0, 0) + t))
             assert base == moved
+
+
+def _unfolded(c, window, f):
+    """c as a WindowConfig on a rectangle covering every cell that
+    patterns_of(c, _, window) and apply(f, c, window) can read."""
+    if not len(window):
+        return WindowConfig.from_rows([[c.color_at(Vec2(0, 0))]])
+    w = window.bounding_rect()
+    xs = [0] + [e.x for e in f.support()]
+    ys = [0] + [e.y for e in f.support()]
+    rect = Rect(w.x0 - max(xs), w.y0 - max(ys), w.x1 - min(xs), w.y1 - min(ys))
+    return WindowConfig(rect, tuple(
+        tuple(c.color_at(Vec2(x, y)) for x in range(rect.x0, rect.x1 + 1))
+        for y in range(rect.y0, rect.y1 + 1)))
+
+
+def _patterns_or_empty(c, shape, window):
+    try:
+        return patterns_of(c, shape, window)
+    except EmptyWindow:
+        return EmptyWindow
+
+
+@st.composite
+def _block_path_cases(draw):
+    a, c_ = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    b = draw(st.integers(0, a - 1))
+    block = draw(st.lists(st.lists(st.integers(0, 2), min_size=a, max_size=a),
+                          min_size=c_, max_size=c_))
+    config = PeriodicConfig(a, b, c_, block)
+    box = [Vec2(x, y) for y in range(3) for x in range(3)]
+    shape = DiscreteDomain(draw(st.sets(st.sampled_from(box), min_size=1)))
+    # offset windows of up to 9 rows, each row a run of up to 7 cells:
+    # empty, smaller than a block, rectangular or ragged
+    origin = Vec2(draw(st.integers(-6, 6)), draw(st.integers(-6, 6)))
+    rows = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 7)),
+                         max_size=9))
+    if rows and draw(st.booleans()):
+        rows = [rows[0]] * len(rows)
+    window = DiscreteDomain([origin + (start + x, y)
+                             for y, (start, width) in enumerate(rows)
+                             for x in range(width)])
+    if draw(st.booleans()):
+        # a lattice vector's difference polynomial annihilates
+        k, m = draw(st.integers(-1, 1)), draw(st.integers(-1, 1))
+        period = config.p1 * k + config.p2 * m
+        f = difference_poly(period) if not period.is_zero() else LaurentPoly.one()
+    else:
+        f = LaurentPoly(draw(st.dictionaries(
+            st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+            st.integers(-2, 2).filter(bool), min_size=1, max_size=4)))
+    return config, shape, window, f
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_block_path_cases())
+def test_periodic_block_path_matches_unfolded_window(case):
+    # the periodic path reads one lattice coset at a time; the window path
+    # reads every cell and serves as the reference
+    c, shape, window, f = case
+    ref = _unfolded(c, window, f)
+    assert (_patterns_or_empty(c, shape, window)
+            == _patterns_or_empty(ref, shape, window))
+    assert list(apply(f, c, window).items()) == list(apply(f, ref, window).items())
+    assert annihilates(f, c, window) == annihilates(f, ref, window)
 
 
 def test_pattern_not_translation_invariant():
