@@ -13,11 +13,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cache
 from typing import Callable
 
-from .grid import (Configuration, DiscreteDomain, Rect, Vec2, ZeroVector,
-                   find_periods, is_low_complexity, patterns_of, PeriodScan)
+from .grid import (ORIGIN, Configuration, DiscreteDomain, Rect, Vec2,
+                   ZeroVector, find_periods, is_low_complexity, patterns_of,
+                   PeriodScan)
 
 
 class NotConvex(ValueError):
@@ -186,8 +187,13 @@ def is_balanced(c: Configuration, domain: DiscreteDomain, u,
         raise ZeroVector("balanced direction must be nonzero")
     if not is_convex(domain):
         raise NotConvex("balanced sets must be convex")
+    return _report(c, domain, u, window, len(patterns_of(c, domain, window)))
+
+
+def _report(c: Configuration, domain: DiscreteDomain, u: Vec2,
+            window: DiscreteDomain, full: int) -> BalancedReport:
+    """The report for a convex domain whose pattern count is full."""
     e = edge(domain, u)
-    full = len(patterns_of(c, domain, window))
     inner = len(patterns_of(c, domain.minus(e), window))
     levels: dict[int, int] = {}
     for cell in domain.cells:
@@ -204,28 +210,71 @@ class BalancedSearchResult:
     report: BalancedReport
 
 
+def _canonical_order(d: DiscreteDomain):
+    r = d.bounding_rect()
+    return (r.height, r.width, [(cell.y, cell.x) for cell in d.cells])
+
+
+def _closes_segments(p: Vec2, cells: set[Vec2]) -> bool:
+    """Every lattice point between p and a cell is a cell.
+
+    Convex sets pass; this cheap necessary test spares most is_convex
+    calls while the candidates grow.
+    """
+    for a in cells:
+        dx, dy = p.x - a.x, p.y - a.y
+        g = math.gcd(dx, dy)
+        if any(Vec2(a.x + k * dx // g, a.y + k * dy // g) not in cells
+               for k in range(1, g)):
+            return False
+    return True
+
+
+@cache
+def _convex_sets(size: int, box: int) -> tuple[DiscreteDomain, ...]:
+    """Convex sets of size cells inside [0, box)^2, anchored at the origin.
+
+    Anchored sets touch x = 0 and y = 0, which dedups translated copies.
+    Removing a hull vertex keeps a set convex, and a set of two or more
+    cells has a hull vertex whose removal leaves a cell on y = 0: one
+    above that row, or an end of a horizontal segment.  So each set of
+    this size is an anchored set one cell smaller, shifted right inside
+    the box, plus one cell.  Sorted by box height, box width, then
+    row-major cells.
+    """
+    if size == 1:
+        return (DiscreteDomain((ORIGIN,)),)
+    seen: dict[frozenset, DiscreteDomain | None] = {}
+    for d in _convex_sets(size - 1, box):
+        for tx in range(box - d.bounding_rect().width + 1):
+            moved = {cell + (tx, 0) for cell in d.cells}
+            # a set shifted off x = 0 needs the new cell on x = 0
+            for y in range(box):
+                for x in range(1 if tx else box):
+                    p = Vec2(x, y)
+                    if p in moved:
+                        continue
+                    key = frozenset(moved | {p})
+                    if key in seen:
+                        continue
+                    grown = None
+                    if _closes_segments(p, moved):
+                        grown = DiscreteDomain(tuple(key))
+                        if not is_convex(grown):
+                            grown = None
+                    seen[key] = grown
+    return tuple(sorted((d for d in seen.values() if d is not None),
+                        key=_canonical_order))
+
+
 def _convex_candidates(max_size: int, bbox_cap: int):
     """Convex sets in canonical order: size, bounding box, cell list.
 
-    Representatives are anchored by touching all four sides of their
-    bounding box, which dedups translated copies.
+    Each size's sets are built once per process, when the search first
+    reaches that size.
     """
     for size in range(1, max_size + 1):
-        for h in range(1, min(size, bbox_cap) + 1):
-            for w in range(1, min(size, bbox_cap) + 1):
-                if w * h < size:
-                    continue
-                grid = [Vec2(x, y) for y in range(h) for x in range(w)]
-                for combo in combinations(grid, size):
-                    xs = {c.x for c in combo}
-                    ys = {c.y for c in combo}
-                    if 0 not in xs or w - 1 not in xs:
-                        continue
-                    if 0 not in ys or h - 1 not in ys:
-                        continue
-                    d = DiscreteDomain(combo)
-                    if is_convex(d):
-                        yield d
+        yield from _convex_sets(size, min(size, bbox_cap))
 
 
 def balanced_search(c: Configuration, n: int, m: int, u,
@@ -233,8 +282,11 @@ def balanced_search(c: Configuration, n: int, m: int, u,
                     area_budget: int = 6) -> BalancedSearchResult | None:
     """First convex set balanced for u or -u, in canonical order.
 
-    The enumeration is bounded (size up to area_budget, boxes up to
-    n*m); None is a budget statement, not a refutation.
+    The enumeration is bounded: sets of up to area_budget cells whose
+    bounding box has both sides at most min(size, n*m), so a convex set
+    wider or taller than its size, such as {(0,0), (2,1)}, is never
+    tried.  None is a budget statement, not a refutation.  The
+    candidate sets are built once per process and reused.
     """
     u = Vec2(u[0], u[1])
     if u.is_zero():
@@ -246,8 +298,11 @@ def balanced_search(c: Configuration, n: int, m: int, u,
             f"on the {n}x{m} rectangle; balanced set may not exist",
             NotLowComplexityWarning, stacklevel=2)
     for d in _convex_candidates(area_budget, n * m):
+        full = len(patterns_of(c, d, window))
+        if full > len(d):
+            continue  # condition (i) fails for u and -u alike
         for orientation in (u, -u):
-            report = is_balanced(c, d, orientation, window)
+            report = _report(c, d, orientation, window, full)
             if report.balanced:
                 return BalancedSearchResult(d, orientation, report)
     return None

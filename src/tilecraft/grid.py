@@ -118,6 +118,8 @@ class Alphabet:
         if any(a >= b for a, b in zip(colors, colors[1:])):
             raise ValueError("alphabet colors must be strictly increasing")
         object.__setattr__(self, "colors", colors)
+        object.__setattr__(self, "_index",
+                           {c: i for i, c in enumerate(colors)})
 
     @classmethod
     def of(cls, colors: Iterable[int]) -> "Alphabet":
@@ -127,23 +129,13 @@ class Alphabet:
         return cls(tuple(sorted(cs)))
 
     def index(self, color: int) -> int:
-        lo, hi = 0, len(self.colors)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.colors[mid] < color:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == len(self.colors) or self.colors[lo] != color:
-            raise ValueError(f"color {color} not in alphabet")
-        return lo
+        try:
+            return self._index[color]  # type: ignore[attr-defined]
+        except KeyError:
+            raise ValueError(f"color {color} not in alphabet") from None
 
     def __contains__(self, color: int) -> bool:
-        try:
-            self.index(color)
-            return True
-        except ValueError:
-            return False
+        return color in self._index  # type: ignore[attr-defined]
 
     def __len__(self) -> int:
         return len(self.colors)

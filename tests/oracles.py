@@ -5,12 +5,16 @@ plain loops, literal enumeration, numpy vectorization and Fraction
 arithmetic, so that agreement with the engine is meaningful.
 """
 
+import warnings
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
-from tilecraft.grid import Vec2
+from tilecraft.balanced import (BalancedSearchResult, NotLowComplexityWarning,
+                                is_balanced, is_convex)
+from tilecraft.grid import (DiscreteDomain, Vec2, ZeroVector,
+                            is_low_complexity)
 from tilecraft.sft import box_cells
 
 
@@ -195,3 +199,46 @@ def naive_probe(tuples, shape_cells, colors, u, k, radius):
         if len(centers) >= 2:
             return "non_forced", (beta, tuple(centers[:2])), count
     return "forced", None, count
+
+
+def naive_convex_candidates(max_size: int, bbox_cap: int):
+    """Convex sets in canonical order: size, bounding box, cell list.
+
+    Representatives are anchored by touching all four sides of their
+    bounding box, which dedups translated copies.
+    """
+    for size in range(1, max_size + 1):
+        for h in range(1, min(size, bbox_cap) + 1):
+            for w in range(1, min(size, bbox_cap) + 1):
+                if w * h < size:
+                    continue
+                grid = [Vec2(x, y) for y in range(h) for x in range(w)]
+                for combo in combinations(grid, size):
+                    xs = {c.x for c in combo}
+                    ys = {c.y for c in combo}
+                    if 0 not in xs or w - 1 not in xs:
+                        continue
+                    if 0 not in ys or h - 1 not in ys:
+                        continue
+                    d = DiscreteDomain(combo)
+                    if is_convex(d):
+                        yield d
+
+
+def naive_balanced_search(c, n, m, u, window, area_budget=6):
+    """Every box combination through is_convex, is_balanced for u then -u."""
+    u = Vec2(u[0], u[1])
+    if u.is_zero():
+        raise ZeroVector("search direction must be nonzero")
+    rect_report = is_low_complexity(c, DiscreteDomain.rect(n, m), window)
+    if not rect_report.low:
+        warnings.warn(
+            f"coloring has {rect_report.count} > {rect_report.bound} patterns "
+            f"on the {n}x{m} rectangle; balanced set may not exist",
+            NotLowComplexityWarning, stacklevel=2)
+    for d in naive_convex_candidates(area_budget, n * m):
+        for orientation in (u, -u):
+            report = is_balanced(c, d, orientation, window)
+            if report.balanced:
+                return BalancedSearchResult(d, orientation, report)
+    return None

@@ -1,10 +1,17 @@
+import warnings
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tilecraft.balanced import (DoesNotFit, NotConvex, NotLowComplexityWarning,
-                                Stripe, balanced_search, edge, fits,
-                                is_balanced, is_convex, stripe_scenario_check)
-from tilecraft.grid import (DiscreteDomain, Vec2, WindowConfig, ZeroVector,
-                            patterns_of)
+                                Stripe, _convex_candidates, _convex_sets,
+                                balanced_search, edge, fits, is_balanced,
+                                is_convex, stripe_scenario_check)
+from tilecraft.grid import (DiscreteDomain, PeriodicConfig, Vec2, WindowConfig,
+                            ZeroVector, patterns_of)
+
+import oracles
 
 
 def W(w, h, origin=Vec2(0, 0)):
@@ -178,6 +185,77 @@ def test_search_five_pattern_warns(five_pattern_window):
         res = balanced_search(five_pattern_window, 2, 2, Vec2(0, 1),
                               five_pattern_window.domain(), area_budget=1)
     assert res is None
+
+
+def test_convex_candidates_match_naive_filter():
+    # the naive filter orders by size first, so its sets of at most s cells
+    # are exactly its output for max_size s
+    naive = {cap: [d.cells for d in oracles.naive_convex_candidates(5, cap)]
+             for cap in range(1, 6)}
+    naive[4, 6] = [d.cells for d in oracles.naive_convex_candidates(6, 4)]
+    _convex_sets.cache_clear()
+    for memo in ("cold", "warm"):
+        for cap in range(1, 6):
+            for max_size in range(1, 6):
+                grown = [d.cells for d in _convex_candidates(max_size, cap)]
+                expected = [cells for cells in naive[cap]
+                            if len(cells) <= max_size]
+                assert grown == expected, (memo, max_size, cap)
+        assert [d.cells for d in _convex_candidates(6, 4)] == naive[4, 6], memo
+
+
+_DIRECTIONS = [Vec2(0, 1), Vec2(1, 0), Vec2(1, 1), Vec2(1, -1), Vec2(-1, 2),
+               Vec2(2, 1), Vec2(0, -2), Vec2(0, 0)]
+
+
+@st.composite
+def _search_cases(draw):
+    colors = draw(st.integers(2, 3))
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    origin = Vec2(draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
+    # windows from just fitting the n x m rectangle (too small for the
+    # wider candidates) to four cells more each way, some rows starting
+    # one cell later
+    ww, wh = n + draw(st.integers(0, 4)), m + draw(st.integers(0, 4))
+    starts = draw(st.lists(st.integers(0, 1), min_size=wh, max_size=wh))
+    if draw(st.booleans()):
+        starts = [0] * wh
+    window = DiscreteDomain([origin + (x, y) for y in range(wh)
+                             for x in range(starts[y], ww)])
+    if draw(st.booleans()):
+        a, c_ = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        b = draw(st.integers(0, a - 1))  # b > 0 shears the lattice
+        block = draw(st.lists(
+            st.lists(st.integers(0, colors - 1), min_size=a, max_size=a),
+            min_size=c_, max_size=c_))
+        config = PeriodicConfig(a, b, c_, block)
+    else:
+        # a window coloring covering the window, now and then a column short
+        short = draw(st.integers(0, 7)) == 0
+        w = max(1, ww + draw(st.integers(0, 1)) - short)
+        rows = draw(st.lists(
+            st.lists(st.integers(0, colors - 1), min_size=w, max_size=w),
+            min_size=wh, max_size=wh))
+        config = WindowConfig.from_rows(rows, origin)
+    u = draw(st.sampled_from(_DIRECTIONS))
+    return config, n, m, u, window, draw(st.integers(1, 4))
+
+
+def _search_outcome(search, case):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = search(*case)
+        except Exception as exc:  # compared by type against the oracle
+            result = type(exc)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_search_cases())
+def test_balanced_search_matches_naive_search(case):
+    assert (_search_outcome(balanced_search, case)
+            == _search_outcome(oracles.naive_balanced_search, case))
 
 
 # --- stripe_scenario_check -----------------------------------------------------------

@@ -3,16 +3,19 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tilecraft import serialize
-from tilecraft.grid import Alphabet, DiscreteDomain, PeriodicConfig
+from tilecraft.grid import (Alphabet, DiscreteDomain, PeriodicConfig, Vec2,
+                            WindowConfig)
 from tilecraft.serialize import (SchemaError, canonical_json,
                                  configuration_from_json,
                                  configuration_to_json, pattern_set_from_json,
                                  pattern_set_to_json, render_rows,
                                  shape_from_json, shape_to_json,
                                  witness_from_json, witness_to_json)
-from tilecraft.sft import TorusWitness
+from tilecraft.sft import PatternSet, TorusWitness
 
 
 def test_shape_roundtrip_rect():
@@ -74,6 +77,57 @@ def test_configuration_random_periodic_roundtrip():
         block = [[rng.randint(0, 3) for _ in range(w)] for _ in range(h)]
         c = PeriodicConfig.from_block(block)
         assert configuration_from_json(configuration_to_json(c)) == c
+
+
+@st.composite
+def _pattern_sets(draw):
+    # shapes anywhere near the origin: rectangles (at the origin they
+    # serialize as "rect w h") and arbitrary cell sets
+    origin = draw(st.sampled_from([Vec2(0, 0), Vec2(-1, 2), Vec2(3, -2)]))
+    if draw(st.booleans()):
+        shape = DiscreteDomain.rect(draw(st.integers(1, 3)),
+                                    draw(st.integers(1, 3)), origin)
+    else:
+        box = [origin + (x, y) for y in range(3) for x in range(3)]
+        shape = DiscreteDomain(draw(st.sets(st.sampled_from(box),
+                                            min_size=1)))
+    alphabet = Alphabet.of(draw(st.sets(st.integers(-50, 50), min_size=1,
+                                        max_size=4)))
+    values = st.tuples(*[st.sampled_from(alphabet.colors)] * len(shape))
+    return PatternSet.from_value_tuples(alphabet, shape,
+                                        draw(st.lists(values, max_size=6)))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_pattern_sets())
+def test_pattern_set_roundtrip_random(ps):
+    assert pattern_set_from_json(pattern_set_to_json(ps)) == ps
+
+
+@st.composite
+def _configurations(draw):
+    colors = st.integers(-50, 50)
+    if draw(st.booleans()):
+        a, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        b = draw(st.integers(0, a - 1))  # b > 0 shears the lattice
+        block = draw(st.lists(st.lists(colors, min_size=a, max_size=a),
+                              min_size=c, max_size=c))
+        return PeriodicConfig(a, b, c, block)
+    w, h = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(colors, min_size=w, max_size=w),
+                         min_size=h, max_size=h))
+    origin = Vec2(draw(st.integers(-5, 5)), draw(st.integers(-5, 5)))
+    return WindowConfig.from_rows(rows, origin)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_configurations())
+def test_configuration_roundtrip_random(c):
+    back = configuration_from_json(configuration_to_json(c))
+    assert type(back) is type(c)
+    cells = (c.domain() if isinstance(c, WindowConfig)
+             else DiscreteDomain.rect(12, 12, Vec2(-6, -6)))
+    assert [back.color_at(v) for v in cells] == [c.color_at(v) for v in cells]
 
 
 def test_configuration_periodic_consistency_checked():
