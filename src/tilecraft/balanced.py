@@ -21,6 +21,12 @@ from .grid import (ORIGIN, Configuration, DiscreteDomain, Rect, Vec2,
                    PeriodScan)
 
 
+# The command line's ceiling on balanced_search's area_budget: building
+# the candidates takes about 0.4 s at 6 cells, 1.6 s and 51 MB at 7 and
+# 5.2 s and 152 MB at 8, growing 3-4x per cell.
+MAX_AREA_BUDGET = 7
+
+
 class NotConvex(ValueError):
     """The balanced conditions are defined for convex cell sets only."""
 
@@ -286,7 +292,9 @@ def balanced_search(c: Configuration, n: int, m: int, u,
     bounding box has both sides at most min(size, n*m), so a convex set
     wider or taller than its size, such as {(0,0), (2,1)}, is never
     tried.  None is a budget statement, not a refutation.  The
-    candidate sets are built once per process and reused.
+    candidate sets are built once per process and reused; their cost
+    grows 3-4x per cell of area_budget, so the command line accepts an
+    area_budget from 1 to MAX_AREA_BUDGET (7) only.
     """
     u = Vec2(u[0], u[1])
     if u.is_zero():

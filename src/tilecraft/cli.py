@@ -74,6 +74,15 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _area_budget(text: str) -> int:
+    value = _positive_int(text)
+    if value > bal.MAX_AREA_BUDGET:
+        raise argparse.ArgumentTypeError(
+            f"expected an area budget of at most {bal.MAX_AREA_BUDGET}, "
+            f"got {text!r}")
+    return value
+
+
 def _parse_box(text: str) -> DiscreteDomain:
     """Size spec 'WxH' with optional origin '@x,y'."""
     try:
@@ -158,7 +167,9 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--m", type=_positive_int, required=True)
     p.add_argument("--window", type=_parse_box, default=None)
-    p.add_argument("--area-budget", type=_positive_int, default=6)
+    p.add_argument("--area-budget", type=_area_budget, default=6,
+                   help="largest candidate set in cells, from 1 to "
+                        f"{bal.MAX_AREA_BUDGET} (default: %(default)s)")
 
     for sp in sub.choices.values():
         sp.add_argument("--ascii", action="store_true", default=False)

@@ -6,20 +6,22 @@ and torus searches (a valid wraparound coloring certifies a periodic
 configuration).  For pattern sets with at most |D| allowed patterns,
 one of the two must fire; budgets make every run terminate either way.
 
-The search core packs partial colorings into one integer per row and,
-after each assignment, re-checks only the shape translates touching
-that cell, against the allowed patterns truncated to the cells
-assigned so far (prefix pruning).
+The search core keeps one integer code per shape translate: the colors
+of its cells assigned so far, in the order they were assigned.  Each
+assignment puts the new color into the code of every translate holding
+that cell and looks the code up among the allowed patterns truncated to
+those cells (prefix pruning), so a check is one lookup, however large
+the shape.
 
 Search set-up has two parts.  The pattern-set part (_Compiled: color
 codes, allowed patterns, prefix code sets per cell order) is built once
 per decision and shared by all of its square and torus searches.  The
-geometry part (_geometry: the step order and, per step, the checks with
-the cells they read) depends only on the shape, the grid, the head
-cells and the bits per color, so one least-recently-used cache, bounded
-by total weight, shares it across pattern sets.  A check names its
-prefix code set by index, and each search resolves the indices against
-its pattern set's prefix sets.
+geometry part (_geometry: the step order and, per step, the checks as
+translate, bit position and prefix set) depends only on the shape, the
+grid, the head cells and the bits per color, so one least-recently-used
+cache, bounded by total weight, shares it across pattern sets.  A check
+names its prefix code set by index, and each search resolves the
+indices against its pattern set's prefix sets.
 """
 
 from __future__ import annotations
@@ -146,14 +148,13 @@ class _Compiled:
     color codes, patterns as color indices, the shape extent, and the
     prefix code sets per cell order, memoized."""
 
-    __slots__ = ("bits", "mask", "cells", "extent", "n_colors", "colors",
+    __slots__ = ("bits", "cells", "extent", "n_colors", "colors",
                  "patterns", "prefix")
 
     def __init__(self, ps: PatternSet):
         self.colors = ps.alphabet.colors
         self.n_colors = len(self.colors)
         self.bits = max(1, (self.n_colors - 1).bit_length())
-        self.mask = (1 << self.bits) - 1
         self.cells = ps.shape.cells
         self.extent = ps.shape.max_extent()
         index = {c: i for i, c in enumerate(self.colors)}
@@ -177,17 +178,24 @@ class _Compiled:
 
 def _geometry(cells: tuple, width: int, height: int, wrap: bool, head: tuple,
               bits: int):
-    """The pattern-set-free part of a search: (steps, seqs, checks).
+    """The pattern-set-free part of a search: (steps, seqs, checks, n).
 
     Cells go row-major, or head cells first and then the rest by
     Chebyshev distance from the last head cell, ties row-major; ``steps``
-    gives each step's (bit offset, row).  ``checks[step]`` holds, for each
-    translate of the shape touching that step, (cells read, prefix index,
-    earlier steps): the translate's assigned cells as (bit offset, row)
-    pairs, one object per grid cell, in assignment order; ``len(cells) *
-    s + i`` for its first i+1 cells in its cell order ``seqs[s]`` (the
-    last check of a translate is full membership); and a bit mask of the
-    other steps it reads, which are blamed when it fails.
+    gives each step's cell, row-major index.  Each of the ``n`` translates
+    of the shape keeps one code during a search, its cells' colors in its
+    cell order ``seqs[s]``, ``bits`` per cell.  ``checks[step]`` holds,
+    for each translate cell assigned at that step, (translate, low mask,
+    shift, prefix index, earlier): the translate's code keeps its bits
+    under the low mask and takes the step's color at the shift, and the
+    result is looked up in the prefix code set ``len(cells) * s + i`` of
+    its first i+1 cells (the last check of a translate is full
+    membership); earlier is a bit mask of the other steps it reads,
+    which are blamed when it fails.  A translate's cells at earlier
+    steps keep their colors while later steps are searched, so its low
+    bits always hold the current colors.  On a torus narrower than the
+    shape a translate holds a cell twice; the two checks sit next to
+    each other at one step, and the second reads what the first wrote.
     """
     order = [(x, y) for y in range(height) for x in range(width)]
     if head:
@@ -196,11 +204,10 @@ def _geometry(cells: tuple, width: int, height: int, wrap: bool, head: tuple,
         order = list(head) + sorted(
             (c for c in order if c not in first),
             key=lambda c: max(abs(c[0] - hx), abs(c[1] - hy)))
-    pairs = [(x * bits, y) for y in range(height) for x in range(width)]
+    steps = [y * width + x for x, y in order]
     rank = [0] * len(order)
-    for i, (x, y) in enumerate(order):
-        rank[y * width + x] = i
-    steps = [pairs[y * width + x] for x, y in order]
+    for i, cell in enumerate(steps):
+        rank[cell] = i
     xs = [c[0] for c in cells]
     ys = [c[1] for c in cells]
     if wrap:
@@ -211,6 +218,7 @@ def _geometry(cells: tuple, width: int, height: int, wrap: bool, head: tuple,
         tys = range(-min(ys), height - max(ys))
     seq_index: dict[tuple, int] = {}
     checks: list[list[tuple]] = [[] for _ in range(width * height)]
+    t = 0
     for ty in tys:
         for tx in txs:
             placed = []
@@ -219,18 +227,18 @@ def _geometry(cells: tuple, width: int, height: int, wrap: bool, head: tuple,
                 if wrap:
                     ax %= width
                     ay %= height
-                cell = ay * width + ax
-                placed.append((rank[cell], k, cell))
+                placed.append((rank[ay * width + ax], k))
             placed.sort()
-            seq = tuple(k for _, k, _ in placed)
+            seq = tuple(k for _, k in placed)
             base = seq_index.setdefault(seq, len(seq_index)) * len(cells)
-            reads: tuple = ()
             earlier = 0
-            for i, (step, _, cell) in enumerate(placed):
-                reads += (pairs[cell],)
-                checks[step].append((reads, base + i, earlier))
+            for i, (step, _) in enumerate(placed):
+                shift = i * bits
+                checks[step].append((t, (1 << shift) - 1, shift, base + i,
+                                     earlier))
                 earlier |= 1 << step
-    return steps, list(seq_index), checks
+            t += 1
+    return steps, list(seq_index), checks, t
 
 
 class _GeometryCache:
@@ -284,8 +292,10 @@ def _search(comp: _Compiled, width: int, height: int, wrap: bool,
 
     The geometry comes from a cache shared by all pattern sets, and
     ``sets`` lists this pattern set's prefix code sets as its checks
-    index them.  Yields each solution as rows of colors and counts
-    nodes in ``run``.
+    index them.  ``codes`` holds one code per shape translate: a check
+    puts the step's color into its translate's code and looks the code
+    up, so it costs the same however many cells the translate has.
+    Yields each solution as rows of colors and counts nodes in ``run``.
     With head cells, the search backs up into the last head cell after
     each solution, so it yields exactly one solution per extendable
     coloring of the head, in lexicographic order.  It also backjumps: a
@@ -297,15 +307,14 @@ def _search(comp: _Compiled, width: int, height: int, wrap: bool,
     step at a time: decide reports its node counts, and backjumping
     would change them.
     """
-    b, mask = comp.bits, comp.mask
     ncells = width * height
-    steps, seqs, checks_at = _GEOMETRIES.get(comp.cells, width, height,
-                                             wrap, head, b)
+    steps, seqs, checks_at, n_translates = _GEOMETRIES.get(
+        comp.cells, width, height, wrap, head, comp.bits)
     sets = [s for seq in seqs for s in comp.prefix_sets(seq)]
     n_colors = comp.n_colors
     back = (len(head) or ncells) - 1
 
-    rows = [0] * height
+    codes = [0] * n_translates
     choice = [-1] * ncells
     conflict = [0] * ncells
     nodes = 0
@@ -313,13 +322,14 @@ def _search(comp: _Compiled, width: int, height: int, wrap: bool,
     while True:
         if pos == ncells:
             run.nodes = nodes
-            yield tuple(
-                tuple(comp.colors[(rows[y] >> (x * b)) & mask]
-                      for x in range(width))
-                for y in range(height))
+            grid = [None] * ncells
+            for cell, ci in zip(steps, choice):
+                grid[cell] = comp.colors[ci]
+            yield tuple(tuple(grid[y * width:(y + 1) * width])
+                        for y in range(height))
             pos = back
             conflict[pos] = (1 << pos) - 1  # skip no head step from here
-        xb, y = steps[pos]
+        checks = checks_at[pos]
         advanced = False
         ci = choice[pos]
         while ci + 1 < n_colors:
@@ -329,14 +339,9 @@ def _search(comp: _Compiled, width: int, height: int, wrap: bool,
                 return
             ci += 1
             nodes += 1
-            rows[y] = (rows[y] & ~(mask << xb)) | (ci << xb)
             ok = True
-            for reads, i, earlier in checks_at[pos]:
-                code = 0
-                sh = 0
-                for cxb, cy in reads:
-                    code |= ((rows[cy] >> cxb) & mask) << sh
-                    sh += b
+            for t, low, shift, i, earlier in checks:
+                code = codes[t] = (codes[t] & low) | (ci << shift)
                 if code not in sets[i]:
                     conflict[pos] |= earlier
                     ok = False
@@ -399,14 +404,12 @@ def torus_search(ps: PatternSet, p: int, q: int,
 
 def validate_witness(ps: PatternSet, witness: TorusWitness) -> bool:
     """Re-check a torus witness cell by cell, independent of the search."""
-    for ty in range(witness.q):
-        for tx in range(witness.p):
-            values = tuple(
-                witness.values[(cell.y + ty) % witness.q][(cell.x + tx) % witness.p]
-                for cell in ps.shape.cells)
-            if Pattern(ps.shape, values) not in ps.allowed:
-                return False
-    return True
+    allowed = {pat.values for pat in ps.allowed}
+    rows, p, q = witness.values, witness.p, witness.q
+    cells = ps.shape.cells
+    return all(
+        tuple(rows[(c.y + ty) % q][(c.x + tx) % p] for c in cells) in allowed
+        for ty in range(q) for tx in range(p))
 
 
 def _stage_pairs(s: int) -> list[tuple[int, int]]:
@@ -420,8 +423,9 @@ def decide(ps: PatternSet, budget: int = DEFAULT_BUDGET) -> DecisionOutcome:
     Stage s runs the square search at side extent+s, then every torus
     with max(p, q) = s in lexicographic order.  The first exhausted
     square certifies emptiness; the first torus witness certifies
-    non-emptiness.  Budgets are counted in search nodes, so equal
-    inputs give equal outcomes.
+    non-emptiness, after validate_witness has re-checked it (a witness
+    that fails raises RuntimeError).  Budgets are counted in search
+    nodes, so equal inputs give equal outcomes.
     """
     outcome, _ = decide_with_usage(ps, budget)
     return outcome
@@ -455,6 +459,9 @@ def decide_with_usage(ps: PatternSet, budget: int = DEFAULT_BUDGET
                 return undecided(), nodes_total
             if result is not None:
                 witness = TorusWitness(p, q, result)
+                if not validate_witness(ps, witness):
+                    raise RuntimeError(
+                        f"the {p}x{q} torus witness fails re-validation")
                 return NonEmptyPeriodic(witness), nodes_total
         max_pq = stage
     return undecided(), nodes_total

@@ -174,7 +174,10 @@ def test_removed_decide_flags_are_usage_errors(tmp_path, capsys, flag):
      "--area-budget", "0"],
     ["balanced", "CONST", "--u", "0,1", "--n", "2", "--m", "2",
      "--area-budget", "-1"],
-], ids=["k0", "R_below_k", "n0", "m0", "area_budget0", "area_budget_neg"])
+    ["balanced", "CONST", "--u", "0,1", "--n", "2", "--m", "2",
+     "--area-budget", "8"],
+], ids=["k0", "R_below_k", "n0", "m0", "area_budget0", "area_budget_neg",
+        "area_budget8"])
 def test_out_of_range_options_are_usage_errors(tmp_path, capsys, argv):
     files = {"CB": write(tmp_path, "cb.json", CHECKERBOARD),
              "CONST": write(tmp_path, "c.json", CONSTANT)}

@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -124,6 +126,17 @@ def test_validate_rejects_wrong(checkerboard_set):
 
 def test_validate_full_shift(full_shift_set):
     assert validate_witness(full_shift_set, TorusWitness(1, 1, ((1,),)))
+
+
+def test_decide_rejects_a_witness_that_fails_validation(monkeypatch,
+                                                         checkerboard_set):
+    # every search "finds" the all-zero grid, which the checkerboard set
+    # forbids, so the first torus witness must fail its re-check
+    def all_zero(comp, width, height, wrap, budget):
+        return tuple((0,) * width for _ in range(height)), 1
+    monkeypatch.setattr(sft, "_first", all_zero)
+    with pytest.raises(RuntimeError, match="1x1 torus witness"):
+        decide(checkerboard_set, 1_000)
 
 
 def test_witness_unfolding_patterns_allowed(checkerboard_set):
@@ -472,3 +485,76 @@ def test_empty_and_torus_never_both_fire():
             for p in range(1, 7):
                 for q in range(1, 7):
                     assert torus_search(ps, p, q, 100_000) is None
+
+
+# --- node-count pins ---------------------------------------------------------
+# Node counts are part of the determinism contract.  The benchmark's
+# recorded pools exercise what the 2,517-set scan does not: the
+# backjumping probe search, 3-color and 3x3 shapes, and tori narrower
+# than the shape.
+
+REFERENCE = (Path(__file__).resolve().parent.parent / "perfbench"
+             / "reference.json")
+
+# box_colorings of each recorded probe, in pool order
+ORBIT_BOX_COLORINGS = [1] * 8 + [3] * 8 + [4] * 16 + [6] * 8 + [9] * 8
+WALK_BOX_COLORINGS = [1, 2, 3, 1, 1, 1, 1, 0, 1, 1, 2, 2, 1, 1, 1, 1, 1, 1,
+                      1, 1, 1, 1, 1, 3]
+
+
+@pytest.fixture(scope="module")
+def reference():
+    with open(REFERENCE, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _pool_set(colors, w, h, indices):
+    """The pattern set of the given indices in itertools.product order."""
+    tuples = []
+    for i in indices:
+        digits = []
+        for _ in range(w * h):
+            i, d = divmod(i, len(colors))
+            digits.append(colors[d])
+        tuples.append(tuple(reversed(digits)))
+    return PatternSet.from_value_tuples(Alphabet.of(colors),
+                                        DiscreteDomain.rect(w, h), tuples)
+
+
+def _outcome_code(outcome):
+    if isinstance(outcome, Empty):
+        return f"E{outcome.n}"
+    if isinstance(outcome, NonEmptyPeriodic):
+        return f"P{outcome.witness.p}x{outcome.witness.q}"
+    return "U"
+
+
+def test_probe_pools_keep_verdicts_and_node_counts(reference):
+    r = reference["probe"]
+    for cls, box_colorings, total in (("orbit", ORBIT_BOX_COLORINGS, 120_751),
+                                      ("walk", WALK_BOX_COLORINGS, 9_437)):
+        pool = r[cls]
+        nodes = 0
+        seen = []
+        for colors, w, h, idx, u, verdict, _ in pool["items"]:
+            rep = determinism_probe(_pool_set(colors, w, h, idx), Vec2(*u),
+                                    pool["k"], pool["radius"], r["budget"])
+            assert rep.verdict == verdict, (cls, idx, u)
+            seen.append(rep.box_colorings)
+            nodes += rep.nodes_used
+        assert seen == box_colorings, cls
+        assert nodes == total, cls
+
+
+def test_census_pools_keep_outcomes_and_node_counts(reference):
+    r = reference["census"]
+    totals = {}
+    for pool in r["pools"]:
+        nodes = 0
+        for idx, code, recorded in pool["items"]:
+            ps = _pool_set(pool["colors"], pool["w"], pool["h"], idx)
+            outcome, used = sft.decide_with_usage(ps, r["budget"])
+            assert (_outcome_code(outcome), used) == (code, recorded), idx
+            nodes += used
+        totals[pool["name"]] = nodes
+    assert totals == {"c3_2x2": 61_268, "bin3x2": 64_700, "bin3x3": 45_288}
