@@ -8,11 +8,12 @@ complexity counts, exact Laurent-polynomial annihilators, direction
 forcing probes, and balanced-set geometry.
 """
 
-from .grid import (Alphabet, ComplexityReport, Configuration, DiscreteDomain,
-                   EmptyWindow, OutOfWindow, Pattern, PeriodScan,
-                   PeriodicConfig, Rect, TwoPeriodicReport, Vec2,
-                   WindowConfig, ZeroVector, color_at, find_periods,
-                   is_low_complexity, is_two_periodic, patterns_of, translate)
+from .grid import (Alphabet, CertificateError, ComplexityReport,
+                   Configuration, DiscreteDomain, EmptyWindow, OutOfWindow,
+                   Pattern, PeriodScan, PeriodicConfig, Rect,
+                   TwoPeriodicReport, Vec2, WindowConfig, ZeroVector,
+                   color_at, find_periods, is_low_complexity,
+                   is_two_periodic, patterns_of, translate)
 from .algebra import (AnnihilatorCertificate, LaurentPoly,
                       TrivialAnnihilatorWarning, X, Y, ZeroSeriesWarning,
                       annihilates, annihilator_search, apply, difference_poly,

@@ -14,7 +14,8 @@ import warnings
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .grid import Configuration, DiscreteDomain, PeriodicConfig, Vec2, ZeroVector
+from .grid import (CertificateError, Configuration, DiscreteDomain,
+                   PeriodicConfig, Vec2)
 from .linalg import nullspace_vector
 
 
@@ -220,9 +221,7 @@ def poly_from_json(data: dict) -> LaurentPoly:
 
 def difference_poly(v) -> LaurentPoly:
     """x^a y^b - 1 for v = (a, b); annihilates c iff v is a period of c."""
-    v = Vec2(v[0], v[1])
-    if v.is_zero():
-        raise ZeroVector("difference polynomial needs a nonzero vector")
+    v = Vec2.nonzero(v, "difference polynomial needs a nonzero vector")
     return LaurentPoly({v: 1, Vec2(0, 0): -1})
 
 
@@ -279,7 +278,7 @@ def periodic_annihilator(c: PeriodicConfig) -> AnnihilatorCertificate:
     poly = difference_poly(c.p1) * difference_poly(c.p2)
     window = DiscreteDomain.rect(2 * c.span_x, 2 * c.span_y)
     if not annihilates(poly, c, window):
-        raise AssertionError("period difference product failed to annihilate")
+        raise CertificateError("period difference product failed to annihilate")
     return AnnihilatorCertificate(poly, window)
 
 
@@ -308,6 +307,6 @@ def annihilator_search(c: Configuration, window: DiscreteDomain,
     if vec is None:
         return None
     poly = LaurentPoly(dict(zip(support, vec)))
-    if not all(v == 0 for v in apply(poly, c, window).values()):
-        raise AssertionError("kernel vector failed re-verification")
+    if not annihilates(poly, c, window):
+        raise CertificateError("kernel vector failed re-verification")
     return AnnihilatorCertificate(poly, window)

@@ -14,11 +14,10 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable
 
-from .grid import (ORIGIN, Configuration, DiscreteDomain, Rect, Vec2,
-                   ZeroVector, find_periods, is_low_complexity, patterns_of,
-                   PeriodScan)
+from .grid import (ORIGIN, Configuration, DiscreteDomain, Vec2,
+                   _fitting_translates, find_periods, is_low_complexity,
+                   patterns_of, PeriodScan)
 
 
 # The command line's ceiling on balanced_search's area_budget: building
@@ -41,9 +40,7 @@ class NotLowComplexityWarning(UserWarning):
 
 def edge(domain: DiscreteDomain, u) -> DiscreteDomain:
     """Cells of the domain furthest in direction u."""
-    u = Vec2(u[0], u[1])
-    if u.is_zero():
-        raise ZeroVector("edge direction must be nonzero")
+    u = Vec2.nonzero(u, "edge direction must be nonzero")
     if not len(domain):
         raise ValueError("edge of an empty domain is undefined")
     top = max(c.dot(u) for c in domain.cells)
@@ -100,9 +97,7 @@ class Stripe:
     k: int
 
     def __post_init__(self):
-        u = Vec2(self.u[0], self.u[1])
-        if u.is_zero():
-            raise ZeroVector("stripe direction must be nonzero")
+        u = Vec2.nonzero(self.u, "stripe direction must be nonzero")
         if self.k < 1:
             raise ValueError("stripe width must be >= 1")
         object.__setattr__(self, "u", u)
@@ -119,33 +114,24 @@ class Stripe:
         return DiscreteDomain(tuple(x for x in window.cells if self.contains(x)))
 
 
-def fits(domain: DiscreteDomain, region, window: DiscreteDomain | Rect | None = None):
+def fits(domain: DiscreteDomain, region: DiscreteDomain | Stripe,
+         window: DiscreteDomain | None = None) -> Vec2 | None:
     """First translation t (canonical order) with domain + t inside region.
 
-    The region may be a DiscreteDomain, a Stripe, or any cell
-    predicate; the window bounds the searched translations.  Returns
-    None when no searched translate fits.
+    The region is a DiscreteDomain or a Stripe; the window's bounding
+    rectangle bounds the searched translations and defaults to a
+    DiscreteDomain region's.  Returns None when no searched translate
+    fits.
     """
-    if isinstance(region, DiscreteDomain):
-        pred: Callable = region.__contains__
-        if window is None:
-            window = region.bounding_rect()
-    elif isinstance(region, Stripe):
-        pred = region.contains
+    if isinstance(region, Stripe):
         if window is None:
             raise ValueError("stripe fitting needs an explicit window")
+        inside = region.contains
     else:
-        pred = region
+        inside = region.__contains__
         if window is None:
-            raise ValueError("predicate fitting needs an explicit window")
-    wrect = window if isinstance(window, Rect) else window.bounding_rect()
-    drect = domain.bounding_rect()
-    for ty in range(wrect.y0 - drect.y0, wrect.y1 - drect.y1 + 1):
-        for tx in range(wrect.x0 - drect.x0, wrect.x1 - drect.x1 + 1):
-            t = Vec2(tx, ty)
-            if all(pred(c + t) for c in domain.cells):
-                return t
-    return None
+            window = region
+    return next(_fitting_translates(domain, window, inside), None)
 
 
 @dataclass(frozen=True)
@@ -188,9 +174,7 @@ class BalancedReport:
 def is_balanced(c: Configuration, domain: DiscreteDomain, u,
                 window: DiscreteDomain) -> BalancedReport:
     """Evaluate the three balanced-set conditions for u on the window."""
-    u = Vec2(u[0], u[1])
-    if u.is_zero():
-        raise ZeroVector("balanced direction must be nonzero")
+    u = Vec2.nonzero(u, "balanced direction must be nonzero")
     if not is_convex(domain):
         raise NotConvex("balanced sets must be convex")
     return _report(c, domain, u, window, len(patterns_of(c, domain, window)))
@@ -296,9 +280,7 @@ def balanced_search(c: Configuration, n: int, m: int, u,
     grows 3-4x per cell of area_budget, so the command line accepts an
     area_budget from 1 to MAX_AREA_BUDGET (7) only.
     """
-    u = Vec2(u[0], u[1])
-    if u.is_zero():
-        raise ZeroVector("search direction must be nonzero")
+    u = Vec2.nonzero(u, "search direction must be nonzero")
     rect_report = is_low_complexity(c, DiscreteDomain.rect(n, m), window)
     if not rect_report.low:
         warnings.warn(

@@ -1,7 +1,8 @@
 """Command-line front end: parse instances, run analyses, emit reports.
 
 Exit codes are frozen: 0 = a periodic witness exists, 1 = empty,
-2 = undecided within budget, 3 = input/usage error, 4 = domain error.
+2 = undecided within budget or a failed self-check (no verified
+verdict), 3 = input/usage error, 4 = domain error.
 Reports are canonical JSON (sorted keys); the only nondeterministic
 field is wall_time_s.
 """
@@ -18,8 +19,8 @@ import time
 from . import balanced as bal
 from . import serialize as ser
 from .algebra import annihilator_search, periodic_annihilator
-from .grid import (DiscreteDomain, EmptyWindow, OutOfWindow, PeriodicConfig,
-                   Vec2, ZeroVector, is_low_complexity)
+from .grid import (CertificateError, DiscreteDomain, OutOfWindow,
+                   PeriodicConfig, Vec2, is_low_complexity)
 from .sft import (DEFAULT_BUDGET, Empty, NonEmptyPeriodic,
                   classify_directions, decide_with_usage)
 
@@ -286,13 +287,13 @@ def main(argv=None) -> int:
         report["error"] = str(exc)
         if isinstance(exc, ser.SchemaError) and exc.errors:
             report["error_details"] = [_bounded(d) for d in exc.errors]
-        _emit(report, args, started)
-        return EXIT_INPUT_ERROR
-    except (ZeroVector, EmptyWindow, OutOfWindow, bal.NotConvex,
-            bal.DoesNotFit, ValueError) as exc:
+        code = EXIT_INPUT_ERROR
+    except CertificateError as exc:  # no verified verdict
         report["error"] = str(exc)
-        _emit(report, args, started)
-        return EXIT_DOMAIN_ERROR
+        code = EXIT_UNDECIDED
+    except (OutOfWindow, ValueError) as exc:
+        report["error"] = str(exc)
+        code = EXIT_DOMAIN_ERROR
     _emit(report, args, started)
     return code
 

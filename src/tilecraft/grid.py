@@ -3,7 +3,7 @@
 A coloring is either total and doubly periodic (stored as a reduced
 fundamental block over its period lattice) or a finite rectangular
 window.  Values are plain integers.  Everything here is immutable and
-every operation is pure, so objects can be shared freely across threads.
+every operation is pure.
 """
 
 from __future__ import annotations
@@ -25,11 +25,23 @@ class ZeroVector(ValueError):
     """A direction or period argument was the zero vector."""
 
 
+class CertificateError(RuntimeError):
+    """A result failed its own re-check, so no verified answer exists."""
+
+
 class Vec2(NamedTuple):
     """Integer lattice vector; doubles as cell, translation and exponent."""
 
     x: int
     y: int
+
+    @classmethod
+    def nonzero(cls, v, message: str) -> "Vec2":
+        """v as a Vec2; raises ZeroVector(message) if it is zero."""
+        u = cls(v[0], v[1])
+        if u.is_zero():
+            raise ZeroVector(message)
+        return u
 
     def __add__(self, other) -> "Vec2":  # type: ignore[override]
         return Vec2(self.x + other[0], self.y + other[1])
@@ -279,31 +291,20 @@ def _is_block_period(a: int, b: int, c: int, block, t: Vec2) -> bool:
 def _saturate(a: int, b: int, c: int, block) -> tuple[int, int, int, tuple]:
     """Grow the stored lattice to the full period lattice of the block.
 
-    Scans coset representatives of Z^2 modulo the current lattice for
-    block-preserving translations; only the zero representative is in
-    the lattice.  Each hit strictly shrinks the determinant, so this
-    terminates quickly.
+    Coset representatives (i, j) of Z^2 modulo the current lattice, the
+    zero one excepted, are scanned in (j, i) order; the first that
+    preserves the block joins the lattice, and the grown lattice is
+    saturated in turn.  Each hit strictly shrinks the determinant, so
+    the recursion is shallow.
     """
-    while True:
-        extended = False
-        for j in range(c):
-            for i in range(a):
-                t = Vec2(i, j)
-                if t.is_zero():
-                    continue
-                if _is_block_period(a, b, c, block, t):
-                    a2, b2, c2 = _lattice_hnf([Vec2(a, 0), Vec2(b, c), t])
-                    block2 = tuple(
-                        tuple(_block_color(a, b, c, block, (x, y)) for x in range(a2))
-                        for y in range(c2)
-                    )
-                    a, b, c, block = a2, b2, c2, block2
-                    extended = True
-                    break
-            if extended:
-                break
-        if not extended:
-            return a, b, c, block
+    t = next((Vec2(i, j) for j in range(c) for i in range(a)
+              if (i or j) and _is_block_period(a, b, c, block, (i, j))), None)
+    if t is None:
+        return a, b, c, block
+    a2, b2, c2 = _lattice_hnf([Vec2(a, 0), Vec2(b, c), t])
+    return _saturate(a2, b2, c2, tuple(
+        tuple(_block_color(a, b, c, block, (x, y)) for x in range(a2))
+        for y in range(c2)))
 
 
 @dataclass(frozen=True)
@@ -466,18 +467,25 @@ def color_at(c: Configuration, n) -> int:
     return c.color_at(Vec2(n[0], n[1]))
 
 
-def _fitting_translates(shape: DiscreteDomain,
-                        window: DiscreteDomain) -> Iterator[Vec2]:
-    """Translations t with shape + t inside the window, canonical order."""
-    if not len(window):
-        return
+def _fitting_translates(shape: DiscreteDomain, window: DiscreteDomain,
+                        inside: Callable | None = None) -> Iterator[Vec2]:
+    """Translations t with shape + t inside the window, canonical order.
+
+    Given a cell test ``inside``, every cell of shape + t must pass it
+    instead, and the window's bounding rectangle only bounds t; an empty
+    window then raises ValueError, as an empty shape always does.
+    """
+    if inside is None:
+        if not len(window):
+            return
+        if not window.is_rectangle():  # else every bounded t fits
+            inside = window.__contains__
     sb = shape.bounding_rect()
     wb = window.bounding_rect()
-    full_rect = window.is_rectangle()
     for ty in range(wb.y0 - sb.y0, wb.y1 - sb.y1 + 1):
         for tx in range(wb.x0 - sb.x0, wb.x1 - sb.x1 + 1):
             t = Vec2(tx, ty)
-            if full_rect or all(cell + t in window for cell in shape.cells):
+            if inside is None or all(inside(cell + t) for cell in shape.cells):
                 yield t
 
 

@@ -26,13 +26,12 @@ indices against its pattern set's prefix sets.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .grid import (Alphabet, DiscreteDomain, Pattern, PeriodicConfig, Vec2,
-                   ZeroVector)
+from .grid import (Alphabet, CertificateError, DiscreteDomain, Pattern,
+                   PeriodicConfig, Vec2)
 
 
 class _BudgetExceededType:
@@ -191,7 +190,8 @@ def _geometry(cells: tuple, width: int, height: int, wrap: bool, head: tuple,
     result is looked up in the prefix code set ``len(cells) * s + i`` of
     its first i+1 cells (the last check of a translate is full
     membership); earlier is a bit mask of the other steps it reads,
-    which are blamed when it fails.  A translate's cells at earlier
+    which are blamed when it fails (zero without head cells, whose
+    search never reads blame).  A translate's cells at earlier
     steps keep their colors while later steps are searched, so its low
     bits always hold the current colors.  On a torus narrower than the
     shape a translate holds a cell twice; the two checks sit next to
@@ -218,6 +218,7 @@ def _geometry(cells: tuple, width: int, height: int, wrap: bool, head: tuple,
         tys = range(-min(ys), height - max(ys))
     seq_index: dict[tuple, int] = {}
     checks: list[list[tuple]] = [[] for _ in range(width * height)]
+    blame = 1 if head else 0  # only a search with head cells reads blame
     t = 0
     for ty in tys:
         for tx in txs:
@@ -236,7 +237,7 @@ def _geometry(cells: tuple, width: int, height: int, wrap: bool, head: tuple,
                 shift = i * bits
                 checks[step].append((t, (1 << shift) - 1, shift, base + i,
                                      earlier))
-                earlier |= 1 << step
+                earlier |= blame << step
             t += 1
     return steps, list(seq_index), checks, t
 
@@ -246,30 +247,29 @@ class _GeometryCache:
 
     A geometry weighs width * height * |shape|, a bound on its checks;
     the kept weight is at most ``cap``, and a heavier geometry is built
-    for its one search and dropped.
+    for its one search and dropped.  It takes no lock: the package
+    runs no threads.
     """
 
     def __init__(self, cap: int):
         self.cap = cap
         self.weight = 0
         self.entries: OrderedDict[tuple, tuple] = OrderedDict()
-        self.lock = threading.Lock()
 
     def get(self, *key):
         """The geometry of _geometry(*key), built on a miss."""
-        with self.lock:
-            entry = self.entries.get(key)
-            if entry is not None:
-                self.entries.move_to_end(key)
-                return entry[1]
-            weight = key[1] * key[2] * len(key[0])
-            geometry = _geometry(*key)
-            if weight <= self.cap:
-                self.entries[key] = weight, geometry
-                self.weight += weight
-                while self.weight > self.cap:
-                    self.weight -= self.entries.popitem(last=False)[1][0]
-            return geometry
+        entry = self.entries.get(key)
+        if entry is not None:
+            self.entries.move_to_end(key)
+            return entry[1]
+        weight = key[1] * key[2] * len(key[0])
+        geometry = _geometry(*key)
+        if weight <= self.cap:
+            self.entries[key] = weight, geometry
+            self.weight += weight
+            while self.weight > self.cap:
+                self.weight -= self.entries.popitem(last=False)[1][0]
+        return geometry
 
 
 # A census of 2x2, 3x2 and 3x3 sets reuses 32-38 geometries of total
@@ -424,7 +424,7 @@ def decide(ps: PatternSet, budget: int = DEFAULT_BUDGET) -> DecisionOutcome:
     with max(p, q) = s in lexicographic order.  The first exhausted
     square certifies emptiness; the first torus witness certifies
     non-emptiness, after validate_witness has re-checked it (a witness
-    that fails raises RuntimeError).  Budgets are counted in search
+    that fails raises CertificateError).  Budgets are counted in search
     nodes, so equal inputs give equal outcomes.
     """
     outcome, _ = decide_with_usage(ps, budget)
@@ -460,7 +460,7 @@ def decide_with_usage(ps: PatternSet, budget: int = DEFAULT_BUDGET
             if result is not None:
                 witness = TorusWitness(p, q, result)
                 if not validate_witness(ps, witness):
-                    raise RuntimeError(
+                    raise CertificateError(
                         f"the {p}x{q} torus witness fails re-validation")
                 return NonEmptyPeriodic(witness), nodes_total
         max_pq = stage
@@ -477,9 +477,7 @@ def box_cells(u, k: int) -> DiscreteDomain:
     The strict inequalities confine every coordinate to [-(k-1), k-1],
     so a full scan of that square is exact.
     """
-    u = Vec2(u[0], u[1])
-    if u.is_zero():
-        raise ZeroVector("box direction must be nonzero")
+    u = Vec2.nonzero(u, "box direction must be nonzero")
     if k < 1:
         raise ValueError("box width must be >= 1")
     up = u.perp()
@@ -535,9 +533,7 @@ def determinism_probe(ps: PatternSet, u, k: int, radius: int,
     ``box_colorings`` is the number of extendable box colorings
     examined, in lexicographic order, up to and including the witness.
     """
-    u = Vec2(u[0], u[1])
-    if u.is_zero():
-        raise ZeroVector("probe direction must be nonzero")
+    u = Vec2.nonzero(u, "probe direction must be nonzero")
     if radius < k:
         raise ValueError("consistency radius must be at least k")
     box = box_cells(u, k)

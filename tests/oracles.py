@@ -8,12 +8,14 @@ arithmetic, so that agreement with the engine is meaningful.
 import warnings
 from fractions import Fraction
 from itertools import combinations, product
+from typing import Callable
 
 import numpy as np
 
 from tilecraft.balanced import (BalancedSearchResult, NotLowComplexityWarning,
-                                is_balanced, is_convex)
-from tilecraft.grid import (DiscreteDomain, Vec2, ZeroVector,
+                                Stripe, is_balanced, is_convex)
+from tilecraft.grid import (DiscreteDomain, Rect, Vec2, ZeroVector,
+                            _block_color, _is_block_period, _lattice_hnf,
                             is_low_complexity)
 from tilecraft.sft import box_cells
 
@@ -242,3 +244,64 @@ def naive_balanced_search(c, n, m, u, window, area_budget=6):
             if report.balanced:
                 return BalancedSearchResult(d, orientation, report)
     return None
+
+
+# the former balanced.fits, kept verbatim: its own canonical-order scan
+def naive_fits(domain: DiscreteDomain, region, window: DiscreteDomain | Rect | None = None):
+    """First translation t (canonical order) with domain + t inside region.
+
+    The region may be a DiscreteDomain, a Stripe, or any cell
+    predicate; the window bounds the searched translations.  Returns
+    None when no searched translate fits.
+    """
+    if isinstance(region, DiscreteDomain):
+        pred: Callable = region.__contains__
+        if window is None:
+            window = region.bounding_rect()
+    elif isinstance(region, Stripe):
+        pred = region.contains
+        if window is None:
+            raise ValueError("stripe fitting needs an explicit window")
+    else:
+        pred = region
+        if window is None:
+            raise ValueError("predicate fitting needs an explicit window")
+    wrect = window if isinstance(window, Rect) else window.bounding_rect()
+    drect = domain.bounding_rect()
+    for ty in range(wrect.y0 - drect.y0, wrect.y1 - drect.y1 + 1):
+        for tx in range(wrect.x0 - drect.x0, wrect.x1 - drect.x1 + 1):
+            t = Vec2(tx, ty)
+            if all(pred(c + t) for c in domain.cells):
+                return t
+    return None
+
+
+# the former grid._saturate, kept verbatim: a flagged restart loop
+def naive_saturate(a: int, b: int, c: int, block) -> tuple[int, int, int, tuple]:
+    """Grow the stored lattice to the full period lattice of the block.
+
+    Scans coset representatives of Z^2 modulo the current lattice for
+    block-preserving translations; only the zero representative is in
+    the lattice.  Each hit strictly shrinks the determinant, so this
+    terminates quickly.
+    """
+    while True:
+        extended = False
+        for j in range(c):
+            for i in range(a):
+                t = Vec2(i, j)
+                if t.is_zero():
+                    continue
+                if _is_block_period(a, b, c, block, t):
+                    a2, b2, c2 = _lattice_hnf([Vec2(a, 0), Vec2(b, c), t])
+                    block2 = tuple(
+                        tuple(_block_color(a, b, c, block, (x, y)) for x in range(a2))
+                        for y in range(c2)
+                    )
+                    a, b, c, block = a2, b2, c2, block2
+                    extended = True
+                    break
+            if extended:
+                break
+        if not extended:
+            return a, b, c, block

@@ -1,3 +1,4 @@
+import random
 import warnings
 
 import pytest
@@ -119,6 +120,58 @@ def test_fits_stripe():
 def test_fits_stripe_too_narrow():
     window = W(8, 8, Vec2(-4, -4))
     assert fits(DiscreteDomain.rect(2, 2), Stripe(Vec2(0, 1), 1), window) is None
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+def _random_cells(rng, w, h, origin, ragged):
+    cells = [Vec2(origin.x + x, origin.y + y)
+             for y in range(h) for x in range(w)]
+    if ragged:
+        cells = rng.sample(cells, rng.randint(1, len(cells)))
+    return DiscreteDomain(cells)
+
+
+def test_fits_matches_former_scan():
+    # shapes, rectangular, ragged and empty regions and windows, stripes,
+    # and the default window, against the former fits verbatim
+    rng = random.Random(907)
+
+    def origin():
+        return Vec2(rng.randint(-3, 3), rng.randint(-3, 3))
+
+    tally = {"fit": 0, "none": 0, "error": 0}
+    for _ in range(3000):
+        shape = (DiscreteDomain(()) if rng.random() < 0.05 else
+                 _random_cells(rng, rng.randint(1, 3), rng.randint(1, 3),
+                               origin(), rng.random() < 0.5))
+        kind = rng.choice(["rect", "ragged", "empty", "stripe"])
+        if kind == "stripe":
+            u = Vec2(0, 0)
+            while u.is_zero():
+                u = Vec2(rng.randint(-2, 2), rng.randint(-2, 2))
+            region = Stripe(u, rng.randint(1, 4))
+        elif kind == "empty":
+            region = DiscreteDomain(())
+        else:
+            region = _random_cells(rng, rng.randint(1, 6), rng.randint(1, 6),
+                                   origin(), kind == "ragged")
+        window = rng.choice([
+            None, DiscreteDomain(()),
+            _random_cells(rng, rng.randint(1, 7), rng.randint(1, 7),
+                          origin(), False),
+            _random_cells(rng, rng.randint(1, 7), rng.randint(1, 7),
+                          origin(), True)])
+        expected = _outcome(oracles.naive_fits, shape, region, window)
+        assert _outcome(fits, shape, region, window) == expected
+        tally["fit" if isinstance(expected, Vec2) else
+              "none" if expected is None else "error"] += 1
+    assert min(tally.values()) > 300, tally
 
 
 # --- is_balanced -------------------------------------------------------------------

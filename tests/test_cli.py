@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from tilecraft import algebra, sft
 from tilecraft.cli import main
 
 CHECKERBOARD = {"shape": "rect 2 2", "alphabet": [0, 1],
@@ -238,6 +239,39 @@ def test_annihilator_not_found(tmp_path, capsys, de_bruijn_window):
                     "--window", "4x4@1,1")
     assert code == 0
     assert not report_of(out)["outcome"]["found"]
+
+
+def test_decide_failed_self_check_is_an_error_report(tmp_path, capsys,
+                                                     monkeypatch):
+    # every search "finds" the all-zero grid, which the checkerboard set
+    # forbids, so the witness re-check fails: no verified verdict
+    def all_zero(comp, width, height, wrap, budget):
+        return tuple((0,) * width for _ in range(height)), 1
+    monkeypatch.setattr(sft, "_first", all_zero)
+    f = write(tmp_path, "cb.json", CHECKERBOARD)
+    code, out = run(capsys, "decide", f)
+    assert code == 2
+    rep = report_of(out)
+    assert rep["error"] == "the 1x1 torus witness fails re-validation"
+    assert "outcome" not in rep
+
+
+@pytest.mark.parametrize("doc, options, message", [
+    (PER23, (), "period difference product failed to annihilate"),
+    ({"kind": "window",
+      "rows": [[(i + j) % 2 for i in range(6)] for j in range(6)]},
+     ("--support", "2x2", "--window", "4x4@1,1"),
+     "kernel vector failed re-verification"),
+], ids=["periodic", "search"])
+def test_annihilator_failed_self_check_is_an_error_report(
+        tmp_path, capsys, monkeypatch, doc, options, message):
+    monkeypatch.setattr(algebra, "annihilates", lambda f, c, window: False)
+    f = write(tmp_path, "c.json", doc)
+    code, out = run(capsys, "annihilator", f, *options)
+    assert code == 2
+    rep = report_of(out)
+    assert rep["error"] == message
+    assert "outcome" not in rep
 
 
 def test_determinism_two_sided(tmp_path, capsys):

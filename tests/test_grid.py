@@ -1,15 +1,19 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tilecraft.algebra import LaurentPoly, annihilates, apply, difference_poly
+from tilecraft.balanced import Stripe, balanced_search, edge, is_balanced
 from tilecraft.grid import (Alphabet, DiscreteDomain, EmptyWindow, OutOfWindow,
                             Pattern, PeriodicConfig, Rect, Vec2, WindowConfig,
-                            find_periods, is_low_complexity, is_two_periodic,
-                            patterns_of)
+                            ZeroVector, _block_color, _saturate, find_periods,
+                            is_low_complexity, is_two_periodic, patterns_of)
+from tilecraft.sft import PatternSet, box_cells, determinism_probe
 
+import oracles
 from conftest import DISTINCT_ROWS, FIVE_PATTERN_ROWS
 
 
@@ -321,6 +325,62 @@ def test_periodic_storage_basis_invariant():
         for q1, q2 in ((p1 + p2, p2), (p1, p1 + p2), (2 * p1 + p2, p1 + p2)):
             assert q1.cross(q2) != 0
             assert PeriodicConfig.from_periods(q1, q2, val) == reference
+
+
+def test_saturate_matches_former_loop():
+    # random blocks, and tiled blocks: the coloring of a coarser lattice
+    # read on a sublattice, so the stored lattice has to grow
+    rng = random.Random(311)
+    grown = 0
+    for _ in range(1500):
+        a, c = rng.randint(1, 6), rng.randint(1, 6)
+        colors = rng.randint(1, 3)
+        if rng.random() < 0.5:
+            b = rng.randrange(a)
+            block = tuple(tuple(rng.randrange(colors) for _ in range(a))
+                          for _ in range(c))
+        else:
+            a0 = rng.choice([d for d in range(1, a + 1) if a % d == 0])
+            c0 = rng.choice([d for d in range(1, c + 1) if c % d == 0])
+            b0 = rng.randrange(a0)
+            tile = [[rng.randrange(colors) for _ in range(a0)]
+                    for _ in range(c0)]
+            b = rng.choice([x for x in range(a)
+                            if (x - c // c0 * b0) % a0 == 0])
+            block = tuple(tuple(_block_color(a0, b0, c0, tile, (i, j))
+                                for i in range(a)) for j in range(c))
+        expected = oracles.naive_saturate(a, b, c, block)
+        assert _saturate(a, b, c, block) == expected
+        grown += expected[0] * expected[2] < a * c
+    assert grown > 500
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: edge(DiscreteDomain.rect(2, 2), (0, 0)),
+                 "edge direction must be nonzero", id="edge"),
+    pytest.param(lambda: Stripe((0, 0), 2),
+                 "stripe direction must be nonzero", id="Stripe"),
+    pytest.param(lambda: is_balanced(PeriodicConfig.constant(0),
+                                     DiscreteDomain.rect(2, 2), (0, 0),
+                                     DiscreteDomain.rect(4, 4)),
+                 "balanced direction must be nonzero", id="is_balanced"),
+    pytest.param(lambda: balanced_search(PeriodicConfig.constant(0), 2, 2,
+                                         (0, 0), DiscreteDomain.rect(4, 4)),
+                 "search direction must be nonzero", id="balanced_search"),
+    pytest.param(lambda: box_cells((0, 0), 2),
+                 "box direction must be nonzero", id="box_cells"),
+    pytest.param(lambda: determinism_probe(
+                     PatternSet.full_shift(Alphabet.of([0, 1]),
+                                           DiscreteDomain.rect(2, 2)),
+                     (0, 0), 2, 4),
+                 "probe direction must be nonzero", id="determinism_probe"),
+    pytest.param(lambda: difference_poly((0, 0)),
+                 "difference polynomial needs a nonzero vector",
+                 id="difference_poly"),
+])
+def test_zero_direction_raises_its_message(call, message):
+    with pytest.raises(ZeroVector, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_is_period_matches_direct_comparison():

@@ -457,6 +457,17 @@ def test_geometry_cache_stays_under_its_cap(monkeypatch, checkerboard_set):
     assert list(cache.entries) == kept
 
 
+def test_geometry_without_head_cells_carries_no_blame():
+    # only a search with head cells reads the blame masks
+    cells = DiscreteDomain([(0, 0), (1, 0), (0, 1), (2, 1)]).cells
+    for wrap in (False, True):
+        _, _, checks, _ = sft._geometry(cells, 5, 4, wrap, (), 1)
+        assert sum(map(len, checks)) > 0
+        assert all(check[4] == 0 for at in checks for check in at)
+    _, _, checks, _ = sft._geometry(cells, 5, 5, False, ((2, 2), (3, 2)), 1)
+    assert any(check[4] for at in checks for check in at)
+
+
 def test_geometry_cache_evicts_least_recently_used(monkeypatch):
     cache = sft._GeometryCache(10)
     monkeypatch.setattr(sft, "_GEOMETRIES", cache)
