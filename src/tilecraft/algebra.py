@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass
 from types import MappingProxyType
 
-from .grid import (CertificateError, Configuration, DiscreteDomain,
+from .grid import (CertificateError, Configuration, DiscreteDomain, Frozen,
                    PeriodicConfig, Vec2)
 from .linalg import nullspace_vector
 
@@ -257,16 +256,16 @@ def annihilates(f: LaurentPoly, c: Configuration, window: DiscreteDomain) -> boo
     return all(v == 0 for v in apply(f, c, window).values())
 
 
-@dataclass(frozen=True)
-class AnnihilatorCertificate:
+class AnnihilatorCertificate(Frozen):
     """A nonzero annihilator together with the window it was checked on."""
 
     poly: LaurentPoly
     window: DiscreteDomain
 
-    def __post_init__(self):
-        if self.poly.is_zero:
+    def __init__(self, poly: LaurentPoly, window: DiscreteDomain):
+        if poly.is_zero:
             raise ValueError("certificate polynomial must be nonzero")
+        self._fill(poly, window)
 
 
 def periodic_annihilator(c: PeriodicConfig) -> AnnihilatorCertificate:

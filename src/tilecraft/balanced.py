@@ -12,18 +12,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from functools import cache
 
-from .grid import (ORIGIN, Configuration, DiscreteDomain, Vec2,
+from .grid import (ORIGIN, Configuration, DiscreteDomain, Frozen, Vec2,
                    _fitting_translates, find_periods, is_low_complexity,
                    patterns_of, PeriodScan)
-
-
-# The command line's ceiling on balanced_search's area_budget: building
-# the candidates takes about 0.4 s at 6 cells, 1.6 s and 51 MB at 7 and
-# 5.2 s and 152 MB at 8, growing 3-4x per cell.
-MAX_AREA_BUDGET = 7
 
 
 class NotConvex(ValueError):
@@ -89,18 +82,17 @@ def is_convex(domain: DiscreteDomain) -> bool:
     return inside == len(cells)
 
 
-@dataclass(frozen=True)
-class Stripe:
+class Stripe(Frozen):
     """Band -k < <x,u> <= 0; its interior drops the boundary line."""
 
     u: Vec2
     k: int
 
-    def __post_init__(self):
-        u = Vec2.nonzero(self.u, "stripe direction must be nonzero")
-        if self.k < 1:
+    def __init__(self, u, k: int):
+        u = Vec2.nonzero(u, "stripe direction must be nonzero")
+        if k < 1:
             raise ValueError("stripe width must be >= 1")
-        object.__setattr__(self, "u", u)
+        self._fill(u, k)
 
     def contains(self, x) -> bool:
         s = Vec2(x[0], x[1]).dot(self.u)
@@ -134,8 +126,7 @@ def fits(domain: DiscreteDomain, region: DiscreteDomain | Stripe,
     return next(_fitting_translates(domain, window, inside), None)
 
 
-@dataclass(frozen=True)
-class BalancedReport:
+class BalancedReport(Frozen):
     """The three balanced-set condition counts and their verdicts."""
 
     direction: Vec2
@@ -145,6 +136,12 @@ class BalancedReport:
     edge_size: int
     min_line_count: int       # shortest cut of D perpendicular to u
     edge_cells: DiscreteDomain
+
+    def __init__(self, direction: Vec2, pattern_count: int, size: int,
+                 inner_pattern_count: int, edge_size: int,
+                 min_line_count: int, edge_cells: DiscreteDomain):
+        self._fill(direction, pattern_count, size, inner_pattern_count,
+                   edge_size, min_line_count, edge_cells)
 
     @property
     def cond_low_complexity(self) -> bool:
@@ -193,11 +190,16 @@ def _report(c: Configuration, domain: DiscreteDomain, u: Vec2,
                           min(levels.values()), e)
 
 
-@dataclass(frozen=True)
-class BalancedSearchResult:
+class BalancedSearchResult(Frozen):
+    """The first balanced set found, the orientation and its report."""
+
     domain: DiscreteDomain
     orientation: Vec2  # u or -u
     report: BalancedReport
+
+    def __init__(self, domain: DiscreteDomain, orientation: Vec2,
+                 report: BalancedReport):
+        self._fill(domain, orientation, report)
 
 
 def _canonical_order(d: DiscreteDomain):
@@ -277,8 +279,9 @@ def balanced_search(c: Configuration, n: int, m: int, u,
     wider or taller than its size, such as {(0,0), (2,1)}, is never
     tried.  None is a budget statement, not a refutation.  The
     candidate sets are built once per process and reused; their cost
-    grows 3-4x per cell of area_budget, so the command line accepts an
-    area_budget from 1 to MAX_AREA_BUDGET (7) only.
+    grows 3-4x per cell of area_budget (about 0.4 s at 6 cells, 1.6 s
+    and 51 MB at 7), so the command line caps area_budget at its
+    MAX_AREA_BUDGET (7).
     """
     u = Vec2.nonzero(u, "search direction must be nonzero")
     rect_report = is_low_complexity(c, DiscreteDomain.rect(n, m), window)
@@ -298,8 +301,7 @@ def balanced_search(c: Configuration, n: int, m: int, u,
     return None
 
 
-@dataclass(frozen=True)
-class StripeScenarioReport:
+class StripeScenarioReport(Frozen):
     """Desk-scale corroboration of the stripe disagreement scenario.
 
     When two colorings agree on a stripe's interior but not on the
@@ -314,6 +316,12 @@ class StripeScenarioReport:
     stripe_differ: bool
     perpendicular_periods: tuple[Vec2, ...]
     period_scan: PeriodScan | None
+
+    def __init__(self, fit_at: Vec2, interior_agree: bool,
+                 stripe_differ: bool, perpendicular_periods: tuple[Vec2, ...],
+                 period_scan: PeriodScan | None):
+        self._fill(fit_at, interior_agree, stripe_differ,
+                   perpendicular_periods, period_scan)
 
     @property
     def hypotheses_hold(self) -> bool:

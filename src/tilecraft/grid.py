@@ -9,8 +9,9 @@ every operation is pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator
+from operator import attrgetter
 
 
 class OutOfWindow(LookupError):
@@ -29,11 +30,61 @@ class CertificateError(RuntimeError):
     """A result failed its own re-check, so no verified answer exists."""
 
 
-class Vec2(NamedTuple):
+class Frozen:
+    """Base of the immutable value classes.
+
+    A subclass's fields are the names it annotates, in order.  Instances
+    are equal when their classes are the same and their fields are
+    equal, and hash as the tuple of their fields; the repr reads
+    ``Name(field=value, ...)``.  Assignment and deletion raise
+    AttributeError, so each __init__ validates its arguments and then
+    stores the fields with _fill, or, in the classes built in inner
+    loops, with one object.__setattr__ per field, which is faster.
+    There are no __slots__: pickle and deepcopy restore the instance
+    dict directly.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = tuple(vars(cls).get("__annotations__", ()))
+        if not fields:  # a subclass adding no field keeps its base's
+            return
+        cls._fields = fields
+        values = attrgetter(*fields)  # the field tuple, or the one field
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return values(self) == values(other)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash(values(self) if len(fields) > 1 else (values(self),))
+
+        cls.__eq__, cls.__hash__ = __eq__, __hash__
+
+    def _fill(self, *values) -> None:
+        """Store the fields, in order; for __init__ only."""
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Vec2(namedtuple("Vec2", "x y")):
     """Integer lattice vector; doubles as cell, translation and exponent."""
 
-    x: int
-    y: int
+    __slots__ = ()
 
     @classmethod
     def nonzero(cls, v, message: str) -> "Vec2":
@@ -82,13 +133,10 @@ def _canonical_key(v: Vec2):
     return (v.y, v.x)
 
 
-class Rect(NamedTuple):
+class Rect(namedtuple("Rect", "x0 y0 x1 y1")):
     """Axis-aligned rectangle with inclusive corners."""
 
-    x0: int
-    y0: int
-    x1: int
-    y1: int
+    __slots__ = ()
 
     @classmethod
     def of_size(cls, width: int, height: int, origin: Vec2 = ORIGIN) -> "Rect":
@@ -117,19 +165,18 @@ class Rect(NamedTuple):
         return Rect(self.x0 + t[0], self.y0 + t[1], self.x1 + t[0], self.y1 + t[1])
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Alphabet(Frozen):
     """Strictly increasing tuple of the distinct integer colors in use."""
 
     colors: tuple[int, ...]
 
-    def __post_init__(self):
-        colors = tuple(int(c) for c in self.colors)
+    def __init__(self, colors: tuple[int, ...]):
+        colors = tuple(int(c) for c in colors)
         if not colors:
             raise ValueError("alphabet must be nonempty")
         if any(a >= b for a, b in zip(colors, colors[1:])):
             raise ValueError("alphabet colors must be strictly increasing")
-        object.__setattr__(self, "colors", colors)
+        self._fill(colors)
         object.__setattr__(self, "_index",
                            {c: i for i, c in enumerate(colors)})
 
@@ -142,12 +189,12 @@ class Alphabet:
 
     def index(self, color: int) -> int:
         try:
-            return self._index[color]  # type: ignore[attr-defined]
+            return self._index[color]
         except KeyError:
             raise ValueError(f"color {color} not in alphabet") from None
 
     def __contains__(self, color: int) -> bool:
-        return color in self._index  # type: ignore[attr-defined]
+        return color in self._index
 
     def __len__(self) -> int:
         return len(self.colors)
@@ -156,8 +203,7 @@ class Alphabet:
         return iter(self.colors)
 
 
-@dataclass(frozen=True)
-class DiscreteDomain:
+class DiscreteDomain(Frozen):
     """Finite set of cells in canonical (y, x) order.
 
     May be empty: edge and box constructions legitimately produce empty
@@ -166,12 +212,12 @@ class DiscreteDomain:
 
     cells: tuple[Vec2, ...]
 
-    def __post_init__(self):
-        canon = tuple(sorted({Vec2(int(c[0]), int(c[1])) for c in self.cells},
+    def __init__(self, cells: Iterable):
+        canon = tuple(sorted({Vec2(int(c[0]), int(c[1])) for c in cells},
                              key=_canonical_key))
+        xs = [c.x for c in canon]
         object.__setattr__(self, "cells", canon)
         object.__setattr__(self, "_set", frozenset(canon))
-        xs = [c.x for c in canon]
         object.__setattr__(self, "_rect", Rect(
             min(xs), canon[0].y, max(xs), canon[-1].y) if canon else None)
 
@@ -190,7 +236,7 @@ class DiscreteDomain:
         return len(self.cells)
 
     def __contains__(self, v) -> bool:
-        return Vec2(v[0], v[1]) in self._set  # type: ignore[attr-defined]
+        return Vec2(v[0], v[1]) in self._set
 
     def translate(self, t) -> "DiscreteDomain":
         return DiscreteDomain(tuple(c + t for c in self.cells))
@@ -204,7 +250,7 @@ class DiscreteDomain:
     def bounding_rect(self) -> Rect:
         if not self.cells:
             raise ValueError("empty domain has no bounding rectangle")
-        return self._rect  # type: ignore[attr-defined]
+        return self._rect
 
     def max_extent(self) -> int:
         r = self.bounding_rect()
@@ -307,8 +353,7 @@ def _saturate(a: int, b: int, c: int, block) -> tuple[int, int, int, tuple]:
         for y in range(c2)))
 
 
-@dataclass(frozen=True)
-class PeriodicConfig(Configuration):
+class PeriodicConfig(Configuration, Frozen):
     """Total coloring with two independent periods.
 
     Canonical storage: the *maximal* period lattice in Hermite form
@@ -322,17 +367,15 @@ class PeriodicConfig(Configuration):
     span_y: int
     block: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        block = tuple(tuple(int(v) for v in row) for row in self.block)
-        if self.span_x < 1 or self.span_y < 1 or not 0 <= self.shear < self.span_x:
+    def __init__(self, span_x: int, shear: int, span_y: int,
+                 block: tuple[tuple[int, ...], ...]):
+        block = tuple(tuple(int(v) for v in row) for row in block)
+        if span_x < 1 or span_y < 1 or not 0 <= shear < span_x:
             raise ValueError("invalid reduced period basis")
-        if len(block) != self.span_y or any(len(r) != self.span_x for r in block):
+        if len(block) != span_y or any(len(r) != span_x for r in block):
             raise ValueError("block does not match the fundamental rectangle")
-        a, b, c, block = _saturate(self.span_x, self.shear, self.span_y, block)
-        object.__setattr__(self, "span_x", a)
-        object.__setattr__(self, "shear", b)
-        object.__setattr__(self, "span_y", c)
-        object.__setattr__(self, "block", block)
+        a, b, c, block = _saturate(span_x, shear, span_y, block)
+        self._fill(a, b, c, block)
 
     @classmethod
     def from_periods(cls, p1: Vec2, p2: Vec2,
@@ -392,20 +435,18 @@ class PeriodicConfig(Configuration):
         return tuple(sorted({v for row in self.block for v in row}))
 
 
-@dataclass(frozen=True)
-class WindowConfig(Configuration):
+class WindowConfig(Configuration, Frozen):
     """Coloring known on one axis-aligned rectangle only."""
 
     rect: Rect
     values: tuple[tuple[int, ...], ...]  # rows, values[j][i] at (x0+i, y0+j)
 
-    def __post_init__(self):
-        rect = Rect(*self.rect)
-        values = tuple(tuple(int(v) for v in row) for row in self.values)
+    def __init__(self, rect: Rect, values: tuple[tuple[int, ...], ...]):
+        rect = Rect(*rect)
+        values = tuple(tuple(int(v) for v in row) for row in values)
         if len(values) != rect.height or any(len(r) != rect.width for r in values):
             raise ValueError("window values do not match the rectangle")
-        object.__setattr__(self, "rect", rect)
-        object.__setattr__(self, "values", values)
+        self._fill(rect, values)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]],
@@ -430,17 +471,17 @@ class WindowConfig(Configuration):
         return tuple(sorted({v for row in self.values for v in row}))
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(Frozen):
     """Coloring of a finite domain; equality includes the domain."""
 
     domain: DiscreteDomain
     values: tuple[int, ...]  # aligned with domain.cells
 
-    def __post_init__(self):
-        values = tuple(int(v) for v in self.values)
-        if len(values) != len(self.domain):
+    def __init__(self, domain: DiscreteDomain, values: tuple[int, ...]):
+        values = tuple(int(v) for v in values)
+        if len(values) != len(domain):
             raise ValueError("pattern values must cover the domain exactly")
+        object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "values", values)
 
     @classmethod
@@ -518,13 +559,15 @@ def patterns_of(c: Configuration, shape: DiscreteDomain,
     return [Pattern(shape, vals) for vals in sorted(seen)]
 
 
-@dataclass(frozen=True)
-class ComplexityReport:
+class ComplexityReport(Frozen):
     """Pattern count against the low-complexity bound |D|."""
 
     count: int
     bound: int
     window_cells: int
+
+    def __init__(self, count: int, bound: int, window_cells: int):
+        self._fill(count, bound, window_cells)
 
     @property
     def low(self) -> bool:
@@ -540,12 +583,14 @@ def is_low_complexity(c: Configuration, shape: DiscreteDomain,
     return ComplexityReport(count, len(shape), len(window))
 
 
-@dataclass(frozen=True)
-class PeriodScan:
+class PeriodScan(Frozen):
     """Observed period vectors, plus candidates with no comparable pair."""
 
     periods: tuple[Vec2, ...]
     skipped: tuple[Vec2, ...]
+
+    def __init__(self, periods: tuple[Vec2, ...], skipped: tuple[Vec2, ...]):
+        self._fill(periods, skipped)
 
     def __iter__(self) -> Iterator[Vec2]:
         return iter(self.periods)
@@ -595,12 +640,17 @@ def find_periods(c: Configuration, window: DiscreteDomain | None,
     return PeriodScan(tuple(periods), tuple(skipped))
 
 
-@dataclass(frozen=True)
-class TwoPeriodicReport:
+class TwoPeriodicReport(Frozen):
+    """Whether two independent periods exist within the bound."""
+
     two_periodic: bool
     horizontal: Vec2 | None  # smallest (k, 0) period within bound, if any
     vertical: Vec2 | None    # smallest (0, k) period within bound, if any
     scan: PeriodScan
+
+    def __init__(self, two_periodic: bool, horizontal: Vec2 | None,
+                 vertical: Vec2 | None, scan: PeriodScan):
+        self._fill(two_periodic, horizontal, vertical, scan)
 
     def __bool__(self) -> bool:
         return self.two_periodic

@@ -14,12 +14,15 @@ import json
 import os
 import re
 
-from .algebra import AnnihilatorCertificate, format_poly, poly_to_json
-from .balanced import BalancedReport, BalancedSearchResult
 from .grid import (Alphabet, DiscreteDomain, Pattern, PeriodicConfig, Vec2,
                    WindowConfig, _lattice_hnf)
 from .sft import (DeterminismReport, DirectionClassification, Empty,
                   NonEmptyPeriodic, PatternSet, TorusWitness, Undecided)
+
+TYPE_CHECKING = False  # as typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:  # annotations only: decide loads no analysis module
+    from .algebra import AnnihilatorCertificate
+    from .balanced import BalancedReport, BalancedSearchResult
 
 
 class SchemaError(ValueError):
@@ -292,6 +295,8 @@ def outcome_to_json(outcome) -> dict:
 
 
 def certificate_to_json(cert: AnnihilatorCertificate) -> dict:
+    from .algebra import format_poly, poly_to_json
+
     # a certificate only exists after the zero check on its window
     return {
         "poly": poly_to_json(cert.poly),

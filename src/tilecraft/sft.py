@@ -27,10 +27,9 @@ indices against its pattern set's prefix sets.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
-from .grid import (Alphabet, CertificateError, DiscreteDomain, Pattern,
+from .grid import (Alphabet, CertificateError, DiscreteDomain, Frozen, Pattern,
                    PeriodicConfig, Vec2)
 
 
@@ -53,24 +52,25 @@ BUDGET_EXCEEDED = _BudgetExceededType()
 DEFAULT_BUDGET = 2_000_000
 
 
-@dataclass(frozen=True)
-class PatternSet:
+class PatternSet(Frozen):
     """Allowed patterns on one common shape over one alphabet."""
 
     shape: DiscreteDomain
     alphabet: Alphabet
     allowed: frozenset[Pattern]
 
-    def __post_init__(self):
-        if not len(self.shape):
+    def __init__(self, shape: DiscreteDomain, alphabet: Alphabet,
+                 allowed: Iterable[Pattern]):
+        if not len(shape):
             raise ValueError("shape must be nonempty")
-        object.__setattr__(self, "allowed", frozenset(self.allowed))
-        for p in self.allowed:
-            if p.domain != self.shape:
+        allowed = frozenset(allowed)
+        for p in allowed:
+            if p.domain != shape:
                 raise ValueError("all allowed patterns must share the shape")
             for v in p.values:
-                if v not in self.alphabet:
+                if v not in alphabet:
                     raise ValueError(f"pattern color {v} not in alphabet")
+        self._fill(shape, alphabet, allowed)
 
     @property
     def low_complexity(self) -> bool:
@@ -92,20 +92,21 @@ class PatternSet:
         return sorted(self.allowed, key=lambda p: p.values)
 
 
-@dataclass(frozen=True)
-class TorusWitness:
+class TorusWitness(Frozen):
     """p x q coloring valid under wraparound; unfolds two-periodically."""
 
     p: int
     q: int
     values: tuple[tuple[int, ...], ...]  # q rows of p colors
 
-    def __post_init__(self):
-        values = tuple(tuple(int(v) for v in row) for row in self.values)
-        if self.p < 1 or self.q < 1:
+    def __init__(self, p: int, q: int, values: tuple[tuple[int, ...], ...]):
+        values = tuple(tuple(int(v) for v in row) for row in values)
+        if p < 1 or q < 1:
             raise ValueError("torus sides must be >= 1")
-        if len(values) != self.q or any(len(r) != self.p for r in values):
+        if len(values) != q or any(len(r) != p for r in values):
             raise ValueError("witness values do not match the torus size")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
         object.__setattr__(self, "values", values)
 
     def color_at(self, n) -> int:
@@ -115,24 +116,38 @@ class TorusWitness:
         return PeriodicConfig.from_block(self.values)
 
 
-@dataclass(frozen=True)
-class Empty:
+class Empty(Frozen):
     """No locally valid n x n coloring exists, hence no configuration."""
 
     n: int
 
+    def __init__(self, n: int):
+        object.__setattr__(self, "n", n)
 
-@dataclass(frozen=True)
-class NonEmptyPeriodic:
+
+class NonEmptyPeriodic(Frozen):
+    """A valid torus coloring exists, hence a periodic configuration."""
+
     witness: TorusWitness
 
+    def __init__(self, witness: TorusWitness):
+        object.__setattr__(self, "witness", witness)
 
-@dataclass(frozen=True)
-class Undecided:
+
+class Undecided(Frozen):
+    """The node budget ran out first; how far the stages got."""
+
     nodes_used: int
     max_n_tried: int
     max_pq_tried: int
     low_complexity: bool  # when False, non-termination is expected behavior
+
+    def __init__(self, nodes_used: int, max_n_tried: int, max_pq_tried: int,
+                 low_complexity: bool):
+        object.__setattr__(self, "nodes_used", nodes_used)
+        object.__setattr__(self, "max_n_tried", max_n_tried)
+        object.__setattr__(self, "max_pq_tried", max_pq_tried)
+        object.__setattr__(self, "low_complexity", low_complexity)
 
 
 DecisionOutcome = Empty | NonEmptyPeriodic | Undecided
@@ -278,12 +293,14 @@ class _GeometryCache:
 _GEOMETRIES = _GeometryCache(2048)
 
 
-@dataclass
 class _SearchRun:
     """Nodes spent by one _search so far, and whether it hit the budget."""
 
-    nodes: int = 0
-    budget_exceeded: bool = False
+    __slots__ = ("nodes", "budget_exceeded")
+
+    def __init__(self):
+        self.nodes = 0
+        self.budget_exceeded = False
 
 
 def _search(comp: _Compiled, width: int, height: int, wrap: bool,
@@ -490,14 +507,17 @@ def box_cells(u, k: int) -> DiscreteDomain:
     return DiscreteDomain(tuple(cells))
 
 
-@dataclass(frozen=True)
-class NonForcedWitness:
+class NonForcedWitness(Frozen):
+    """A box coloring that extends with two different center colors."""
+
     box_pattern: Pattern
     centers: tuple[int, int]
 
+    def __init__(self, box_pattern: Pattern, centers: tuple[int, int]):
+        self._fill(box_pattern, centers)
 
-@dataclass(frozen=True)
-class DeterminismReport:
+
+class DeterminismReport(Frozen):
     """Outcome of a finite-radius forcing probe.
 
     Forced is sound evidence of determinism at radius k.  NonForced is
@@ -517,7 +537,13 @@ class DeterminismReport:
     witness: NonForcedWitness | None
     box_colorings: int
     nodes_used: int
-    note: str = ""
+    note: str
+
+    def __init__(self, direction: Vec2, k: int, radius: int, verdict: str,
+                 box: DiscreteDomain, witness: NonForcedWitness | None,
+                 box_colorings: int, nodes_used: int, note: str = ""):
+        self._fill(direction, k, radius, verdict, box, witness, box_colorings,
+                   nodes_used, note)
 
 
 def determinism_probe(ps: PatternSet, u, k: int, radius: int,
@@ -561,12 +587,17 @@ def determinism_probe(ps: PatternSet, u, k: int, radius: int,
                              run.nodes, note)
 
 
-@dataclass(frozen=True)
-class DirectionClassification:
+class DirectionClassification(Frozen):
+    """The probes of a direction and its opposite, and their label."""
+
     u: Vec2
     forward: DeterminismReport
     backward: DeterminismReport
     label: str  # "two_sided" | "one_sided" | "non_deterministic" | "inconclusive"
+
+    def __init__(self, u: Vec2, forward: DeterminismReport,
+                 backward: DeterminismReport, label: str):
+        self._fill(u, forward, backward, label)
 
 
 def classify_directions(ps: PatternSet, directions: Iterable, k: int,
