@@ -265,7 +265,7 @@ class AnnihilatorCertificate(Frozen):
     def __init__(self, poly: LaurentPoly, window: DiscreteDomain):
         if poly.is_zero:
             raise ValueError("certificate polynomial must be nonzero")
-        self._fill(poly, window)
+        Frozen.__init__(self, poly, window)
 
 
 def periodic_annihilator(c: PeriodicConfig) -> AnnihilatorCertificate:

@@ -4,8 +4,8 @@ A convex cell set D is balanced for a direction u in a coloring when
 (i) the coloring is low complexity on D, (ii) dropping the edge of D
 in direction u loses almost no patterns, and (iii) no cut of D
 perpendicular to u is much shorter than that edge.  All counting goes
-through grid.patterns_of, so the numbers here are the same numbers the
-complexity reports show.
+through grid._pattern_values, the value tuples of grid.patterns_of, so
+the numbers here are the same numbers the complexity reports show.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ import warnings
 from functools import cache
 
 from .grid import (ORIGIN, Configuration, DiscreteDomain, Frozen, Vec2,
-                   _fitting_translates, find_periods, is_low_complexity,
-                   patterns_of, PeriodScan)
+                   _fitting_translates, _pattern_values, find_periods,
+                   is_low_complexity, PeriodScan)
+from .grid import patterns_of  # noqa: F401  perfbench's tracer wraps it here
 
 
 class NotConvex(ValueError):
@@ -92,7 +93,7 @@ class Stripe(Frozen):
         u = Vec2.nonzero(u, "stripe direction must be nonzero")
         if k < 1:
             raise ValueError("stripe width must be >= 1")
-        self._fill(u, k)
+        Frozen.__init__(self, u, k)
 
     def contains(self, x) -> bool:
         s = Vec2(x[0], x[1]).dot(self.u)
@@ -137,12 +138,6 @@ class BalancedReport(Frozen):
     min_line_count: int       # shortest cut of D perpendicular to u
     edge_cells: DiscreteDomain
 
-    def __init__(self, direction: Vec2, pattern_count: int, size: int,
-                 inner_pattern_count: int, edge_size: int,
-                 min_line_count: int, edge_cells: DiscreteDomain):
-        self._fill(direction, pattern_count, size, inner_pattern_count,
-                   edge_size, min_line_count, edge_cells)
-
     @property
     def cond_low_complexity(self) -> bool:
         return self.pattern_count <= self.size
@@ -174,14 +169,15 @@ def is_balanced(c: Configuration, domain: DiscreteDomain, u,
     u = Vec2.nonzero(u, "balanced direction must be nonzero")
     if not is_convex(domain):
         raise NotConvex("balanced sets must be convex")
-    return _report(c, domain, u, window, len(patterns_of(c, domain, window)))
+    return _report(c, domain, u, window,
+                   len(_pattern_values(c, domain, window)))
 
 
 def _report(c: Configuration, domain: DiscreteDomain, u: Vec2,
             window: DiscreteDomain, full: int) -> BalancedReport:
     """The report for a convex domain whose pattern count is full."""
     e = edge(domain, u)
-    inner = len(patterns_of(c, domain.minus(e), window))
+    inner = len(_pattern_values(c, domain.minus(e), window))
     levels: dict[int, int] = {}
     for cell in domain.cells:
         s = cell.dot(u)
@@ -196,10 +192,6 @@ class BalancedSearchResult(Frozen):
     domain: DiscreteDomain
     orientation: Vec2  # u or -u
     report: BalancedReport
-
-    def __init__(self, domain: DiscreteDomain, orientation: Vec2,
-                 report: BalancedReport):
-        self._fill(domain, orientation, report)
 
 
 def _canonical_order(d: DiscreteDomain):
@@ -291,7 +283,7 @@ def balanced_search(c: Configuration, n: int, m: int, u,
             f"on the {n}x{m} rectangle; balanced set may not exist",
             NotLowComplexityWarning, stacklevel=2)
     for d in _convex_candidates(area_budget, n * m):
-        full = len(patterns_of(c, d, window))
+        full = len(_pattern_values(c, d, window))
         if full > len(d):
             continue  # condition (i) fails for u and -u alike
         for orientation in (u, -u):
@@ -316,12 +308,6 @@ class StripeScenarioReport(Frozen):
     stripe_differ: bool
     perpendicular_periods: tuple[Vec2, ...]
     period_scan: PeriodScan | None
-
-    def __init__(self, fit_at: Vec2, interior_agree: bool,
-                 stripe_differ: bool, perpendicular_periods: tuple[Vec2, ...],
-                 period_scan: PeriodScan | None):
-        self._fill(fit_at, interior_agree, stripe_differ,
-                   perpendicular_periods, period_scan)
 
     @property
     def hypotheses_hold(self) -> bool:

@@ -2,7 +2,8 @@
 
 Exit codes are frozen: 0 = a periodic witness exists, 1 = empty,
 2 = undecided within budget or a failed self-check (no verified
-verdict), 3 = input/usage error, 4 = domain error.
+verdict), 3 = input/usage error, 4 = domain error, 5 = the report
+could not be written (standard output was closed).
 Reports are canonical JSON (sorted keys); the only nondeterministic
 field is wall_time_s.
 """
@@ -27,6 +28,7 @@ EXIT_EMPTY = 1
 EXIT_UNDECIDED = 2
 EXIT_INPUT_ERROR = 3
 EXIT_DOMAIN_ERROR = 4
+EXIT_UNWRITTEN = 5
 
 # a schema message quotes the offending value, which can be as large as
 # the input; report details are cut to this many characters after the path
@@ -301,7 +303,14 @@ def main(argv=None) -> int:
     except (OutOfWindow, ValueError) as exc:
         report["error"] = str(exc)
         code = EXIT_DOMAIN_ERROR
-    _emit(report, args, started)
+    try:
+        _emit(report, args, started)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; as Python's signal docs advise, point stdout
+        # at devnull so the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_UNWRITTEN
     return code
 
 

@@ -33,15 +33,15 @@ class CertificateError(RuntimeError):
 class Frozen:
     """Base of the immutable value classes.
 
-    A subclass's fields are the names it annotates, in order.  Instances
-    are equal when their classes are the same and their fields are
-    equal, and hash as the tuple of their fields; the repr reads
-    ``Name(field=value, ...)``.  Assignment and deletion raise
-    AttributeError, so each __init__ validates its arguments and then
-    stores the fields with _fill, or, in the classes built in inner
-    loops, with one object.__setattr__ per field, which is faster.
-    There are no __slots__: pickle and deepcopy restore the instance
-    dict directly.
+    A subclass's fields are the names it annotates, in order, and a
+    class attribute of the same name is that field's default.  The
+    constructor takes the fields in order or by name; a class that
+    validates its input ends its own __init__ with Frozen.__init__.
+    Instances are equal when their classes are the same and their
+    fields are equal, and hash as the tuple of their fields; the repr
+    reads ``Name(field=value, ...)``.  Assignment and deletion raise
+    AttributeError.  There are no __slots__: pickle and deepcopy
+    restore the instance dict directly.
     """
 
     _fields: tuple[str, ...] = ()
@@ -64,10 +64,26 @@ class Frozen:
 
         cls.__eq__, cls.__hash__ = __eq__, __hash__
 
-    def _fill(self, *values) -> None:
-        """Store the fields, in order; for __init__ only."""
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
+    def __init__(self, *values, **named):
+        fields = self._fields
+        if named or len(values) != len(fields):
+            values = self._bind(values, named)
+        state = self.__dict__
+        for name, value in zip(fields, values):  # faster than state.update
+            state[name] = value
+
+    @classmethod
+    def _bind(cls, values: tuple, named: dict) -> tuple:
+        """The fields from values in order, then by name, then defaults."""
+        fields = cls._fields
+        bound = dict(zip(fields, values), **named)
+        if (len(bound) < len(values) + len(named)  # extra or repeated
+                or not bound.keys() <= set(fields)
+                or not all(f in bound or hasattr(cls, f) for f in fields)):
+            raise TypeError(f"{cls.__qualname__} takes each of the fields "
+                            f"{', '.join(fields)} once, in order or by name")
+        return tuple(bound[f] if f in bound else getattr(cls, f)
+                     for f in fields)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}"
@@ -176,9 +192,7 @@ class Alphabet(Frozen):
             raise ValueError("alphabet must be nonempty")
         if any(a >= b for a, b in zip(colors, colors[1:])):
             raise ValueError("alphabet colors must be strictly increasing")
-        self._fill(colors)
-        object.__setattr__(self, "_index",
-                           {c: i for i, c in enumerate(colors)})
+        Frozen.__init__(self, colors)
 
     @classmethod
     def of(cls, colors: Iterable[int]) -> "Alphabet":
@@ -188,13 +202,12 @@ class Alphabet(Frozen):
         return cls(tuple(sorted(cs)))
 
     def index(self, color: int) -> int:
-        try:
-            return self._index[color]
-        except KeyError:
-            raise ValueError(f"color {color} not in alphabet") from None
+        if color not in self.colors:
+            raise ValueError(f"color {color} not in alphabet")
+        return self.colors.index(color)
 
     def __contains__(self, color: int) -> bool:
-        return color in self._index
+        return color in self.colors
 
     def __len__(self) -> int:
         return len(self.colors)
@@ -216,18 +229,13 @@ class DiscreteDomain(Frozen):
         canon = tuple(sorted({Vec2(int(c[0]), int(c[1])) for c in cells},
                              key=_canonical_key))
         xs = [c.x for c in canon]
-        object.__setattr__(self, "cells", canon)
-        object.__setattr__(self, "_set", frozenset(canon))
-        object.__setattr__(self, "_rect", Rect(
+        self.__dict__.update(_set=frozenset(canon), _rect=Rect(
             min(xs), canon[0].y, max(xs), canon[-1].y) if canon else None)
+        Frozen.__init__(self, canon)
 
     @classmethod
     def rect(cls, width: int, height: int, origin: Vec2 = ORIGIN) -> "DiscreteDomain":
         return cls(tuple(Rect.of_size(width, height, origin).cells()))
-
-    @classmethod
-    def from_rect(cls, rect: Rect) -> "DiscreteDomain":
-        return cls(tuple(rect.cells()))
 
     def __iter__(self) -> Iterator[Vec2]:
         return iter(self.cells)
@@ -243,9 +251,6 @@ class DiscreteDomain(Frozen):
 
     def minus(self, other: "DiscreteDomain") -> "DiscreteDomain":
         return DiscreteDomain(tuple(c for c in self.cells if c not in other))
-
-    def intersection(self, other: "DiscreteDomain") -> "DiscreteDomain":
-        return DiscreteDomain(tuple(c for c in self.cells if c in other))
 
     def bounding_rect(self) -> Rect:
         if not self.cells:
@@ -374,8 +379,7 @@ class PeriodicConfig(Configuration, Frozen):
             raise ValueError("invalid reduced period basis")
         if len(block) != span_y or any(len(r) != span_x for r in block):
             raise ValueError("block does not match the fundamental rectangle")
-        a, b, c, block = _saturate(span_x, shear, span_y, block)
-        self._fill(a, b, c, block)
+        Frozen.__init__(self, *_saturate(span_x, shear, span_y, block))
 
     @classmethod
     def from_periods(cls, p1: Vec2, p2: Vec2,
@@ -431,9 +435,6 @@ class PeriodicConfig(Configuration, Frozen):
         return (y % self.span_y == 0
                 and (x - y // self.span_y * self.shear) % self.span_x == 0)
 
-    def colors(self) -> tuple[int, ...]:
-        return tuple(sorted({v for row in self.block for v in row}))
-
 
 class WindowConfig(Configuration, Frozen):
     """Coloring known on one axis-aligned rectangle only."""
@@ -446,7 +447,7 @@ class WindowConfig(Configuration, Frozen):
         values = tuple(tuple(int(v) for v in row) for row in values)
         if len(values) != rect.height or any(len(r) != rect.width for r in values):
             raise ValueError("window values do not match the rectangle")
-        self._fill(rect, values)
+        Frozen.__init__(self, rect, values)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]],
@@ -465,10 +466,7 @@ class WindowConfig(Configuration, Frozen):
         return WindowConfig(self.rect.translate(t), self.values)
 
     def domain(self) -> DiscreteDomain:
-        return DiscreteDomain.from_rect(self.rect)
-
-    def colors(self) -> tuple[int, ...]:
-        return tuple(sorted({v for row in self.values for v in row}))
+        return DiscreteDomain(self.rect.cells())
 
 
 class Pattern(Frozen):
@@ -481,8 +479,7 @@ class Pattern(Frozen):
         values = tuple(int(v) for v in values)
         if len(values) != len(domain):
             raise ValueError("pattern values must cover the domain exactly")
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "values", values)
+        Frozen.__init__(self, domain, values)
 
     @classmethod
     def of(cls, domain: DiscreteDomain, mapping) -> "Pattern":
@@ -536,11 +533,21 @@ def patterns_of(c: Configuration, shape: DiscreteDomain,
 
     Patterns are re-indexed to the shape's own cells and returned sorted
     by their value tuples, so the result does not depend on enumeration
-    order.  An empty shape has exactly one (empty) pattern.  A periodic
-    configuration is read once per lattice coset, with the same result.
+    order.  An empty shape has exactly one (empty) pattern.
+    """
+    return [Pattern(shape, vals)
+            for vals in sorted(_pattern_values(c, shape, window))]
+
+
+def _pattern_values(c: Configuration, shape: DiscreteDomain,
+                    window: DiscreteDomain) -> set[tuple[int, ...]]:
+    """The value tuples of patterns_of, as a set.
+
+    A periodic configuration is read once per lattice coset, with the
+    same result.
     """
     if not len(shape):
-        return [Pattern(shape, ())]
+        return {()}
     periodic = isinstance(c, PeriodicConfig)
     cosets, seen = set(), set()
     for t in _fitting_translates(shape, window):
@@ -556,7 +563,7 @@ def patterns_of(c: Configuration, shape: DiscreteDomain,
     if not seen:
         raise EmptyWindow(
             f"no translate of the {len(shape)}-cell shape fits in the window")
-    return [Pattern(shape, vals) for vals in sorted(seen)]
+    return seen
 
 
 class ComplexityReport(Frozen):
@@ -565,9 +572,6 @@ class ComplexityReport(Frozen):
     count: int
     bound: int
     window_cells: int
-
-    def __init__(self, count: int, bound: int, window_cells: int):
-        self._fill(count, bound, window_cells)
 
     @property
     def low(self) -> bool:
@@ -579,7 +583,7 @@ class ComplexityReport(Frozen):
 
 def is_low_complexity(c: Configuration, shape: DiscreteDomain,
                       window: DiscreteDomain) -> ComplexityReport:
-    count = len(patterns_of(c, shape, window))
+    count = len(_pattern_values(c, shape, window))
     return ComplexityReport(count, len(shape), len(window))
 
 
@@ -588,9 +592,6 @@ class PeriodScan(Frozen):
 
     periods: tuple[Vec2, ...]
     skipped: tuple[Vec2, ...]
-
-    def __init__(self, periods: tuple[Vec2, ...], skipped: tuple[Vec2, ...]):
-        self._fill(periods, skipped)
 
     def __iter__(self) -> Iterator[Vec2]:
         return iter(self.periods)
@@ -647,10 +648,6 @@ class TwoPeriodicReport(Frozen):
     horizontal: Vec2 | None  # smallest (k, 0) period within bound, if any
     vertical: Vec2 | None    # smallest (0, k) period within bound, if any
     scan: PeriodScan
-
-    def __init__(self, two_periodic: bool, horizontal: Vec2 | None,
-                 vertical: Vec2 | None, scan: PeriodScan):
-        self._fill(two_periodic, horizontal, vertical, scan)
 
     def __bool__(self) -> bool:
         return self.two_periodic

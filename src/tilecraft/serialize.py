@@ -14,7 +14,7 @@ import json
 import os
 import re
 
-from .grid import (Alphabet, DiscreteDomain, Pattern, PeriodicConfig, Vec2,
+from .grid import (Alphabet, DiscreteDomain, PeriodicConfig, Vec2,
                    WindowConfig, _lattice_hnf)
 from .sft import (DeterminismReport, DirectionClassification, Empty,
                   NonEmptyPeriodic, PatternSet, TorusWitness, Undecided)
@@ -139,41 +139,35 @@ def shape_from_json(data) -> DiscreteDomain:
     return DiscreteDomain(tuple(Vec2(int(x), int(y)) for x, y in data))
 
 
-def _pattern_to_json(pattern: Pattern):
-    dom = pattern.domain
-    if dom.is_rectangle():
-        r = dom.bounding_rect()
-        values = {c: v for c, v in pattern.items()}
-        return [[values[Vec2(x, y)] for x in range(r.x0, r.x1 + 1)]
-                for y in range(r.y0, r.y1 + 1)]
-    return [[c.x, c.y, v] for c, v in pattern.items()]
+def _pattern_to_json(shape: DiscreteDomain, values: tuple):
+    """Row-major rows for rectangle shapes, whose canonical (y, x) cell
+    order is row-major; [x, y, color] cells otherwise."""
+    if shape.is_rectangle():
+        w = shape.bounding_rect().width
+        return [list(values[i:i + w]) for i in range(0, len(values), w)]
+    return [[c.x, c.y, v] for c, v in zip(shape.cells, values)]
 
 
-def _pattern_from_json(data, shape: DiscreteDomain, index: int) -> Pattern:
-    """Row-major rows (for rectangle shapes) or [x, y, color] cell lists.
+def _pattern_from_json(data, shape: DiscreteDomain, index: int) -> tuple:
+    """Values in shape.cells order from row-major rows (for rectangle
+    shapes) or [x, y, color] cell lists.
 
     Row-major takes precedence when the dimensions match the shape's
     rectangle; otherwise a cell list is expected.  Errors name the
     pattern by its index in ``allowed``, since the pattern itself can be
     as large as the input.
     """
-    rect_form = False
     if shape.is_rectangle():
         r = shape.bounding_rect()
-        rect_form = (len(data) == r.height
-                     and all(len(row) == r.width for row in data))
-    if rect_form:
-        r = shape.bounding_rect()
-        cells = {Vec2(r.x0 + i, r.y0 + j): int(v)
-                 for j, row in enumerate(data) for i, v in enumerate(row)}
-    elif all(len(row) == 3 for row in data):
-        cells = {Vec2(int(x), int(y)): int(v) for x, y, v in data}
-    else:
+        if len(data) == r.height and all(len(row) == r.width for row in data):
+            return tuple(v for row in data for v in row)
+    if not all(len(row) == 3 for row in data):
         raise SchemaError(f"allowed[{index}] is neither rows of the shape's "
                           f"rectangle nor [x, y, color] cells")
-    if set(cells) != set(shape.cells):
+    cells = {(int(x), int(y)): v for x, y, v in data}
+    if cells.keys() != set(shape.cells):
         raise SchemaError("pattern cells do not cover the shape")
-    return Pattern.of(shape, cells)
+    return tuple(cells[c] for c in shape.cells)
 
 
 # --- pattern sets ----------------------------------------------------------
@@ -183,7 +177,8 @@ def pattern_set_to_json(ps: PatternSet) -> dict:
     return {
         "shape": shape_to_json(ps.shape),
         "alphabet": list(ps.alphabet.colors),
-        "allowed": [_pattern_to_json(p) for p in ps.sorted_allowed()],
+        "allowed": [_pattern_to_json(ps.shape, t)
+                    for t in sorted(ps.value_tuples)],
     }
 
 
@@ -194,13 +189,12 @@ def pattern_set_from_json(data) -> PatternSet:
         alphabet = Alphabet.of(data["alphabet"])
     except ValueError as exc:
         raise SchemaError(f"bad alphabet: {exc}") from None
-    patterns = [_pattern_from_json(p, shape, i)
-                for i, p in enumerate(data["allowed"])]
-    for p in patterns:
-        for v in p.values:
-            if v not in alphabet:
-                raise SchemaError(f"pattern color {v} not in alphabet")
-    return PatternSet(shape, alphabet, frozenset(patterns))
+    values = [_pattern_from_json(p, shape, i)
+              for i, p in enumerate(data["allowed"])]
+    try:
+        return PatternSet.from_value_tuples(alphabet, shape, values)
+    except ValueError as exc:  # a color outside the alphabet
+        raise SchemaError(str(exc)) from None
 
 
 # --- configurations --------------------------------------------------------

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from collections.abc import Iterable, Iterator, Sequence
+from functools import cached_property
 
 from .grid import (Alphabet, CertificateError, DiscreteDomain, Frozen, Pattern,
                    PeriodicConfig, Vec2)
@@ -53,7 +54,12 @@ DEFAULT_BUDGET = 2_000_000
 
 
 class PatternSet(Frozen):
-    """Allowed patterns on one common shape over one alphabet."""
+    """Allowed patterns on one common shape over one alphabet.
+
+    The patterns are stored as ``value_tuples``, a frozenset of int
+    tuples aligned with ``shape.cells``; ``allowed``, the same patterns
+    as Pattern objects, is built on first access.
+    """
 
     shape: DiscreteDomain
     alphabet: Alphabet
@@ -61,35 +67,49 @@ class PatternSet(Frozen):
 
     def __init__(self, shape: DiscreteDomain, alphabet: Alphabet,
                  allowed: Iterable[Pattern]):
-        if not len(shape):
-            raise ValueError("shape must be nonempty")
-        allowed = frozenset(allowed)
-        for p in allowed:
-            if p.domain != shape:
-                raise ValueError("all allowed patterns must share the shape")
-            for v in p.values:
-                if v not in alphabet:
-                    raise ValueError(f"pattern color {v} not in alphabet")
-        self._fill(shape, alphabet, allowed)
-
-    @property
-    def low_complexity(self) -> bool:
-        return len(self.allowed) <= len(self.shape)
+        allowed = tuple(allowed)
+        if any(p.domain != shape for p in allowed):
+            raise ValueError("all allowed patterns must share the shape")
+        self._store(shape, alphabet, [p.values for p in allowed])
 
     @classmethod
     def from_value_tuples(cls, alphabet: Alphabet, shape: DiscreteDomain,
                           tuples: Iterable[Sequence[int]]) -> "PatternSet":
-        return cls(shape, alphabet,
-                   frozenset(Pattern(shape, tuple(t)) for t in tuples))
+        ps = object.__new__(cls)
+        ps._store(shape, alphabet, tuples)
+        return ps
+
+    def _store(self, shape: DiscreteDomain, alphabet: Alphabet,
+               tuples: Iterable[Sequence[int]]) -> None:
+        """Validate the value tuples, in input order, and store them."""
+        if not len(shape):
+            raise ValueError("shape must be nonempty")
+        colors = set(alphabet.colors)
+        values = []
+        for t in tuples:
+            t = tuple(map(int, t))
+            if len(t) != len(shape):
+                raise ValueError("pattern values must cover the domain exactly")
+            if not colors.issuperset(t):
+                bad = next(v for v in t if v not in colors)
+                raise ValueError(f"pattern color {bad} not in alphabet")
+            values.append(t)
+        self.__dict__.update(shape=shape, alphabet=alphabet,
+                             value_tuples=frozenset(values))
+
+    @cached_property
+    def allowed(self) -> frozenset[Pattern]:
+        return frozenset(Pattern(self.shape, t) for t in self.value_tuples)
+
+    @property
+    def low_complexity(self) -> bool:
+        return len(self.value_tuples) <= len(self.shape)
 
     @classmethod
     def full_shift(cls, alphabet: Alphabet, shape: DiscreteDomain) -> "PatternSet":
         from itertools import product
         return cls.from_value_tuples(
             alphabet, shape, product(alphabet.colors, repeat=len(shape)))
-
-    def sorted_allowed(self) -> list[Pattern]:
-        return sorted(self.allowed, key=lambda p: p.values)
 
 
 class TorusWitness(Frozen):
@@ -105,12 +125,7 @@ class TorusWitness(Frozen):
             raise ValueError("torus sides must be >= 1")
         if len(values) != q or any(len(r) != p for r in values):
             raise ValueError("witness values do not match the torus size")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "values", values)
-
-    def color_at(self, n) -> int:
-        return self.values[n[1] % self.q][n[0] % self.p]
+        Frozen.__init__(self, p, q, values)
 
     def unfold(self) -> PeriodicConfig:
         return PeriodicConfig.from_block(self.values)
@@ -121,17 +136,11 @@ class Empty(Frozen):
 
     n: int
 
-    def __init__(self, n: int):
-        object.__setattr__(self, "n", n)
-
 
 class NonEmptyPeriodic(Frozen):
     """A valid torus coloring exists, hence a periodic configuration."""
 
     witness: TorusWitness
-
-    def __init__(self, witness: TorusWitness):
-        object.__setattr__(self, "witness", witness)
 
 
 class Undecided(Frozen):
@@ -141,13 +150,6 @@ class Undecided(Frozen):
     max_n_tried: int
     max_pq_tried: int
     low_complexity: bool  # when False, non-termination is expected behavior
-
-    def __init__(self, nodes_used: int, max_n_tried: int, max_pq_tried: int,
-                 low_complexity: bool):
-        object.__setattr__(self, "nodes_used", nodes_used)
-        object.__setattr__(self, "max_n_tried", max_n_tried)
-        object.__setattr__(self, "max_pq_tried", max_pq_tried)
-        object.__setattr__(self, "low_complexity", low_complexity)
 
 
 DecisionOutcome = Empty | NonEmptyPeriodic | Undecided
@@ -172,8 +174,8 @@ class _Compiled:
         self.cells = ps.shape.cells
         self.extent = ps.shape.max_extent()
         index = {c: i for i, c in enumerate(self.colors)}
-        self.patterns = [tuple(index[v] for v in p.values)
-                         for p in ps.allowed]
+        self.patterns = [tuple(map(index.__getitem__, t))
+                         for t in ps.value_tuples]
         self.prefix: dict[tuple, list[frozenset]] = {}
 
     def prefix_sets(self, seq: tuple) -> list[frozenset]:
@@ -421,7 +423,7 @@ def torus_search(ps: PatternSet, p: int, q: int,
 
 def validate_witness(ps: PatternSet, witness: TorusWitness) -> bool:
     """Re-check a torus witness cell by cell, independent of the search."""
-    allowed = {pat.values for pat in ps.allowed}
+    allowed = ps.value_tuples
     rows, p, q = witness.values, witness.p, witness.q
     cells = ps.shape.cells
     return all(
@@ -513,9 +515,6 @@ class NonForcedWitness(Frozen):
     box_pattern: Pattern
     centers: tuple[int, int]
 
-    def __init__(self, box_pattern: Pattern, centers: tuple[int, int]):
-        self._fill(box_pattern, centers)
-
 
 class DeterminismReport(Frozen):
     """Outcome of a finite-radius forcing probe.
@@ -537,13 +536,7 @@ class DeterminismReport(Frozen):
     witness: NonForcedWitness | None
     box_colorings: int
     nodes_used: int
-    note: str
-
-    def __init__(self, direction: Vec2, k: int, radius: int, verdict: str,
-                 box: DiscreteDomain, witness: NonForcedWitness | None,
-                 box_colorings: int, nodes_used: int, note: str = ""):
-        self._fill(direction, k, radius, verdict, box, witness, box_colorings,
-                   nodes_used, note)
+    note: str = ""
 
 
 def determinism_probe(ps: PatternSet, u, k: int, radius: int,
@@ -594,10 +587,6 @@ class DirectionClassification(Frozen):
     forward: DeterminismReport
     backward: DeterminismReport
     label: str  # "two_sided" | "one_sided" | "non_deterministic" | "inconclusive"
-
-    def __init__(self, u: Vec2, forward: DeterminismReport,
-                 backward: DeterminismReport, label: str):
-        self._fill(u, forward, backward, label)
 
 
 def classify_directions(ps: PatternSet, directions: Iterable, k: int,

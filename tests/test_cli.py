@@ -1,9 +1,14 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from tilecraft import algebra, sft
-from tilecraft.cli import main
+from tilecraft.cli import EXIT_UNWRITTEN, main
 
 CHECKERBOARD = {"shape": "rect 2 2", "alphabet": [0, 1],
                 "allowed": [[[0, 1], [1, 0]], [[1, 0], [0, 1]]]}
@@ -15,6 +20,13 @@ CONSTANT = {"kind": "periodic", "p1": [1, 0], "p2": [0, 1], "block": [[0]]}
 FIVE_WINDOW = {"kind": "window",
                "rows": [[0, 0, 1, 1], [1, 0, 0, 0],
                         [0, 0, 0, 0], [0, 0, 0, 0]]}
+# three colors on the 4-cell convex shape {(0,0), (1,0), (0,1), (2,1)}
+CONVEX_CELLS = [[0, 0], [1, 0], [0, 1], [2, 1]]
+CONVEX3 = {"shape": CONVEX_CELLS, "alphabet": [0, 1, 2],
+           "allowed": [[[x, y, v] for (x, y), v in zip(CONVEX_CELLS, values)]
+                       for values in [(0, 1, 0, 2), (1, 0, 1, 1),
+                                      (1, 2, 1, 1), (2, 1, 2, 0)]]}
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write(tmp_path, name, obj):
@@ -33,6 +45,14 @@ def report_of(out):
     rep = json.loads(out)
     rep.pop("wall_time_s", None)
     return rep
+
+
+def cold(argv, env=(), **kwargs):
+    """Run the command line in a fresh interpreter."""
+    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path), **dict(env)}
+    return subprocess.run([sys.executable, "-m", "tilecraft.cli", *argv],
+                          env=env, timeout=120, **kwargs)
 
 
 def test_decide_checkerboard(tmp_path, capsys):
@@ -364,3 +384,34 @@ def test_bad_env_budget_is_input_error(tmp_path, capsys, monkeypatch, budget):
     code, out = run(capsys, "determinism", f, "--dir", "1,0")
     assert code == 3
     assert "budget" in report_of(out)["error"]
+
+
+@pytest.mark.parametrize("doc", [CHECKERBOARD, CONVEX3],
+                         ids=["checkerboard", "convex3"])
+@pytest.mark.parametrize("options", [["decide"],
+                                     ["determinism", "--dir", "1,0"]],
+                         ids=["decide", "determinism"])
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path, doc, options):
+    f = write(tmp_path, "set.json", doc)
+    command, *rest = options
+    reports = set()
+    for seed in "012":
+        proc = cold([command, f, *rest], {"PYTHONHASHSEED": seed},
+                    capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        reports.add(re.sub(rb',"wall_time_s":[^,}]*', b"", proc.stdout))
+    assert len(reports) == 1
+    assert b"wall_time_s" not in reports.pop()
+
+
+def test_a_closed_stdout_is_not_a_verdict(tmp_path):
+    f = write(tmp_path, "cb.json", CHECKERBOARD)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = cold(["decide", f], stdout=write_end, stderr=subprocess.PIPE,
+                    text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_UNWRITTEN == 5
+    assert proc.stderr == ""

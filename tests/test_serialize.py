@@ -45,6 +45,7 @@ def test_pattern_set_cell_list_form():
     }
     ps = pattern_set_from_json(data)
     assert len(ps.allowed) == 1
+    assert pattern_set_to_json(ps)["allowed"] == data["allowed"]
     assert pattern_set_from_json(pattern_set_to_json(ps)) == ps
 
 
@@ -54,7 +55,7 @@ def test_pattern_set_errors():
     with pytest.raises(SchemaError):
         pattern_set_from_json({"shape": "sphere", "alphabet": [0],
                                "allowed": []})
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match="^pattern color 9 not in alphabet$"):
         pattern_set_from_json({"shape": "rect 2 2", "alphabet": [0],
                                "allowed": [[[0, 9], [0, 0]]]})
 

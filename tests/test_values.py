@@ -163,3 +163,21 @@ def test_pickle_and_deepcopy_round_trip(case):
 def test_every_frozen_class_is_covered():
     made = {type(make()).__name__ for make, _f, _t in CASES.values()}
     assert made == set(CASES) and len(CASES) == 21
+
+
+def test_fields_are_taken_in_order_or_by_name_with_defaults():
+    assert Undecided(10, 4, 2, True) == Undecided(
+        low_complexity=True, max_pq_tried=2, nodes_used=10, max_n_tried=4)
+    assert Undecided(10, 4, max_pq_tried=2, low_complexity=True) == \
+        Undecided(10, 4, 2, True)
+    probe = _probe()  # built without its note
+    assert probe.note == "" and vars(probe)["note"] == ""
+    assert DeterminismReport(*[getattr(probe, f) for f in probe._fields[:-1]],
+                             note="budget exhausted").note == "budget exhausted"
+    for make in (lambda: Undecided(10, 4, 2),            # missing
+                 lambda: Undecided(10, 4, 2, True, 0),   # extra
+                 lambda: Undecided(10, 4, 2, True, extra=1),
+                 lambda: Undecided(10, 4, 2, nodes_used=10),  # repeated
+                 lambda: Empty()):
+        with pytest.raises(TypeError, match="^(Undecided|Empty) "):
+            make()
