@@ -5,7 +5,11 @@ A convex cell set D is balanced for a direction u in a coloring when
 in direction u loses almost no patterns, and (iii) no cut of D
 perpendicular to u is much shorter than that edge.  All counting goes
 through grid._pattern_values, the value tuples of grid.patterns_of, so
-the numbers here are the same numbers the complexity reports show.
+the numbers here are the same numbers the complexity reports show.  On
+a periodic coloring and a rectangular window at least one block wide,
+each count reads one translate per lattice coset from row slices of
+the block; a window coloring, a ragged window or a narrower one is
+read cell by cell at every fitting translate.
 """
 
 from __future__ import annotations

@@ -38,7 +38,8 @@ class Frozen:
     constructor takes the fields in order or by name; a class that
     validates its input ends its own __init__ with Frozen.__init__.
     Instances are equal when their classes are the same and their
-    fields are equal, and hash as the tuple of their fields; the repr
+    fields are equal, and hash as the tuple of their fields; a class
+    may name other attributes to compare in ``_compared``.  The repr
     reads ``Name(field=value, ...)``.  Assignment and deletion raise
     AttributeError.  There are no __slots__: pickle and deepcopy
     restore the instance dict directly.
@@ -52,7 +53,8 @@ class Frozen:
         if not fields:  # a subclass adding no field keeps its base's
             return
         cls._fields = fields
-        values = attrgetter(*fields)  # the field tuple, or the one field
+        compared = vars(cls).get("_compared", fields)
+        values = attrgetter(*compared)  # the tuple, or the one attribute
 
         def __eq__(self, other):
             if other.__class__ is self.__class__:
@@ -60,7 +62,7 @@ class Frozen:
             return NotImplemented
 
         def __hash__(self):
-            return hash(values(self) if len(fields) > 1 else (values(self),))
+            return hash(values(self) if len(compared) > 1 else (values(self),))
 
         cls.__eq__, cls.__hash__ = __eq__, __hash__
 
@@ -533,7 +535,10 @@ def patterns_of(c: Configuration, shape: DiscreteDomain,
 
     Patterns are re-indexed to the shape's own cells and returned sorted
     by their value tuples, so the result does not depend on enumeration
-    order.  An empty shape has exactly one (empty) pattern.
+    order.  An empty shape has exactly one (empty) pattern.  The values
+    come from _pattern_values: row slices of a periodic coloring's block
+    on a rectangular window at least one block wide, and a cell-by-cell
+    walk over every fitting translate otherwise.
     """
     return [Pattern(shape, vals)
             for vals in sorted(_pattern_values(c, shape, window))]
@@ -543,23 +548,35 @@ def _pattern_values(c: Configuration, shape: DiscreteDomain,
                     window: DiscreteDomain) -> set[tuple[int, ...]]:
     """The value tuples of patterns_of, as a set.
 
-    A periodic configuration is read once per lattice coset, with the
-    same result.
+    A periodic configuration on a rectangular window whose translates
+    span at least span_x columns is read from row slices.  Counted from
+    the window's first translate t0, the translates t0 + (i, j) with
+    i < span_x and j < min(rows, span_y) meet every lattice coset that
+    a fitting translate meets, each once; the rows of the coloring they
+    cover are cut once per call from the block's rows, repeated.  Any
+    other configuration or window, and a too-narrow window, is read cell
+    by cell at every fitting translate.
     """
     if not len(shape):
         return {()}
-    periodic = isinstance(c, PeriodicConfig)
-    cosets, seen = set(), set()
-    for t in _fitting_translates(shape, window):
-        if periodic:  # t modulo the lattice, as _block_color reduces it
-            k, j = divmod(t.y, c.span_y)
-            key = ((t.x - k * c.shear) % c.span_x, j)
-            if key in cosets:
-                continue
-            cosets.add(key)
-        seen.add(tuple(c.color_at(cell + t) for cell in shape.cells))
-        if periodic and len(cosets) == c.span_x * c.span_y:
-            break
+    if isinstance(c, PeriodicConfig) and window.is_rectangle():
+        s, w = shape.bounding_rect(), window.bounding_rect()
+        a, rows = c.span_x, min(w.height - s.height + 1, c.span_y)
+        if rows > 0 and w.width - s.width + 1 >= a:
+            width = s.width + a - 1
+            lines = []
+            for y in range(w.y0, w.y0 + s.height + rows - 1):
+                k, j = divmod(y, c.span_y)
+                start = (w.x0 - k * c.shear) % a
+                line = c.block[j] * (width // a + 2)
+                lines.append(line[start:start + width])
+            cells = [(x - s.x0, y - s.y0) for x, y in shape.cells]
+            seen = set()
+            for j in range(rows):
+                seen.update(zip(*[lines[y + j][x:x + a] for x, y in cells]))
+            return seen
+    seen = {tuple(c.color_at(cell + t) for cell in shape.cells)
+            for t in _fitting_translates(shape, window)}
     if not seen:
         raise EmptyWindow(
             f"no translate of the {len(shape)}-cell shape fits in the window")

@@ -58,12 +58,14 @@ class PatternSet(Frozen):
 
     The patterns are stored as ``value_tuples``, a frozenset of int
     tuples aligned with ``shape.cells``; ``allowed``, the same patterns
-    as Pattern objects, is built on first access.
+    as Pattern objects, is built on first access.  Equality and hashing
+    read the tuples, so neither builds ``allowed``.
     """
 
     shape: DiscreteDomain
     alphabet: Alphabet
     allowed: frozenset[Pattern]
+    _compared = ("shape", "alphabet", "value_tuples")
 
     def __init__(self, shape: DiscreteDomain, alphabet: Alphabet,
                  allowed: Iterable[Pattern]):

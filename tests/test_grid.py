@@ -1,5 +1,6 @@
 import random
 import re
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -156,23 +157,38 @@ def _patterns_or_empty(c, shape, window):
 
 @st.composite
 def _block_path_cases(draw):
-    a, c_ = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    b = draw(st.integers(0, a - 1))
+    if draw(st.booleans()):  # sheared: 0 < b and two or more block rows
+        a, c_ = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+        b = draw(st.integers(1, a - 1))
+    else:
+        a, c_ = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        b = draw(st.integers(0, a - 1))
     block = draw(st.lists(st.lists(st.integers(0, 2), min_size=a, max_size=a),
                           min_size=c_, max_size=c_))
     config = PeriodicConfig(a, b, c_, block)
-    box = [Vec2(x, y) for y in range(3) for x in range(3)]
+    # a shape inside a 3x3 box that may reach negative coordinates
+    corner = Vec2(draw(st.integers(-3, 1)), draw(st.integers(-3, 1)))
+    box = [corner + (x, y) for y in range(3) for x in range(3)]
     shape = DiscreteDomain(draw(st.sets(st.sampled_from(box), min_size=1)))
-    # offset windows of up to 9 rows, each row a run of up to 7 cells:
-    # empty, smaller than a block, rectangular or ragged
     origin = Vec2(draw(st.integers(-6, 6)), draw(st.integers(-6, 6)))
-    rows = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 7)),
-                         max_size=9))
-    if rows and draw(st.booleans()):
-        rows = [rows[0]] * len(rows)
-    window = DiscreteDomain([origin + (start + x, y)
-                             for y, (start, width) in enumerate(rows)
-                             for x in range(width)])
+    if draw(st.booleans()):
+        # a rectangle whose translates span 1 .. span_x + 2 columns and
+        # 1 .. span_y + 1 rows: narrower or shorter than a block, or not
+        s = shape.bounding_rect()
+        cols = draw(st.integers(1, config.span_x + 2))
+        rows = draw(st.integers(1, config.span_y + 1))
+        window = DiscreteDomain.rect(s.width + cols - 1, s.height + rows - 1,
+                                     origin)
+    else:
+        # offset windows of up to 9 rows, each row a run of up to 7 cells:
+        # empty, smaller than a block, rectangular or ragged
+        rows = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 7)),
+                             max_size=9))
+        if rows and draw(st.booleans()):
+            rows = [rows[0]] * len(rows)
+        window = DiscreteDomain([origin + (start + x, y)
+                                 for y, (start, width) in enumerate(rows)
+                                 for x in range(width)])
     if draw(st.booleans()):
         # a lattice vector's difference polynomial annihilates
         k, m = draw(st.integers(-1, 1)), draw(st.integers(-1, 1))
@@ -185,17 +201,39 @@ def _block_path_cases(draw):
     return config, shape, window, f
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(derandomize=True, max_examples=300, deadline=None)
 @given(_block_path_cases())
 def test_periodic_block_path_matches_unfolded_window(case):
-    # the periodic path reads one lattice coset at a time; the window path
-    # reads every cell and serves as the reference
+    # the periodic path reads row slices, one lattice coset at a time;
+    # the window path reads every cell and serves as the reference
     c, shape, window, f = case
     ref = _unfolded(c, window, f)
     assert (_patterns_or_empty(c, shape, window)
             == _patterns_or_empty(ref, shape, window))
     assert list(apply(f, c, window).items()) == list(apply(f, ref, window).items())
     assert annihilates(f, c, window) == annihilates(f, ref, window)
+
+
+@pytest.mark.parametrize("a, b, c, block", [
+    (2, 1, 2, [[0, 1], [1, 1]]),
+    (3, 1, 2, [[0, 0, 1], [0, 1, 1]]),
+    (3, 2, 2, [[0, 1, 2], [1, 1, 0]]),
+    (4, 3, 2, [[0, 1, 1, 0], [1, 0, 0, 0]]),
+    (4, 1, 3, [[0, 0, 1, 1], [0, 1, 0, 0], [1, 0, 0, 0]]),  # none found
+])
+@pytest.mark.parametrize("u", [Vec2(1, 0), Vec2(0, 1)])
+def test_balanced_search_on_sheared_blocks_matches_unfolded_window(
+        a, b, c, block, u):
+    config = PeriodicConfig(a, b, c, block)
+    assert (config.span_x, config.shear, config.span_y) == (a, b, c)
+    window = rect_window(13, 11, Vec2(-3, -2))
+    found = []
+    for coloring in (config, _unfolded(config, window, LaurentPoly.one())):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = balanced_search(coloring, 2, 2, u, window, 4)
+        found.append((result, [w.category for w in caught]))
+    assert found[0] == found[1]
 
 
 def test_pattern_not_translation_invariant():

@@ -14,6 +14,11 @@ CHECKERBOARD = {"shape": "rect 2 2", "alphabet": [0, 1],
                 "allowed": [[[0, 1], [1, 0]], [[1, 0], [0, 1]]]}
 NOT_LOADED = ("dataclasses", "tilecraft.algebra", "tilecraft.balanced",
               "tilecraft.linalg", "fractions")
+try:  # with the bare sha256 module, the input digest needs no hashlib
+    import _sha256  # noqa: F401
+    NOT_LOADED += ("hashlib",)
+except ImportError:
+    pass
 
 
 def _python(code: str, *args: str) -> list[str]:

@@ -66,6 +66,21 @@ def test_allowed_is_built_from_the_value_tuples_on_first_access():
     assert PatternSet(ps.shape, ps.alphabet, ps.allowed) == ps
 
 
+def test_equality_and_hashing_read_the_value_tuples():
+    tuples = [(0, 1), (1, 0)]
+    ps = PatternSet.from_value_tuples(BINARY, PAIR, tuples)
+    same = PatternSet.from_value_tuples(BINARY, PAIR, reversed(tuples))
+    assert ps == same and hash(ps) == hash(same)
+    assert ps != PatternSet.from_value_tuples(BINARY, PAIR, tuples[:1])
+    assert ps != PatternSet.from_value_tuples(BINARY, DiscreteDomain.rect(1, 2),
+                                              tuples)
+    assert ps != PatternSet.from_value_tuples(Alphabet.of([0, 1, 2]), PAIR,
+                                              tuples)
+    assert "allowed" not in vars(ps) and "allowed" not in vars(same)
+    built = PatternSet(PAIR, BINARY, ps.allowed)  # allowed is now cached
+    assert built == ps and hash(built) == hash(ps)
+
+
 @pytest.fixture
 def patterns_built(monkeypatch):
     """The Pattern objects constructed while the test runs."""
