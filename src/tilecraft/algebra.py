@@ -14,7 +14,7 @@ import warnings
 from types import MappingProxyType
 
 from .grid import (CertificateError, Configuration, DiscreteDomain, Frozen,
-                   PeriodicConfig, Vec2)
+                   PeriodicConfig, Vec2, _block_rows)
 from .linalg import nullspace_vector
 
 
@@ -225,26 +225,22 @@ def difference_poly(v) -> LaurentPoly:
 
 
 def apply(f: LaurentPoly, c: Configuration, window: DiscreteDomain) -> dict[Vec2, int]:
-    """Values of the formal product f.c on the window cells, computed
-    once per lattice coset of a periodic c (the same values)."""
+    """Values of the formal product f.c on the window cells.  f.c has
+    the periods of c, so for a periodic c one block of it is summed from
+    c's shifted blocks and read over the window's bounding rectangle."""
     items = [(e, f.coefficient(e)) for e in f.support()]
-    out: dict[Vec2, int] = {}
-    if isinstance(c, PeriodicConfig):
-        table = [[None] * c.span_x for _ in range(c.span_y)]
-        y = None
-        for n in window.cells:
-            if n.y != y:  # _block_color's lattice reduction, split by row
-                y = n.y
-                k, j = divmod(y, c.span_y)
-                row, shift = table[j], k * c.shear
-            i = (n.x - shift) % c.span_x
-            if row[i] is None:
-                row[i] = sum(coeff * c.color_at(n - e) for e, coeff in items)
-            out[n] = row[i]
-        return out
-    for n in window.cells:
-        out[n] = sum(coeff * c.color_at(n - e) for e, coeff in items)
-    return out
+    if isinstance(c, PeriodicConfig) and len(window):
+        a, b, h = c.span_x, c.shear, c.span_y
+        block = [[0] * a] * h
+        for e, coeff in items:
+            shifted = _block_rows(a, b, h, c.block, -e.x, -e.y, a, h)
+            block = [[v + coeff * s for v, s in zip(row, line)]
+                     for row, line in zip(block, shifted)]
+        r = window.bounding_rect()
+        rows = _block_rows(a, b, h, block, r.x0, r.y0, r.width, r.height)
+        return {n: rows[n.y - r.y0][n.x - r.x0] for n in window.cells}
+    return {n: sum(coeff * c.color_at(n - e) for e, coeff in items)
+            for n in window.cells}
 
 
 def annihilates(f: LaurentPoly, c: Configuration, window: DiscreteDomain) -> bool:

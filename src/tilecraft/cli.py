@@ -38,6 +38,10 @@ _DETAIL_CHARS = 200
 # 5.2 s and 152 MB at 8, growing 3-4x per cell.
 MAX_AREA_BUDGET = 7
 
+# The ceiling on a --shape, --window or --support box, checked before a
+# cell is built: `complexity` on a 500x500 window peaks at 89 MB in 1.0 s.
+MAX_BOX_CELLS = 250_000
+
 
 try:  # the bare C module imports in a fraction of hashlib's time
     from _sha256 import sha256
@@ -95,16 +99,19 @@ def _area_budget(text: str) -> int:
 
 
 def _parse_box(text: str) -> DiscreteDomain:
-    """Size spec 'WxH' with optional origin '@x,y'."""
+    """Size spec 'WxH' with optional origin '@x,y', at most MAX_BOX_CELLS."""
     try:
         size, _, origin = text.partition("@")
-        w, h = size.lower().split("x")
+        w, h = map(int, size.lower().split("x"))
         if origin:
             ox, oy = origin.split(",")
             anchor = Vec2(int(ox), int(oy))
         else:
             anchor = Vec2(0, 0)
-        return DiscreteDomain.rect(int(w), int(h), anchor)
+        if w * h > MAX_BOX_CELLS:
+            raise argparse.ArgumentTypeError(
+                f"expected a box of at most {MAX_BOX_CELLS} cells, got {text!r}")
+        return DiscreteDomain.rect(w, h, anchor)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected 'WxH' or 'WxH@x,y', got {text!r}") from None
@@ -150,6 +157,7 @@ def _make_parser() -> argparse.ArgumentParser:
         description="Decision engine and analysis toolkit for "
                     "pattern-defined colorings of the grid.")
     sub = parser.add_subparsers(dest="command", required=True)
+    box = f"'WxH' or 'WxH@x,y', at most {MAX_BOX_CELLS} cells"
 
     p = sub.add_parser("decide", help="emptiness/periodicity decision")
     p.add_argument("pattern_set_file")
@@ -157,13 +165,13 @@ def _make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("complexity", help="pattern count on a shape")
     p.add_argument("config_file")
-    p.add_argument("--shape", type=_parse_box, required=True)
-    p.add_argument("--window", type=_parse_box, required=True)
+    p.add_argument("--shape", type=_parse_box, required=True, help=box)
+    p.add_argument("--window", type=_parse_box, required=True, help=box)
 
     p = sub.add_parser("annihilator", help="find or build an annihilator")
     p.add_argument("config_file")
-    p.add_argument("--support", type=_parse_box, default=None)
-    p.add_argument("--window", type=_parse_box, default=None)
+    p.add_argument("--support", type=_parse_box, default=None, help=box)
+    p.add_argument("--window", type=_parse_box, default=None, help=box)
 
     p = sub.add_parser("determinism", help="direction forcing probe")
     p.add_argument("pattern_set_file")
@@ -177,7 +185,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", type=_parse_vec, required=True, dest="direction")
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--m", type=_positive_int, required=True)
-    p.add_argument("--window", type=_parse_box, default=None)
+    p.add_argument("--window", type=_parse_box, default=None, help=box)
     p.add_argument("--area-budget", type=_area_budget, default=6,
                    help="largest candidate set in cells, from 1 to "
                         f"{MAX_AREA_BUDGET} (default: %(default)s)")

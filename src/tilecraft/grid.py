@@ -333,31 +333,31 @@ def _block_color(a: int, b: int, c: int, block, n) -> int:
     return block[j][i]
 
 
-def _is_block_period(a: int, b: int, c: int, block, t: Vec2) -> bool:
-    for j in range(c):
-        for i in range(a):
-            if _block_color(a, b, c, block, (i - t[0], j - t[1])) != block[j][i]:
-                return False
-    return True
+def _block_rows(a: int, b: int, c: int, block, x0: int, y0: int,
+                width: int, height: int) -> list:
+    """The colors of [x0, x0+width) x [y0, y0+height), row by row: row
+    y = k*c + j is cut from block row j repeated, from (x0 - k*b) % a."""
+    lines = [row * (width // a + 2) for row in block]
+    rows = []
+    for y in range(y0, y0 + height):
+        k, j = divmod(y, c)
+        start = (x0 - k * b) % a
+        rows.append(lines[j][start:start + width])
+    return rows
 
 
 def _saturate(a: int, b: int, c: int, block) -> tuple[int, int, int, tuple]:
     """Grow the stored lattice to the full period lattice of the block.
 
-    Coset representatives (i, j) of Z^2 modulo the current lattice, the
-    zero one excepted, are scanned in (j, i) order; the first that
-    preserves the block joins the lattice, and the grown lattice is
-    saturated in turn.  Each hit strictly shrinks the determinant, so
-    the recursion is shallow.
-    """
-    t = next((Vec2(i, j) for j in range(c) for i in range(a)
-              if (i or j) and _is_block_period(a, b, c, block, (i, j))), None)
-    if t is None:
+    Every period is congruent modulo the stored lattice to exactly one
+    coset representative (i, j), i < a and j < c, so the stored basis
+    and the representatives that preserve the block generate it."""
+    periods = [Vec2(i, j) for j in range(c) for i in range(a) if (i or j)
+               and _block_rows(a, b, c, block, -i, -j, a, c) == list(block)]
+    if not periods:
         return a, b, c, block
-    a2, b2, c2 = _lattice_hnf([Vec2(a, 0), Vec2(b, c), t])
-    return _saturate(a2, b2, c2, tuple(
-        tuple(_block_color(a, b, c, block, (x, y)) for x in range(a2))
-        for y in range(c2)))
+    a2, b2, c2 = _lattice_hnf([Vec2(a, 0), Vec2(b, c), *periods])
+    return a2, b2, c2, tuple(_block_rows(a, b, c, block, 0, 0, a2, c2))
 
 
 class PeriodicConfig(Configuration, Frozen):
@@ -423,11 +423,9 @@ class PeriodicConfig(Configuration, Frozen):
         return _block_color(self.span_x, self.shear, self.span_y, self.block, n)
 
     def translate(self, t) -> "PeriodicConfig":
-        block = tuple(
-            tuple(self.color_at(Vec2(i, j) - t) for i in range(self.span_x))
-            for j in range(self.span_y)
-        )
-        return PeriodicConfig(self.span_x, self.shear, self.span_y, block)
+        a, b, c = self.span_x, self.shear, self.span_y
+        return PeriodicConfig(a, b, c, _block_rows(a, b, c, self.block,
+                                                   -t[0], -t[1], a, c))
 
     def is_period(self, t) -> bool:
         """Membership in the stored lattice, which is the maximal one."""
@@ -552,10 +550,10 @@ def _pattern_values(c: Configuration, shape: DiscreteDomain,
     span at least span_x columns is read from row slices.  Counted from
     the window's first translate t0, the translates t0 + (i, j) with
     i < span_x and j < min(rows, span_y) meet every lattice coset that
-    a fitting translate meets, each once; the rows of the coloring they
-    cover are cut once per call from the block's rows, repeated.  Any
-    other configuration or window, and a too-narrow window, is read cell
-    by cell at every fitting translate.
+    a fitting translate meets, each once, so one _block_rows read of the
+    rectangle they cover gives every pattern.  Any other configuration
+    or window, and a too-narrow window, is read cell by cell at every
+    fitting translate.
     """
     if not len(shape):
         return {()}
@@ -563,13 +561,8 @@ def _pattern_values(c: Configuration, shape: DiscreteDomain,
         s, w = shape.bounding_rect(), window.bounding_rect()
         a, rows = c.span_x, min(w.height - s.height + 1, c.span_y)
         if rows > 0 and w.width - s.width + 1 >= a:
-            width = s.width + a - 1
-            lines = []
-            for y in range(w.y0, w.y0 + s.height + rows - 1):
-                k, j = divmod(y, c.span_y)
-                start = (w.x0 - k * c.shear) % a
-                line = c.block[j] * (width // a + 2)
-                lines.append(line[start:start + width])
+            lines = _block_rows(a, c.shear, c.span_y, c.block, w.x0, w.y0,
+                                s.width + a - 1, s.height + rows - 1)
             cells = [(x - s.x0, y - s.y0) for x, y in shape.cells]
             seen = set()
             for j in range(rows):

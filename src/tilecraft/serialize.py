@@ -165,8 +165,9 @@ def _pattern_from_json(data, shape: DiscreteDomain, index: int) -> tuple:
         raise SchemaError(f"allowed[{index}] is neither rows of the shape's "
                           f"rectangle nor [x, y, color] cells")
     cells = {(int(x), int(y)): v for x, y, v in data}
-    if cells.keys() != set(shape.cells):
-        raise SchemaError("pattern cells do not cover the shape")
+    if len(cells) != len(data) or cells.keys() != set(shape.cells):
+        raise SchemaError(f"allowed[{index}] does not name each cell of "
+                          f"the shape once")
     return tuple(cells[c] for c in shape.cells)
 
 

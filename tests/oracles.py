@@ -15,7 +15,7 @@ import numpy as np
 from tilecraft.balanced import (BalancedSearchResult, NotLowComplexityWarning,
                                 Stripe, is_balanced, is_convex)
 from tilecraft.grid import (DiscreteDomain, Rect, Vec2, ZeroVector,
-                            _block_color, _is_block_period, _lattice_hnf,
+                            _block_color, _lattice_hnf,
                             is_low_complexity)
 from tilecraft.sft import box_cells
 
@@ -274,6 +274,15 @@ def naive_fits(domain: DiscreteDomain, region, window: DiscreteDomain | Rect | N
             if all(pred(c + t) for c in domain.cells):
                 return t
     return None
+
+
+# the former grid._is_block_period, kept verbatim: a cell-by-cell test
+def _is_block_period(a: int, b: int, c: int, block, t: Vec2) -> bool:
+    for j in range(c):
+        for i in range(a):
+            if _block_color(a, b, c, block, (i - t[0], j - t[1])) != block[j][i]:
+                return False
+    return True
 
 
 # the former grid._saturate, kept verbatim: a flagged restart loop

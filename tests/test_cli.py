@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from tilecraft import algebra, sft
-from tilecraft.cli import EXIT_UNWRITTEN, main
+from tilecraft.cli import EXIT_UNWRITTEN, MAX_BOX_CELLS, main
+from tilecraft.grid import DiscreteDomain
 
 CHECKERBOARD = {"shape": "rect 2 2", "alphabet": [0, 1],
                 "allowed": [[[0, 1], [1, 0]], [[1, 0], [0, 1]]]}
@@ -142,6 +143,35 @@ def test_decide_empty_rect_shape_is_schema_error(tmp_path, capsys):
     code, out = run(capsys, "decide", f)
     assert code == 3
     assert report_of(out)["error_details"][0].startswith("$.shape: ")
+
+
+def test_decide_repeated_pattern_cell_is_input_error(tmp_path, capsys):
+    f = write(tmp_path, "dup.json",
+              {"shape": [[0, 0], [1, 0]], "alphabet": [0, 1],
+               "allowed": [[[0, 0, 0], [1, 0, 1], [1, 0, 0]]]})
+    code, out = run(capsys, "decide", f)
+    assert code == 3
+    assert "allowed[0]" in report_of(out)["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["complexity", "PER", "--shape", "2x2", "--window", "100000x100000"],
+    ["complexity", "PER", "--shape", "501x500@-3,4", "--window", "4x4"],
+    ["annihilator", "WIN", "--support", "2x2", "--window", "250001x1"],
+    ["balanced", "PER", "--u", "0,1", "--n", "2", "--m", "2",
+     "--window", "1x250001"],
+], ids=["window", "shape", "support-window", "balanced-window"])
+def test_oversized_box_is_usage_error_before_any_cell(tmp_path, capsys,
+                                                     monkeypatch, argv):
+    built = []
+    rect = DiscreteDomain.rect
+    monkeypatch.setattr(DiscreteDomain, "rect", lambda w, h, origin:
+                        built.append(w * h) or rect(w, h, origin))
+    files = {"PER": write(tmp_path, "p.json", PER23),
+             "WIN": write(tmp_path, "w.json", FIVE_WINDOW)}
+    assert main([files.get(a, a) for a in argv]) == 3
+    assert MAX_BOX_CELLS == 250_000 and max(built, default=0) <= 16
+    assert f"at most {MAX_BOX_CELLS} cells" in capsys.readouterr().err
 
 
 def test_complexity_ragged_block_is_input_error(tmp_path, capsys):

@@ -10,8 +10,9 @@ from tilecraft.algebra import LaurentPoly, annihilates, apply, difference_poly
 from tilecraft.balanced import Stripe, balanced_search, edge, is_balanced
 from tilecraft.grid import (Alphabet, DiscreteDomain, EmptyWindow, OutOfWindow,
                             Pattern, PeriodicConfig, Rect, Vec2, WindowConfig,
-                            ZeroVector, _block_color, _saturate, find_periods,
-                            is_low_complexity, is_two_periodic, patterns_of)
+                            ZeroVector, _block_color, _block_rows, _saturate,
+                            find_periods, is_low_complexity, is_two_periodic,
+                            patterns_of, translate)
 from tilecraft.sft import PatternSet, box_cells, determinism_probe
 
 import oracles
@@ -197,21 +198,47 @@ def _block_path_cases(draw):
     else:
         f = LaurentPoly(draw(st.dictionaries(
             st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
-            st.integers(-2, 2).filter(bool), min_size=1, max_size=4)))
-    return config, shape, window, f
+            st.integers(-2, 2).filter(bool), min_size=0, max_size=4)))
+    t = Vec2(draw(st.integers(-6, 6)), draw(st.integers(-6, 6)))
+    return config, shape, window, f, t
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_block_path_cases())
 def test_periodic_block_path_matches_unfolded_window(case):
-    # the periodic path reads row slices, one lattice coset at a time;
-    # the window path reads every cell and serves as the reference
-    c, shape, window, f = case
+    # the periodic path reads row slices of the block; the window path
+    # reads every cell and serves as the reference
+    c, shape, window, f, t = case
     ref = _unfolded(c, window, f)
     assert (_patterns_or_empty(c, shape, window)
             == _patterns_or_empty(ref, shape, window))
     assert list(apply(f, c, window).items()) == list(apply(f, ref, window).items())
-    assert annihilates(f, c, window) == annihilates(f, ref, window)
+    with warnings.catch_warnings():  # the zero polynomial warns
+        warnings.simplefilter("ignore")
+        assert annihilates(f, c, window) == annihilates(f, ref, window)
+    moved, ref_moved = translate(c, t), translate(ref, t)
+    assert (moved.span_x, moved.shear, moved.span_y) == (
+        c.span_x, c.shear, c.span_y)
+    assert all(moved.color_at(n) == ref_moved.color_at(n)
+               for n in ref_moved.rect.cells())
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_block_rows_match_block_color(data):
+    # any Hermite basis (a, 0), (b, c), sheared or not, read from origins
+    # left of and below zero, in widths below, equal to and above a
+    a, c = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    b = data.draw(st.integers(0, a - 1))
+    block = data.draw(st.lists(st.tuples(*[st.integers(0, 9)] * a),
+                               min_size=c, max_size=c))
+    x0, y0 = data.draw(st.integers(-13, 4)), data.draw(st.integers(-13, 4))
+    width = data.draw(st.integers(0, 3 * a + 2))
+    height = data.draw(st.integers(0, 2 * c + 2))
+    rows = _block_rows(a, b, c, block, x0, y0, width, height)
+    assert [list(row) for row in rows] == [
+        [_block_color(a, b, c, block, (x, y)) for x in range(x0, x0 + width)]
+        for y in range(y0, y0 + height)]
 
 
 @pytest.mark.parametrize("a, b, c, block", [

@@ -60,6 +60,13 @@ def test_pattern_set_errors():
                                "allowed": [[[0, 9], [0, 0]]]})
 
 
+def test_pattern_set_repeated_cell_is_schema_error():
+    # three [x, y, color] cells on a two-cell shape, (1, 0) named twice
+    with pytest.raises(SchemaError, match=r"^allowed\[0\] does not name "):
+        pattern_set_from_json({"shape": [[0, 0], [1, 0]], "alphabet": [0, 1],
+                               "allowed": [[[0, 0, 0], [1, 0, 1], [1, 0, 0]]]})
+
+
 def test_configuration_roundtrip_window(five_pattern_window):
     data = configuration_to_json(five_pattern_window)
     assert configuration_from_json(data) == five_pattern_window
