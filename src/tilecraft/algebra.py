@@ -14,7 +14,7 @@ import warnings
 from types import MappingProxyType
 
 from .grid import (CertificateError, Configuration, DiscreteDomain, Frozen,
-                   PeriodicConfig, Vec2, _block_rows)
+                   PeriodicConfig, Vec2, _block_color, _block_rows)
 from .linalg import nullspace_vector
 
 
@@ -227,15 +227,18 @@ def difference_poly(v) -> LaurentPoly:
 def apply(f: LaurentPoly, c: Configuration, window: DiscreteDomain) -> dict[Vec2, int]:
     """Values of the formal product f.c on the window cells.  f.c has
     the periods of c, so for a periodic c one block of it is summed from
-    c's shifted blocks and read over the window's bounding rectangle."""
+    c's shifted blocks, then read row by row on a rectangular window and
+    cell by cell on any other."""
     items = [(e, f.coefficient(e)) for e in f.support()]
-    if isinstance(c, PeriodicConfig) and len(window):
+    if isinstance(c, PeriodicConfig):
         a, b, h = c.span_x, c.shear, c.span_y
         block = [[0] * a] * h
         for e, coeff in items:
             shifted = _block_rows(a, b, h, c.block, -e.x, -e.y, a, h)
             block = [[v + coeff * s for v, s in zip(row, line)]
                      for row, line in zip(block, shifted)]
+        if not window.is_rectangle():
+            return {n: _block_color(a, b, h, block, n) for n in window.cells}
         r = window.bounding_rect()
         rows = _block_rows(a, b, h, block, r.x0, r.y0, r.width, r.height)
         return {n: rows[n.y - r.y0][n.x - r.x0] for n in window.cells}

@@ -68,14 +68,6 @@ def is_convex(domain: DiscreteDomain) -> bool:
     if len(cells) <= 1:
         return True
     hull = _hull(cells)
-    if len(hull) <= 2:
-        # collinear: the segment's lattice points must all be present
-        lo, hi = min(cells), max(cells)
-        d = hi - lo
-        g = math.gcd(abs(d.x), abs(d.y))
-        step = Vec2(d.x // g, d.y // g)
-        return len(cells) == g + 1 and all(
-            lo + i * step in domain for i in range(g + 1))
     edges = list(zip(hull, hull[1:] + hull[:1]))
     box = domain.bounding_rect()
     inside = 0

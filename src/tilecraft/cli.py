@@ -42,6 +42,11 @@ MAX_AREA_BUDGET = 7
 # cell is built: `complexity` on a 500x500 window peaks at 89 MB in 1.0 s.
 MAX_BOX_CELLS = 250_000
 
+# The ceiling on annihilator_search's exact elimination, window cells x
+# support cells x the smaller of the two: an n x n support on an n x n
+# window takes about 1.1 s at n = 13 (4.8M), 1.7 s at 14 and 27 s at 20.
+MAX_ELIMINATION_WORK = 5_000_000
+
 
 try:  # the bare C module imports in a fraction of hashlib's time
     from _sha256 import sha256
@@ -233,6 +238,12 @@ def _cmd_annihilator(args, report: dict) -> int:
     if args.support is None or args.window is None:
         raise ser.SchemaError(
             "window configurations need --support and --window")
+    rows, cols = len(args.window), len(args.support)
+    if rows * cols * min(rows, cols) > MAX_ELIMINATION_WORK:
+        raise ser.SchemaError(
+            f"expected window cells x support cells x the smaller of the two "
+            f"to be at most {MAX_ELIMINATION_WORK}, got {rows} window and "
+            f"{cols} support cells")
     cert = annihilator_search(config, args.window, args.support)
     if cert is None:
         report["outcome"] = {"found": False, "mode": "search"}

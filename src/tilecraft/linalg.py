@@ -13,9 +13,8 @@ from fractions import Fraction
 
 
 def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """In-place fraction-free row echelon; returns (matrix, pivot columns)."""
-    if not rows:
-        return rows, []
+    """In-place fraction-free row echelon of a non-empty matrix; returns
+    (matrix, pivot columns)."""
     n_rows, n_cols = len(rows), len(rows[0])
     pivots: list[int] = []
     prev = 1

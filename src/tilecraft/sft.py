@@ -297,26 +297,21 @@ class _GeometryCache:
 _GEOMETRIES = _GeometryCache(2048)
 
 
-class _SearchRun:
-    """Nodes spent by one _search so far, and whether it hit the budget."""
-
-    __slots__ = ("nodes", "budget_exceeded")
-
-    def __init__(self):
-        self.nodes = 0
-        self.budget_exceeded = False
-
-
 def _search(comp: _Compiled, width: int, height: int, wrap: bool,
-            budget: int, run: _SearchRun, head: tuple = ()) -> Iterator[tuple]:
+            budget: int, head: tuple = ()) -> Iterator[tuple]:
     """Backtracking over the grid in _geometry order, ascending colors.
+
+    Yields (rows, nodes) per solution, rows of colors and the nodes spent
+    so far, then exactly one final item: (None, nodes) when the search
+    space is exhausted, (BUDGET_EXCEEDED, nodes) when the budget runs
+    out.  So next(_search(...)) is the first solution or how the search
+    ended.
 
     The geometry comes from a cache shared by all pattern sets, and
     ``sets`` lists this pattern set's prefix code sets as its checks
     index them.  ``codes`` holds one code per shape translate: a check
     puts the step's color into its translate's code and looks the code
     up, so it costs the same however many cells the translate has.
-    Yields each solution as rows of colors and counts nodes in ``run``.
     With head cells, the search backs up into the last head cell after
     each solution, so it yields exactly one solution per extendable
     coloring of the head, in lexicographic order.  It also backjumps: a
@@ -342,12 +337,11 @@ def _search(comp: _Compiled, width: int, height: int, wrap: bool,
     pos = 0
     while True:
         if pos == ncells:
-            run.nodes = nodes
             grid = [None] * ncells
             for cell, ci in zip(steps, choice):
                 grid[cell] = comp.colors[ci]
             yield tuple(tuple(grid[y * width:(y + 1) * width])
-                        for y in range(height))
+                        for y in range(height)), nodes
             pos = back
             conflict[pos] = (1 << pos) - 1  # skip no head step from here
         checks = checks_at[pos]
@@ -355,8 +349,7 @@ def _search(comp: _Compiled, width: int, height: int, wrap: bool,
         ci = choice[pos]
         while ci + 1 < n_colors:
             if nodes >= budget:
-                run.nodes = nodes
-                run.budget_exceeded = True
+                yield BUDGET_EXCEEDED, nodes
                 return
             ci += 1
             nodes += 1
@@ -386,21 +379,12 @@ def _search(comp: _Compiled, width: int, height: int, wrap: bool,
             else:
                 pos -= 1
             if pos < 0:
-                run.nodes = nodes
+                yield None, nodes
                 return
 
 
 # ---------------------------------------------------------------------------
 # public operations
-
-
-def _first(comp: _Compiled, width: int, height: int, wrap: bool,
-           budget: int):
-    """The first solution's rows, None or BUDGET_EXCEEDED; and the nodes
-    spent."""
-    run = _SearchRun()
-    grid = next(_search(comp, width, height, wrap, budget, run), None)
-    return BUDGET_EXCEEDED if run.budget_exceeded else grid, run.nodes
 
 
 def valid_square(ps: PatternSet, n: int, budget: int = DEFAULT_BUDGET):
@@ -409,7 +393,7 @@ def valid_square(ps: PatternSet, n: int, budget: int = DEFAULT_BUDGET):
     if n < comp.extent:
         raise ValueError(
             f"square side {n} smaller than shape extent {comp.extent}")
-    return _first(comp, n, n, False, budget)[0]
+    return next(_search(comp, n, n, False, budget))[0]
 
 
 def torus_search(ps: PatternSet, p: int, q: int,
@@ -417,10 +401,10 @@ def torus_search(ps: PatternSet, p: int, q: int,
     """First valid p x q wraparound coloring, None, or BUDGET_EXCEEDED."""
     if p < 1 or q < 1:
         raise ValueError("torus sides must be >= 1")
-    result, _ = _first(_Compiled(ps), p, q, True, budget)
-    if result is None or result is BUDGET_EXCEEDED:
-        return result
-    return TorusWitness(p, q, result)
+    rows, _ = next(_search(_Compiled(ps), p, q, True, budget))
+    if rows is None or rows is BUDGET_EXCEEDED:
+        return rows
+    return TorusWitness(p, q, rows)
 
 
 def validate_witness(ps: PatternSet, witness: TorusWitness) -> bool:
@@ -433,9 +417,11 @@ def validate_witness(ps: PatternSet, witness: TorusWitness) -> bool:
         for ty in range(q) for tx in range(p))
 
 
-def _stage_pairs(s: int) -> list[tuple[int, int]]:
-    return sorted((p, q) for p in range(1, s + 1) for q in range(1, s + 1)
-                  if max(p, q) == s)
+def _stage_tasks(n: int, s: int) -> list[tuple[int, int, bool]]:
+    """Stage s's searches as (width, height, wrap): the n x n square, then
+    every torus with max(p, q) = s in lexicographic order."""
+    return [(n, n, False), *sorted((p, q, True) for p in range(1, s + 1)
+                                   for q in range(1, s + 1) if max(p, q) == s)]
 
 
 def decide(ps: PatternSet, budget: int = DEFAULT_BUDGET) -> DecisionOutcome:
@@ -456,36 +442,29 @@ def decide_with_usage(ps: PatternSet, budget: int = DEFAULT_BUDGET
                       ) -> tuple[DecisionOutcome, int]:
     """decide, plus the total number of search nodes spent."""
     comp = _Compiled(ps)
-    n0 = comp.extent
-    nodes_total = 0
-    max_n = 0
-    max_pq = 0
-    undecided = lambda: Undecided(nodes_total, max_n, max_pq,
-                                  ps.low_complexity)
-    stage = 0
+    nodes_total = max_n = max_pq = stage = 0
     while nodes_total < budget:
         stage += 1
-        n = n0 + stage
-        result, used = _first(comp, n, n, False, budget - nodes_total)
-        nodes_total += used
-        if result is BUDGET_EXCEEDED:
-            return undecided(), nodes_total
-        max_n = n
-        if result is None:
-            return Empty(n), nodes_total
-        for p, q in _stage_pairs(stage):
-            result, used = _first(comp, p, q, True, budget - nodes_total)
+        n = comp.extent + stage
+        for p, q, wrap in _stage_tasks(n, stage):
+            rows, used = next(_search(comp, p, q, wrap, budget - nodes_total))
             nodes_total += used
-            if result is BUDGET_EXCEEDED:
-                return undecided(), nodes_total
-            if result is not None:
-                witness = TorusWitness(p, q, result)
+            if rows is BUDGET_EXCEEDED:
+                break  # nodes_total == budget, so the stage loop ends too
+            if not wrap:
+                max_n = n
+                if rows is None:
+                    return Empty(n), nodes_total
+            elif rows is not None:
+                witness = TorusWitness(p, q, rows)
                 if not validate_witness(ps, witness):
                     raise CertificateError(
                         f"the {p}x{q} torus witness fails re-validation")
                 return NonEmptyPeriodic(witness), nodes_total
-        max_pq = stage
-    return undecided(), nodes_total
+        else:  # every torus of the stage is refuted
+            max_pq = stage
+    return (Undecided(nodes_total, max_n, max_pq, ps.low_complexity),
+            nodes_total)
 
 
 # ---------------------------------------------------------------------------
@@ -561,25 +540,28 @@ def determinism_probe(ps: PatternSet, u, k: int, radius: int,
     side = 2 * radius + 1
     center = Vec2(radius, radius)
     box_sq = [c + center for c in box.cells]
-    run = _SearchRun()
     colorings = 0
-    last = first = None
-    for grid in _search(_Compiled(ps), side, side, False, budget, run,
-                        head=(*box_sq, center)):
+    last = first = witness = None
+    for grid, nodes in _search(_Compiled(ps), side, side, False, budget,
+                               head=(*box_sq, center)):
+        if grid is None or grid is BUDGET_EXCEEDED:
+            break
         beta = tuple(grid[c.y][c.x] for c in box_sq)
         value = grid[center.y][center.x]
         if beta == last:
             witness = NonForcedWitness(Pattern(box, beta), (first, value))
-            return DeterminismReport(u, k, radius, "non_forced", box,
-                                     witness, colorings, run.nodes)
+            break
         colorings += 1
         last, first = beta, value
-    if run.budget_exceeded:
-        return DeterminismReport(u, k, radius, "inconclusive", box, None,
-                                 colorings, run.nodes, "budget exhausted")
-    note = "" if colorings else "no locally valid square at this radius"
-    return DeterminismReport(u, k, radius, "forced", box, None, colorings,
-                             run.nodes, note)
+    if witness is not None:
+        verdict, note = "non_forced", ""
+    elif grid is BUDGET_EXCEEDED:
+        verdict, note = "inconclusive", "budget exhausted"
+    else:
+        verdict = "forced"
+        note = "" if colorings else "no locally valid square at this radius"
+    return DeterminismReport(u, k, radius, verdict, box, witness, colorings,
+                             nodes, note)
 
 
 class DirectionClassification(Frozen):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -88,6 +89,23 @@ def test_apply_stripes_never_zero(vertical_stripes):
     out = apply(difference_poly(Vec2(1, 0)), vertical_stripes,
                 DiscreteDomain.rect(5, 5))
     assert set(out.values()) == {-1, 1}
+
+
+def test_apply_on_a_sparse_window_reads_only_its_cells(checkerboard):
+    # two far-apart cells: reading their bounding rectangle would build
+    # about four million values
+    f = parse_poly("x - 1")
+    window = DiscreteDomain((Vec2(0, 0), Vec2(2000, 2000)))
+    tracemalloc.start()
+    try:
+        out = apply(f, checkerboard, window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert out == {n: sum(coeff * checkerboard.color_at(n - e)
+                          for e, coeff in f.terms.items())
+                   for n in window.cells}
 
 
 def test_annihilates_period_product(vertical_stripes):

@@ -87,6 +87,22 @@ def test_convex_translation_invariant():
         assert is_convex(bad.translate(t)) == is_convex(bad)
 
 
+def test_convex_matches_the_caratheodory_oracle_on_the_3x3_box():
+    box = list(DiscreteDomain.rect(3, 3).cells)
+    for mask in range(1, 1 << len(box)):
+        d = DiscreteDomain([c for i, c in enumerate(box) if mask >> i & 1])
+        assert is_convex(d) == oracles.naive_is_convex(d), d.cells
+
+
+def test_convex_matches_the_caratheodory_oracle_on_collinear_sets():
+    for step in (Vec2(1, 0), Vec2(0, 1), Vec2(1, 1), Vec2(2, 1),
+                 Vec2(1, -2), Vec2(-3, 2)):
+        line = [Vec2(-1, 2) + k * step for k in range(5)]
+        for mask in range(1, 1 << len(line)):
+            d = DiscreteDomain([c for i, c in enumerate(line) if mask >> i & 1])
+            assert is_convex(d) == oracles.naive_is_convex(d), d.cells
+
+
 def test_convex_cuts_contiguous():
     shapes = [DiscreteDomain.rect(3, 2),
               DiscreteDomain([(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)]),

@@ -3,12 +3,14 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
-from tilecraft import algebra, sft
-from tilecraft.cli import EXIT_UNWRITTEN, MAX_BOX_CELLS, main
+from tilecraft import algebra, balanced, sft
+from tilecraft.cli import (EXIT_UNWRITTEN, MAX_BOX_CELLS, MAX_ELIMINATION_WORK,
+                           main)
 from tilecraft.grid import DiscreteDomain
 
 CHECKERBOARD = {"shape": "rect 2 2", "alphabet": [0, 1],
@@ -296,14 +298,30 @@ def test_decide_failed_self_check_is_an_error_report(tmp_path, capsys,
     # every search "finds" the all-zero grid, which the checkerboard set
     # forbids, so the witness re-check fails: no verified verdict
     def all_zero(comp, width, height, wrap, budget):
-        return tuple((0,) * width for _ in range(height)), 1
-    monkeypatch.setattr(sft, "_first", all_zero)
+        yield tuple((0,) * width for _ in range(height)), 1
+    monkeypatch.setattr(sft, "_search", all_zero)
     f = write(tmp_path, "cb.json", CHECKERBOARD)
     code, out = run(capsys, "decide", f)
     assert code == 2
     rep = report_of(out)
     assert rep["error"] == "the 1x1 torus witness fails re-validation"
     assert "outcome" not in rep
+
+
+def test_annihilator_oversized_system_is_input_error(tmp_path, capsys,
+                                                    monkeypatch):
+    # 400 window cells x 400 support cells x 400 is far over the ceiling,
+    # so the search must not start
+    monkeypatch.setattr(algebra, "annihilator_search", None)
+    rows = [[(3 * i + j * j) % 3 for i in range(40)] for j in range(40)]
+    f = write(tmp_path, "w.json", {"kind": "window", "rows": rows})
+    code, out = run(capsys, "annihilator", f, "--support", "20x20",
+                    "--window", "20x20@19,19")
+    assert code == 3
+    assert MAX_ELIMINATION_WORK == 5_000_000
+    assert report_of(out)["error"] == (
+        "expected window cells x support cells x the smaller of the two to "
+        "be at most 5000000, got 400 window and 400 support cells")
 
 
 @pytest.mark.parametrize("doc, options, message", [
@@ -339,6 +357,50 @@ def test_determinism_full_shift(tmp_path, capsys):
     f = write(tmp_path, "full.json", full)
     code, out = run(capsys, "determinism", f, "--dir", "1,0")
     assert report_of(out)["outcome"]["label"] == "non_deterministic"
+
+
+@pytest.mark.parametrize("doc, argv, message", [
+    (CHECKERBOARD, ["determinism", "--dir", "0,0"],
+     "probe direction must be nonzero"),
+    ({"kind": "window", "rows": [[0, 1, 0], [1, 1, 0], [0, 0, 1]]},
+     ["complexity", "--shape", "2x2", "--window", "5x5"],
+     "cell (3, 0) outside window (0, 0, 2, 2)"),
+], ids=["zero-direction", "window-outside-config"])
+def test_domain_errors_exit_4(tmp_path, capsys, doc, argv, message):
+    f = write(tmp_path, "in.json", doc)
+    code, out = run(capsys, argv[0], f, *argv[1:])
+    assert code == 4
+    rep = report_of(out)
+    assert rep["error"] == message
+    assert "outcome" not in rep
+
+
+@pytest.mark.parametrize("doc, rect", [
+    (PER23, (12, 16)),       # (4a+4) x (4c+4) for the 2x3 block
+    (FIVE_WINDOW, (4, 4)),   # the window configuration's own rectangle
+], ids=["periodic", "window"])
+def test_balanced_default_window(tmp_path, capsys, monkeypatch, doc, rect):
+    windows = []
+    search = balanced.balanced_search
+    monkeypatch.setattr(balanced, "balanced_search", lambda *args:
+                        windows.append(args[4]) or search(*args))
+    f = write(tmp_path, "c.json", doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", balanced.NotLowComplexityWarning)
+        code, _ = run(capsys, "balanced", f, "--u", "0,1", "--n", "2",
+                      "--m", "2")
+    assert code == 0
+    assert windows == [DiscreteDomain.rect(*rect)]
+
+
+def test_balanced_search_not_found(tmp_path, capsys):
+    # one-cell sets are low complexity only on a one-color coloring
+    stripes = {"kind": "window", "rows": [[0, 1, 0, 1]] * 4}
+    f = write(tmp_path, "s.json", stripes)
+    code, out = run(capsys, "balanced", f, "--u", "0,1", "--n", "2",
+                    "--m", "2", "--area-budget", "1")
+    assert code == 0
+    assert report_of(out)["outcome"]["search"] == {"found": False}
 
 
 def test_balanced_constant(tmp_path, capsys):

@@ -12,8 +12,9 @@ from tilecraft.grid import (Alphabet, DiscreteDomain, PeriodicConfig, Vec2,
                             ZeroVector, patterns_of)
 from tilecraft.sft import (BUDGET_EXCEEDED, Empty, NonEmptyPeriodic,
                            PatternSet, TorusWitness, Undecided, box_cells,
-                           classify_directions, decide, determinism_probe,
-                           torus_search, valid_square, validate_witness)
+                           classify_directions, decide, decide_with_usage,
+                           determinism_probe, torus_search, valid_square,
+                           validate_witness)
 
 import oracles
 from conftest import make_pattern_set
@@ -108,6 +109,25 @@ def test_decide_undecided_reports_budget(checkerboard_set):
     assert out.low_complexity
 
 
+@pytest.mark.parametrize("budget, nodes, max_n, max_pq", [
+    (12, 12, 0, 0),   # spent inside the first square search
+    (13, 13, 3, 0),   # the 3x3 square takes 13; none left for the 1x1 torus
+    (14, 14, 3, 0),   # spent inside the 1x1 torus search
+    (15, 15, 3, 1),   # spent exactly at the end of stage 1
+    (48, 48, 4, 1),   # spent inside a stage-2 torus search
+])
+def test_decide_undecided_pins_how_far_the_stages_got(checkerboard_set, budget,
+                                                      nodes, max_n, max_pq):
+    assert decide_with_usage(checkerboard_set, budget) == (
+        Undecided(nodes, max_n, max_pq, True), nodes)
+
+
+def test_decide_finds_the_witness_at_the_first_sufficient_budget(
+        checkerboard_set):
+    assert decide_with_usage(checkerboard_set, 49) == (
+        NonEmptyPeriodic(TorusWitness(2, 2, ((0, 1), (1, 0)))), 49)
+
+
 def test_decide_deterministic(checkerboard_set, left0_right1_set):
     for ps in (checkerboard_set, left0_right1_set):
         assert decide(ps, 50_000) == decide(ps, 50_000)
@@ -133,8 +153,8 @@ def test_decide_rejects_a_witness_that_fails_validation(monkeypatch,
     # every search "finds" the all-zero grid, which the checkerboard set
     # forbids, so the first torus witness must fail its re-check
     def all_zero(comp, width, height, wrap, budget):
-        return tuple((0,) * width for _ in range(height)), 1
-    monkeypatch.setattr(sft, "_first", all_zero)
+        yield tuple((0,) * width for _ in range(height)), 1
+    monkeypatch.setattr(sft, "_search", all_zero)
     with pytest.raises(RuntimeError, match="1x1 torus witness"):
         decide(checkerboard_set, 1_000)
 
