@@ -6,22 +6,23 @@ and torus searches (a valid wraparound coloring certifies a periodic
 configuration).  For pattern sets with at most |D| allowed patterns,
 one of the two must fire; budgets make every run terminate either way.
 
-The search core keeps one integer code per shape translate: the colors
-of its cells assigned so far, in the order they were assigned.  Each
-assignment puts the new color into the code of every translate holding
-that cell and looks the code up among the allowed patterns truncated to
-those cells (prefix pruning), so a check is one lookup, however large
-the shape.
+The search core keeps one integer code per shape translate, shape cell
+k's color at bit k * bits.  Each assignment puts the new color into the
+code of every translate holding that cell and looks the code up among
+the allowed patterns restricted to the translate's cells assigned so
+far (prefix pruning), so a check is one lookup, however large the
+shape.  That prefix set is the projection {code & mask} of the pattern
+codes onto the assigned cells, shared by every translate and search
+that has assigned the same cells.
 
 Search set-up has two parts.  The pattern-set part (_Compiled: color
-codes, allowed patterns, prefix code sets per cell order) is built once
-per decision and shared by all of its square and torus searches.  The
-geometry part (_geometry: the step order and, per step, the checks as
-translate, bit position and prefix set) depends only on the shape, the
-grid, the head cells and the bits per color, so one least-recently-used
-cache, bounded by total weight, shares it across pattern sets.  A check
-names its prefix code set by index, and each search resolves the
-indices against its pattern set's prefix sets.
+codes, pattern codes, their projections by mask, each built on first
+lookup) is built once per decision and shared by all of its square and
+torus searches.  The geometry part (_geometry, one pass over the steps:
+the step order and, per step, the checks as translate, kept mask, shift
+and mask index) depends only on the shape, the grid, the head cells and
+the bits per color, so one least-recently-used cache, bounded by total
+weight, shares it across pattern sets.
 """
 
 from __future__ import annotations
@@ -161,60 +162,63 @@ DecisionOutcome = Empty | NonEmptyPeriodic | Undecided
 # search core
 
 
-class _Compiled:
-    """The pattern-set part of a search, built once per pattern set:
-    color codes, patterns as color indices, the shape extent, and the
-    prefix code sets per cell order, memoized."""
+class _Prefixes(dict):
+    """mask -> {code & mask} over the pattern codes, built on first lookup."""
 
-    __slots__ = ("bits", "cells", "extent", "n_colors", "colors",
-                 "patterns", "prefix")
+    __slots__ = ("codes",)
+
+    def __init__(self, codes: list[int]):
+        self.codes = codes
+
+    def __missing__(self, mask: int) -> frozenset:
+        projection = self[mask] = frozenset([c & mask for c in self.codes])
+        return projection
+
+
+class _Compiled:
+    """The pattern-set part of a search, built once per pattern set: color
+    codes, the shape extent, each pattern as one code (shape cell k's
+    color index at bit k * bits) and ``prefix``, its projections."""
+
+    __slots__ = ("bits", "cells", "extent", "n_colors", "colors", "prefix")
 
     def __init__(self, ps: PatternSet):
         self.colors = ps.alphabet.colors
         self.n_colors = len(self.colors)
-        self.bits = max(1, (self.n_colors - 1).bit_length())
+        self.bits = bits = max(1, (self.n_colors - 1).bit_length())
         self.cells = ps.shape.cells
         self.extent = ps.shape.max_extent()
         index = {c: i for i, c in enumerate(self.colors)}
-        self.patterns = [tuple(map(index.__getitem__, t))
-                         for t in ps.value_tuples]
-        self.prefix: dict[tuple, list[frozenset]] = {}
-
-    def prefix_sets(self, seq: tuple) -> list[frozenset]:
-        """Per i, the allowed codes of shape cells seq[:i+1], in that order."""
-        sets = self.prefix.get(seq)
-        if sets is None:
-            levels = [set() for _ in seq]
-            for pat in self.patterns:
-                code = 0
-                for i, k in enumerate(seq):
-                    code |= pat[k] << (i * self.bits)
-                    levels[i].add(code)
-            sets = self.prefix[seq] = [frozenset(s) for s in levels]
-        return sets
+        codes = []
+        for t in ps.value_tuples:
+            code = 0
+            for k, v in enumerate(t):
+                code |= index[v] << (k * bits)
+            codes.append(code)
+        self.prefix = _Prefixes(codes)
 
 
 def _geometry(cells: tuple, width: int, height: int, wrap: bool, head: tuple,
               bits: int):
-    """The pattern-set-free part of a search: (steps, seqs, checks, n).
+    """The pattern-set-free part of a search: (steps, masks, checks, n).
 
     Cells go row-major, or head cells first and then the rest by
     Chebyshev distance from the last head cell, ties row-major; ``steps``
     gives each step's cell, row-major index.  Each of the ``n`` translates
-    of the shape keeps one code during a search, its cells' colors in its
-    cell order ``seqs[s]``, ``bits`` per cell.  ``checks[step]`` holds,
-    for each translate cell assigned at that step, (translate, low mask,
-    shift, prefix index, earlier): the translate's code keeps its bits
-    under the low mask and takes the step's color at the shift, and the
-    result is looked up in the prefix code set ``len(cells) * s + i`` of
-    its first i+1 cells (the last check of a translate is full
-    membership); earlier is a bit mask of the other steps it reads,
-    which are blamed when it fails (zero without head cells, whose
-    search never reads blame).  A translate's cells at earlier
-    steps keep their colors while later steps are searched, so its low
-    bits always hold the current colors.  On a torus narrower than the
-    shape a translate holds a cell twice; the two checks sit next to
-    each other at one step, and the second reads what the first wrote.
+    of the shape keeps one code during a search, shape cell k's color at
+    bit k * bits.  One pass over the steps builds ``checks[step]``: each
+    shape cell k names the translate ``cell - k``, which gets the check
+    (translate, low, shift, i, earlier).  The code keeps its bits under
+    ``low``, the mask of the translate's cells already placed, takes the
+    color at ``shift`` = k * bits, and is looked up among the pattern
+    codes restricted to ``masks[i]`` = low plus cell k.  ``earlier`` is a
+    bit mask of the steps of those placed cells, blamed when the check
+    fails (zero without head cells, whose search never reads blame).  In
+    a square k goes in reverse canonical order, so each step's checks
+    come in ascending translate order, which the blame follows.  On a
+    torus k goes in canonical order: narrower than the shape, a
+    translate holds a cell twice and places its cells in the order a
+    square does, so the 1 x 1 torus looks up the square's masks.
     """
     order = [(x, y) for y in range(height) for x in range(width)]
     if head:
@@ -223,42 +227,41 @@ def _geometry(cells: tuple, width: int, height: int, wrap: bool, head: tuple,
         order = list(head) + sorted(
             (c for c in order if c not in first),
             key=lambda c: max(abs(c[0] - hx), abs(c[1] - hy)))
-    steps = [y * width + x for x, y in order]
-    rank = [0] * len(order)
-    for i, cell in enumerate(steps):
-        rank[cell] = i
-    xs = [c[0] for c in cells]
-    ys = [c[1] for c in cells]
-    if wrap:
-        txs = range(width)
-        tys = range(height)
-    else:
-        txs = range(-min(xs), width - max(xs))
-        tys = range(-min(ys), height - max(ys))
-    seq_index: dict[tuple, int] = {}
-    checks: list[list[tuple]] = [[] for _ in range(width * height)]
-    blame = 1 if head else 0  # only a search with head cells reads blame
-    t = 0
-    for ty in tys:
-        for tx in txs:
-            placed = []
-            for k, (cx, cy) in enumerate(cells):
-                ax, ay = cx + tx, cy + ty
-                if wrap:
-                    ax %= width
-                    ay %= height
-                placed.append((rank[ay * width + ax], k))
-            placed.sort()
-            seq = tuple(k for _, k in placed)
-            base = seq_index.setdefault(seq, len(seq_index)) * len(cells)
-            earlier = 0
-            for i, (step, _) in enumerate(placed):
-                shift = i * bits
-                checks[step].append((t, (1 << shift) - 1, shift, base + i,
-                                     earlier))
-                earlier |= blame << step
-            t += 1
-    return steps, list(seq_index), checks, t
+    x0, y0, nx, ny = 0, 0, width, height
+    ks = range(len(cells))
+    if not wrap:
+        xs, ys = [c[0] for c in cells], [c[1] for c in cells]
+        x0, y0 = min(xs), min(ys)
+        nx, ny = width - max(xs) + x0, height - max(ys) + y0
+        ks = ks[::-1]
+    color = (1 << bits) - 1
+    shape = [(cells[k][0] - x0, cells[k][1] - y0, k * bits, color << k * bits)
+             for k in ks]
+    placed = [0] * (nx * ny)
+    blamed = [0] * (nx * ny)
+    mask_index: dict[int, int] = {}
+    checks: list[list[tuple]] = []
+    for step, (x, y) in enumerate(order):
+        at = []
+        blame = 1 << step if head else 0  # only head searches read blame
+        for dx, dy, shift, cell_mask in shape:
+            tx, ty = x - dx, y - dy
+            if wrap:
+                tx %= width
+                ty %= height
+            elif not (0 <= tx < nx and 0 <= ty < ny):
+                continue
+            t = ty * nx + tx
+            low = placed[t]
+            mask = placed[t] = low | cell_mask
+            i = mask_index.get(mask)
+            if i is None:
+                i = mask_index[mask] = len(mask_index)
+            at.append((t, low, shift, i, blamed[t]))
+            blamed[t] |= blame
+        checks.append(at)
+    return ([y * width + x for x, y in order], list(mask_index), checks,
+            nx * ny)
 
 
 class _GeometryCache:
@@ -291,9 +294,10 @@ class _GeometryCache:
         return geometry
 
 
-# A census of 2x2, 3x2 and 3x3 sets reuses 32-38 geometries of total
-# weight 1,293-1,830; a larger cap also keeps the probes' side-17 squares
-# (weight 1,156-2,601) and raises peak memory.
+# Geometries name cell masks, not prefix sets, so any pattern set on the
+# shape can use them.  A census of 2x2, 3x2 and 3x3 sets reuses 32-38 of
+# total weight 1,293-1,830; a larger cap also keeps the probes' side-17
+# squares (weight 1,156-2,601) and raises peak memory.
 _GEOMETRIES = _GeometryCache(2048)
 
 
@@ -307,11 +311,13 @@ def _search(comp: _Compiled, width: int, height: int, wrap: bool,
     out.  So next(_search(...)) is the first solution or how the search
     ended.
 
+    With no budget left it yields (BUDGET_EXCEEDED, 0) before any set-up.
     The geometry comes from a cache shared by all pattern sets, and
-    ``sets`` lists this pattern set's prefix code sets as its checks
-    index them.  ``codes`` holds one code per shape translate: a check
-    puts the step's color into its translate's code and looks the code
-    up, so it costs the same however many cells the translate has.
+    ``sets`` holds this pattern set's projections onto its masks.
+    ``codes`` holds one code per shape translate: a check puts the step's
+    color into its translate's code and looks the code up, so it costs
+    the same however many cells the translate has.
+
     With head cells, the search backs up into the last head cell after
     each solution, so it yields exactly one solution per extendable
     coloring of the head, in lexicographic order.  It also backjumps: a
@@ -323,10 +329,14 @@ def _search(comp: _Compiled, width: int, height: int, wrap: bool,
     step at a time: decide reports its node counts, and backjumping
     would change them.
     """
+    if budget <= 0:
+        yield BUDGET_EXCEEDED, 0
+        return
     ncells = width * height
-    steps, seqs, checks_at, n_translates = _GEOMETRIES.get(
+    steps, masks, checks_at, n_translates = _GEOMETRIES.get(
         comp.cells, width, height, wrap, head, comp.bits)
-    sets = [s for seq in seqs for s in comp.prefix_sets(seq)]
+    prefix = comp.prefix
+    sets = [prefix[mask] for mask in masks]
     n_colors = comp.n_colors
     back = (len(head) or ncells) - 1
 

@@ -122,6 +122,20 @@ def test_decide_undecided_pins_how_far_the_stages_got(checkerboard_set, budget,
         Undecided(nodes, max_n, max_pq, True), nodes)
 
 
+def test_decide_builds_nothing_once_the_budget_is_spent(monkeypatch,
+                                                        checkerboard_set):
+    # the 3x3 square spends all 13 nodes; the 1x1 torus after it gets no
+    # geometry and no prefix sets
+    cache = sft._GeometryCache(sft._GEOMETRIES.cap)
+    monkeypatch.setattr(sft, "_GEOMETRIES", cache)
+    assert decide_with_usage(checkerboard_set, 13) == (
+        Undecided(13, 3, 0, True), 13)
+    assert [key[1:4] for key in cache.entries] == [(3, 3, False)]
+    assert list(sft._search(sft._Compiled(checkerboard_set), 1, 1, True, 0)) \
+        == [(BUDGET_EXCEEDED, 0)]
+    assert [key[1:4] for key in cache.entries] == [(3, 3, False)]
+
+
 def test_decide_finds_the_witness_at_the_first_sufficient_budget(
         checkerboard_set):
     assert decide_with_usage(checkerboard_set, 49) == (
@@ -486,6 +500,100 @@ def test_geometry_without_head_cells_carries_no_blame():
         assert all(check[4] == 0 for at in checks for check in at)
     _, _, checks, _ = sft._geometry(cells, 5, 5, False, ((2, 2), (3, 2)), 1)
     assert any(check[4] for at in checks for check in at)
+
+
+def _check_geometry(cells, width, height, wrap, head, bits):
+    """Compare _geometry with a direct reading of the grid and the shape."""
+    steps, masks, checks, n = sft._geometry(cells, width, height, wrap, head,
+                                            bits)
+    xs, ys = [c[0] for c in cells], [c[1] for c in cells]
+    if wrap:
+        origins = [(x, y) for y in range(height) for x in range(width)]
+    else:
+        origins = [(x, y) for y in range(-min(ys), height - max(ys))
+                   for x in range(-min(xs), width - max(xs))]
+    translates = [[((cx + x) % width, (cy + y) % height) for cx, cy in cells]
+                  for x, y in origins]
+    assert n == len(translates) and len(checks) == len(steps) == width * height
+    assert sorted(steps) == list(range(width * height))
+    if head:
+        assert [(s % width, s // width) for s in steps[:len(head)]] == \
+            list(head)
+    step_of = {(s % width, s // width): i for i, s in enumerate(steps)}
+    color = (1 << bits) - 1
+    kept = [0] * n
+    for pos, at in enumerate(checks):
+        here = (steps[pos] % width, steps[pos] // width)
+        # one check per (translate, shape cell) that lands on this step's cell
+        assert sorted((t, shift) for t, _, shift, _, _ in at) == sorted(
+            (t, k * bits) for t, tr in enumerate(translates)
+            for k, cell in enumerate(tr) if cell == here)
+        if not wrap:
+            assert [c[0] for c in at] == sorted(c[0] for c in at)
+        for t, low, shift, i, earlier in at:
+            # low holds the translate's cells at earlier steps, plus the
+            # ones already checked at this step
+            before = sum(color << k * bits
+                         for k, cell in enumerate(translates[t])
+                         if step_of[cell] < pos)
+            assert low & before == before and low == kept[t]
+            assert not low & color << shift
+            assert masks[i] == low | color << shift
+            kept[t] = masks[i]
+            assert earlier == (sum({1 << step_of[cell]
+                                    for k, cell in enumerate(translates[t])
+                                    if step_of[cell] < pos}) if head else 0)
+    assert kept == [color * sum(1 << k * bits for k in range(len(cells)))] * n
+    assert len(set(masks)) == len(masks)
+    return masks
+
+
+def _restrictions(ps, mask, bits):
+    """The value tuples of ps restricted to the shape cells of mask."""
+    color = (1 << bits) - 1
+    ks = [k for k in range(len(ps.shape)) if mask >> k * bits & color]
+    return {tuple(t[k] for k in ks) for t in ps.value_tuples}, ks
+
+
+def test_geometry_and_prefix_sets_match_a_direct_reading():
+    rng = random.Random(15)
+    shapes = [DiscreteDomain.rect(2, 2), DiscreteDomain.rect(3, 1),
+              *rng.sample(_convex_non_rectangles(), 5)]
+    runs = 0
+    for shape in shapes:
+        cells = tuple((c.x, c.y) for c in shape.cells)
+        for colors in ((0, 1), (3, 5, 7)):
+            ps = PatternSet.from_value_tuples(
+                Alphabet.of(colors), shape,
+                rng.sample(list(itertools.product(colors, repeat=len(cells))),
+                           len(cells) + 1))
+            comp = sft._Compiled(ps)
+            grids = [(n, n, False) for n in (shape.max_extent(),
+                                            shape.max_extent() + 2)]
+            grids += [(p, q, True) for p in (1, 2, 3) for q in (1, 2, 3)]
+            # the 1x1 torus places each translate's cells in square order
+            square = set(_check_geometry(comp.cells, *grids[0], (),
+                                         comp.bits))
+            assert set(_check_geometry(comp.cells, 1, 1, True, (),
+                                       comp.bits)) == square
+            for width, height, wrap in grids:
+                for mask in _check_geometry(comp.cells, width, height, wrap,
+                                            (), comp.bits):
+                    expected, ks = _restrictions(ps, mask, comp.bits)
+                    found = {tuple(comp.colors[code >> k * comp.bits
+                                          & (1 << comp.bits) - 1]
+                                   for k in ks) for code in comp.prefix[mask]}
+                    assert found == expected
+                    assert all(code & mask == code
+                               for code in comp.prefix[mask])
+                    runs += 1
+    assert runs > 500
+    # a head geometry: the probe's box cells, then the center
+    head = tuple((c.x + 4, c.y + 4) for c in box_cells(Vec2(1, 2), 2).cells)
+    for cells in (DiscreteDomain.rect(2, 2).cells,
+                  DiscreteDomain([(0, 0), (1, 0), (1, 1)]).cells):
+        for bits in (1, 2):
+            _check_geometry(cells, 9, 9, False, (*head, (4, 4)), bits)
 
 
 def test_geometry_cache_evicts_least_recently_used(monkeypatch):
