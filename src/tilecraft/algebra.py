@@ -291,14 +291,8 @@ def annihilator_search(c: Configuration, window: DiscreteDomain,
     support = support_box.cells
     if not support:
         raise ValueError("support box must be nonempty")
-    rows = []
-    zero_series = True
-    for n in window.cells:
-        row = [c.color_at(n - t) for t in support]
-        if zero_series and any(row):
-            zero_series = False
-        rows.append(row)
-    if zero_series:
+    rows = [[c.color_at(n - t) for t in support] for n in window.cells]
+    if not any(map(any, rows)):
         warnings.warn("coloring is the zero series on the window",
                       ZeroSeriesWarning, stacklevel=2)
     vec = nullspace_vector(rows)

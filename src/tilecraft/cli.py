@@ -40,12 +40,20 @@ MAX_AREA_BUDGET = 7
 
 # The ceiling on a --shape, --window or --support box, checked before a
 # cell is built: `complexity` on a 500x500 window peaks at 89 MB in 1.0 s.
+# It also caps balanced's --n x --m rectangle and decide's first square,
+# side shape extent + 1, whose geometry takes about 215 B per cell.
 MAX_BOX_CELLS = 250_000
 
 # The ceiling on annihilator_search's exact elimination, window cells x
 # support cells x the smaller of the two: an n x n support on an n x n
-# window takes about 1.1 s at n = 13 (4.8M), 1.7 s at 14 and 27 s at 20.
+# 3-color window takes about 1 s at n = 13 (4.8M), 1.6 s at 14 and 35 s at
+# 20, where products of integers hundreds of digits long dominate.
 MAX_ELIMINATION_WORK = 5_000_000
+
+# The ceiling on determinism's --R: the probe's head geometry keeps one
+# blame bit per earlier step for each check, so memory grows as R^4
+# (checkerboard at budget 1: 48 MB at R = 50, 454 MB at 100, 6.6 GB at 200).
+MAX_PROBE_RADIUS = 50
 
 
 try:  # the bare C module imports in a fraction of hashlib's time
@@ -94,13 +102,15 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-def _area_budget(text: str) -> int:
-    value = _positive_int(text)
-    if value > MAX_AREA_BUDGET:
-        raise argparse.ArgumentTypeError(
-            f"expected an area budget of at most {MAX_AREA_BUDGET}, "
-            f"got {text!r}")
-    return value
+def _at_most(limit: int, what: str):
+    """An argparse type: a positive integer of at most `limit`."""
+    def integer(text: str) -> int:  # argparse names it in a ValueError
+        value = _positive_int(text)
+        if value > limit:
+            raise argparse.ArgumentTypeError(
+                f"expected {what} of at most {limit}, got {text!r}")
+        return value
+    return integer
 
 
 def _parse_box(text: str) -> DiscreteDomain:
@@ -165,7 +175,9 @@ def _make_parser() -> argparse.ArgumentParser:
     box = f"'WxH' or 'WxH@x,y', at most {MAX_BOX_CELLS} cells"
 
     p = sub.add_parser("decide", help="emptiness/periodicity decision")
-    p.add_argument("pattern_set_file")
+    p.add_argument("pattern_set_file",
+                   help="pattern set JSON whose first square, of side "
+                        f"shape extent + 1, has at most {MAX_BOX_CELLS} cells")
     p.add_argument("--budget")
 
     p = sub.add_parser("complexity", help="pattern count on a shape")
@@ -182,16 +194,23 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("pattern_set_file")
     p.add_argument("--dir", type=_parse_vec, required=True, dest="direction")
     p.add_argument("--k", type=_positive_int, default=2)
-    p.add_argument("--R", type=_positive_int, default=4, dest="radius")
+    p.add_argument("--R", type=_at_most(MAX_PROBE_RADIUS, "a probe radius"),
+                   default=4, dest="radius",
+                   help=f"probe radius, from --k to {MAX_PROBE_RADIUS} "
+                        "(default: %(default)s)")
     p.add_argument("--budget")
 
     p = sub.add_parser("balanced", help="balanced-set search")
     p.add_argument("config_file")
     p.add_argument("--u", type=_parse_vec, required=True, dest="direction")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--m", type=_positive_int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True,
+                   help="rectangle width")
+    p.add_argument("--m", type=_positive_int, required=True,
+                   help="rectangle height; --n x --m is at most "
+                        f"{MAX_BOX_CELLS} cells")
     p.add_argument("--window", type=_parse_box, default=None, help=box)
-    p.add_argument("--area-budget", type=_area_budget, default=6,
+    p.add_argument("--area-budget", default=6,
+                   type=_at_most(MAX_AREA_BUDGET, "an area budget"),
                    help="largest candidate set in cells, from 1 to "
                         f"{MAX_AREA_BUDGET} (default: %(default)s)")
 
@@ -203,6 +222,11 @@ def _make_parser() -> argparse.ArgumentParser:
 def _cmd_decide(args, report: dict) -> int:
     ps = ser.pattern_set_from_json(_load_json(args.pattern_set_file))
     budget = _budget(args)
+    side = ps.shape.max_extent() + 1
+    if side * side > MAX_BOX_CELLS:
+        raise ser.SchemaError(
+            f"expected a first square of at most {MAX_BOX_CELLS} cells, got "
+            f"side {side} from a shape of extent {side - 1}")
     outcome, nodes = decide_with_usage(ps, budget)
     report["outcome"] = ser.outcome_to_json(outcome)
     report["budget"] = {"limit": budget, "nodes_used": nodes}
@@ -306,6 +330,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command == "determinism" and args.radius < args.k:
             parser.error("--R must be at least --k")
+        if args.command == "balanced" and args.n * args.m > MAX_BOX_CELLS:
+            parser.error(f"--n x --m must be at most {MAX_BOX_CELLS} cells")
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage errors; 2 collides
         # with the undecided exit code, so usage errors map to 3

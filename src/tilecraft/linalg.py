@@ -1,78 +1,62 @@
 """Exact integer kernel computation for small dense systems.
 
-Forward elimination is fraction-free (Bareiss one-step identity), so
-intermediate values stay integers; back-substitution runs over exact
-rationals and the resulting vector is scaled to a primitive integer
-vector.  No floating point anywhere.
+One integer pass, no rationals and no floating point.  Forward
+elimination is fraction-free (Bareiss's one-step identity), so every
+entry of the echelon form is a minor of the input and each division is
+exact.  Back-substitution sets the free unknown to the last pivot, the
+determinant of the pivot block, so by Cramer's rule every pivot unknown
+is an integer too; the vector is then divided by its gcd.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-
-
-def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """In-place fraction-free row echelon of a non-empty matrix; returns
-    (matrix, pivot columns)."""
-    n_rows, n_cols = len(rows), len(rows[0])
-    pivots: list[int] = []
-    prev = 1
-    r = 0
-    for col in range(n_cols):
-        if r == n_rows:
-            break
-        pivot_row = next((i for i in range(r, n_rows) if rows[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        p = rows[r][col]
-        for i in range(r + 1, n_rows):
-            head = rows[i][col]
-            row_i, row_r = rows[i], rows[r]
-            for j in range(col + 1, n_cols):
-                num = row_i[j] * p - head * row_r[j]
-                q, rem = divmod(num, prev)
-                if rem:
-                    raise ArithmeticError("fraction-free step left a remainder")
-                row_i[j] = q
-            row_i[col] = 0
-        prev = p
-        pivots.append(col)
-        r += 1
-    return rows, pivots
+from math import gcd
+from operator import mul
 
 
 def nullspace_vector(matrix: list[list[int]]) -> list[int] | None:
     """One primitive kernel vector of an integer matrix, or None.
 
-    Deterministic: the free variable is the first non-pivot column, the
-    result has coprime entries and its first nonzero entry is positive.
+    Deterministic: the free variable is the first non-pivot column and
+    the other non-pivot columns are zero; the result has coprime entries
+    and its first nonzero entry is positive.  A remainder in
+    back-substitution, or a result that some input row does not
+    annihilate, raises ArithmeticError.
     """
     if not matrix or not matrix[0]:
         return None
     n_cols = len(matrix[0])
     rows = [list(map(int, row)) for row in matrix]
-    echelon, pivots = _bareiss_echelon(rows)
-    free = next((c for c in range(n_cols) if c not in pivots), None)
-    if free is None:
+    pivots: list[int] = []
+    prev = 1
+    for col in range(n_cols):
+        r = len(pivots)
+        k = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        pivot = rows[r]
+        p = pivot[col]
+        cols = range(col + 1, n_cols)
+        for row in rows[r + 1:]:
+            head, row[col] = row[col], 0
+            for j in cols:
+                row[j] = (row[j] * p - head * pivot[j]) // prev
+        prev = p
+        pivots.append(col)
+    free = next((c for c, pc in enumerate(pivots) if c != pc), len(pivots))
+    if free == n_cols:
         return None
-    x: list[Fraction] = [Fraction(0)] * n_cols
-    x[free] = Fraction(1)
-    for i in reversed(range(len(pivots))):
-        pc = pivots[i]
-        acc = Fraction(0)
-        row = echelon[i]
-        for j in range(pc + 1, n_cols):
-            if row[j] and x[j]:
-                acc += row[j] * x[j]
-        x[pc] = -acc / row[pc]
-    scale = math.lcm(*(v.denominator for v in x))
-    ints = [int(v * scale) for v in x]
-    g = math.gcd(*ints)
-    ints = [v // g for v in ints]
-    lead = next(v for v in ints if v != 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return ints
+    x = [0] * n_cols
+    x[free] = prev
+    for col, row in zip(reversed(pivots), reversed(rows[:len(pivots)])):
+        x[col], rem = divmod(-sum(map(mul, row, x)), row[col])
+        if rem:
+            raise ArithmeticError("back-substitution left a remainder")
+    g = gcd(*x)
+    if next(filter(None, x)) < 0:
+        g = -g
+    x = [v // g for v in x]
+    if any(sum(map(mul, row, x)) for row in matrix):
+        raise ArithmeticError("kernel vector fails an input row")
+    return x

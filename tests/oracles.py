@@ -5,6 +5,7 @@ plain loops, literal enumeration, numpy vectorization and Fraction
 arithmetic, so that agreement with the engine is meaningful.
 """
 
+import math
 import warnings
 from fractions import Fraction
 from itertools import combinations, product
@@ -112,6 +113,47 @@ def fraction_kernel_exists(matrix):
                     rows[i][j] -= f * rows[rank][j]
         rank += 1
     return rank < n_cols
+
+
+def rational_kernel_vector(matrix):
+    """The kernel vector nullspace_vector promises, by plain Gauss-Jordan.
+
+    Reduced row echelon form over Fractions; the first non-pivot column
+    is set to 1 and the other non-pivot columns to 0, and the result is
+    scaled to a primitive integer vector whose first nonzero entry is
+    positive.  None when there is no non-pivot column.
+    """
+    if not matrix or not matrix[0]:
+        return None
+    rows = [[Fraction(v) for v in row] for row in matrix]
+    n_cols = len(rows[0])
+    pivots = []
+    for col in range(n_cols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0),
+                   None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [v / rows[r][col] for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+    free = [c for c in range(n_cols) if c not in pivots]
+    if not free:
+        return None
+    x = [Fraction(0)] * n_cols
+    x[free[0]] = Fraction(1)
+    for r, col in enumerate(pivots):
+        x[col] = -rows[r][free[0]]
+    scale = math.lcm(*(v.denominator for v in x))
+    ints = [int(v * scale) for v in x]
+    g = math.gcd(*ints)
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return [v // g for v in ints]
 
 
 def orbit_forced_at(config, u, k):

@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 from tilecraft import algebra, balanced, sft
+from tilecraft import cli
 from tilecraft.cli import (EXIT_UNWRITTEN, MAX_BOX_CELLS, MAX_ELIMINATION_WORK,
-                           main)
+                           MAX_PROBE_RADIUS, main)
 from tilecraft.grid import DiscreteDomain
 
 CHECKERBOARD = {"shape": "rect 2 2", "alphabet": [0, 1],
@@ -229,13 +230,63 @@ def test_removed_decide_flags_are_usage_errors(tmp_path, capsys, flag):
      "--area-budget", "-1"],
     ["balanced", "CONST", "--u", "0,1", "--n", "2", "--m", "2",
      "--area-budget", "8"],
+    ["determinism", "CB", "--dir", "1,0", "--R", "51"],
+    ["balanced", "CONST", "--u", "0,1", "--n", "501", "--m", "500"],
 ], ids=["k0", "R_below_k", "n0", "m0", "area_budget0", "area_budget_neg",
-        "area_budget8"])
+        "area_budget8", "R51", "nm_over_box"])
 def test_out_of_range_options_are_usage_errors(tmp_path, capsys, argv):
     files = {"CB": write(tmp_path, "cb.json", CHECKERBOARD),
              "CONST": write(tmp_path, "c.json", CONSTANT)}
     assert main([files.get(a, a) for a in argv]) == 3
     capsys.readouterr()
+
+
+def _two_cell_set(dx):
+    return {"shape": [[0, 0], [dx, 0]], "alphabet": [0, 1],
+            "allowed": [[[0, 0, 0], [dx, 0, 1]]]}
+
+
+@pytest.mark.parametrize("argv, guarded, message", [
+    (["determinism", "CB", "--dir", "1,0", "--R", "51"],
+     (cli, "classify_directions"), "a probe radius of at most 50"),
+    (["balanced", "CONST", "--u", "0,1", "--n", "1", "--m", "250001"],
+     (balanced, "is_balanced"), "--n x --m must be at most 250000 cells"),
+    (["decide", "WIDE"], (cli, "decide_with_usage"),
+     "a first square of at most 250000 cells, got side 501"),
+], ids=["R51", "balanced_nm", "decide_first_square"])
+def test_ceilings_exit_before_the_guarded_call(tmp_path, capsys, monkeypatch,
+                                               argv, guarded, message):
+    monkeypatch.setattr(*guarded, None)
+    built = []
+    rect = DiscreteDomain.rect
+    monkeypatch.setattr(DiscreteDomain, "rect", lambda *args:
+                        built.append(args) or rect(*args))
+    files = {"CB": write(tmp_path, "cb.json", CHECKERBOARD),
+             "CONST": write(tmp_path, "c.json", CONSTANT),
+             "WIDE": write(tmp_path, "w.json", _two_cell_set(499))}
+    assert main([files.get(a, a) for a in argv]) == 3
+    assert (MAX_PROBE_RADIUS, MAX_BOX_CELLS) == (50, 250_000)
+    assert not built
+    captured = capsys.readouterr()
+    assert message in captured.err + captured.out
+
+
+def test_largest_probe_radius_runs(tmp_path, capsys):
+    f = write(tmp_path, "cb.json", CHECKERBOARD)
+    code, out = run(capsys, "determinism", f, "--dir", "1,0", "--R", "50",
+                    "--budget", "1")
+    assert code == 0
+    assert report_of(out)["outcome"]["forward"]["radius"] == 50
+
+
+def test_largest_first_square_is_decided(tmp_path, capsys):
+    # extent 499: the first square is 500 x 500, exactly MAX_BOX_CELLS
+    f = write(tmp_path, "wide.json", _two_cell_set(498))
+    code, out = run(capsys, "decide", f, "--budget", "1")
+    assert code == 2
+    assert report_of(out)["outcome"] == {
+        "kind": "undecided", "low_complexity": True, "max_n_tried": 0,
+        "max_pq_tried": 0, "nodes_used": 1}
 
 
 def test_complexity_checkerboard(tmp_path, capsys):
