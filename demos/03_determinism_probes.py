@@ -7,7 +7,8 @@ expansivity; the full shift is non-deterministic in every direction.
 """
 
 from tilecraft import Alphabet, DiscreteDomain, Vec2
-from tilecraft.sft import PatternSet, box_cells, classify_directions
+from tilecraft.probes import box_cells, classify_directions
+from tilecraft.sft import PatternSet
 
 alphabet = Alphabet.of([0, 1])
 square = DiscreteDomain.rect(2, 2)

@@ -7,29 +7,27 @@ torus witness), and provides the supporting machinery: pattern
 complexity counts, exact Laurent-polynomial annihilators, direction
 forcing probes, and balanced-set geometry.
 
-The names of the analysis modules, ``algebra`` and ``balanced`` (and
-``linalg`` beneath them), load on first use, so a decision never
-imports them.
+``import tilecraft`` loads the decision path only: the values of grid
+and the decision of sft.  The names of colorings, probes, algebra and
+balanced, and the algebra, balanced and linalg modules themselves,
+load on first use, so a decision never imports them.
 """
 
-from .grid import (Alphabet, CertificateError, ComplexityReport,
-                   Configuration, DiscreteDomain, EmptyWindow, OutOfWindow,
-                   Pattern, PeriodScan, PeriodicConfig, Rect,
-                   TwoPeriodicReport, Vec2, WindowConfig, ZeroVector,
-                   color_at, find_periods, is_low_complexity,
-                   is_two_periodic, patterns_of, translate)
-from .sft import (BUDGET_EXCEEDED, DEFAULT_BUDGET, DecisionOutcome,
-                  DeterminismReport, DirectionClassification, Empty,
-                  NonEmptyPeriodic, NonForcedWitness, PatternSet,
-                  TorusWitness, Undecided, box_cells, classify_directions,
-                  decide, decide_with_usage, determinism_probe, torus_search,
-                  valid_square, validate_witness)
+from . import grid, sft
+from .grid import (Alphabet, CertificateError, DiscreteDomain, EmptyWindow,
+                   OutOfWindow, Pattern, Rect, Vec2, ZeroVector, _lazy)
+from .sft import (BUDGET_EXCEEDED, DEFAULT_BUDGET, DecisionOutcome, Empty,
+                  NonEmptyPeriodic, PatternSet, TorusWitness, Undecided,
+                  decide, decide_with_usage, torus_search, valid_square,
+                  validate_witness)
 
 __version__ = "0.1.0"
 
 # name -> the module it is read from on first access (PEP 562)
 _LAZY = {
     **dict.fromkeys(("algebra", "balanced", "linalg"), None),
+    **grid._MOVED,  # the colorings names
+    **sft._MOVED,  # the probes names
     **dict.fromkeys((
         "AnnihilatorCertificate", "LaurentPoly", "TrivialAnnihilatorWarning",
         "X", "Y", "ZeroSeriesWarning", "annihilates", "annihilator_search",
@@ -44,19 +42,7 @@ _LAZY = {
 
 __all__ = sorted({name for name in globals() if not name.startswith("_")}
                  | set(_LAZY))
-
-
-def __getattr__(name: str):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    module = _LAZY[name]
-    if module is None:  # a submodule: importing it binds it here
-        return import_module(f"{__name__}.{name}")
-    value = globals()[name] = getattr(
-        import_module(f"{__name__}.{module}"), name)
-    return value
+__getattr__ = _lazy(globals(), _LAZY)
 
 
 def __dir__():

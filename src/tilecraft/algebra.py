@@ -13,8 +13,9 @@ import re
 import warnings
 from types import MappingProxyType
 
-from .grid import (CertificateError, Configuration, DiscreteDomain, Frozen,
-                   PeriodicConfig, Vec2, _block_color, _block_rows)
+from .colorings import (Configuration, PeriodicConfig, _block_color,
+                        _block_rows)
+from .grid import CertificateError, DiscreteDomain, Frozen, Vec2
 from .linalg import nullspace_vector
 
 

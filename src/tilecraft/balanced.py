@@ -4,7 +4,7 @@ A convex cell set D is balanced for a direction u in a coloring when
 (i) the coloring is low complexity on D, (ii) dropping the edge of D
 in direction u loses almost no patterns, and (iii) no cut of D
 perpendicular to u is much shorter than that edge.  All counting goes
-through grid._pattern_values, the value tuples of grid.patterns_of, so
+through colorings._pattern_values, the value tuples of patterns_of, so
 the numbers here are the same numbers the complexity reports show.  On
 a periodic coloring and a rectangular window at least one block wide,
 each count reads one translate per lattice coset from row slices of
@@ -18,10 +18,10 @@ import math
 import warnings
 from functools import cache
 
-from .grid import (ORIGIN, Configuration, DiscreteDomain, Frozen, Vec2,
-                   _fitting_translates, _pattern_values, find_periods,
-                   is_low_complexity, PeriodScan)
-from .grid import patterns_of  # noqa: F401  perfbench's tracer wraps it here
+from .colorings import (Configuration, PeriodScan, _fitting_translates,
+                        _pattern_values, find_periods, is_low_complexity)
+from .colorings import patterns_of  # noqa: F401  perfbench's tracer wraps it here
+from .grid import ORIGIN, DiscreteDomain, Frozen, Vec2
 
 
 class NotConvex(ValueError):
@@ -63,10 +63,14 @@ def _hull(points: list[Vec2]) -> list[Vec2]:
 
 
 def is_convex(domain: DiscreteDomain) -> bool:
-    """True when the domain equals the lattice points of its real hull."""
-    cells = list(domain.cells)
-    if len(cells) <= 1:
+    """True when the domain equals the lattice points of its real hull.
+
+    A full rectangle, whose cell count is its bounding rectangle's area,
+    is convex without the hull and the scan of that rectangle.
+    """
+    if len(domain) <= 1 or domain.is_rectangle():
         return True
+    cells = list(domain.cells)
     hull = _hull(cells)
     edges = list(zip(hull, hull[1:] + hull[:1]))
     box = domain.bounding_rect()

@@ -1,5 +1,8 @@
 """Command-line front end: parse instances, run analyses, emit reports.
 
+This module runs decide; the handlers of the analysis commands are in
+analysis_io, imported only when one of them runs.
+
 Exit codes are frozen: 0 = a periodic witness exists, 1 = empty,
 2 = undecided within budget or a failed self-check (no verified
 verdict), 3 = input/usage error, 4 = domain error, 5 = the report
@@ -17,10 +20,8 @@ import sys
 import time
 
 from . import serialize as ser
-from .grid import (CertificateError, DiscreteDomain, OutOfWindow,
-                   PeriodicConfig, Vec2, is_low_complexity)
-from .sft import (DEFAULT_BUDGET, Empty, NonEmptyPeriodic,
-                  classify_directions, decide_with_usage)
+from .grid import CertificateError, DiscreteDomain, OutOfWindow, Vec2
+from .sft import Empty, NonEmptyPeriodic, decide_with_usage
 
 EXIT_NONEMPTY = 0
 EXIT_EMPTY = 1
@@ -40,15 +41,11 @@ MAX_AREA_BUDGET = 7
 
 # The ceiling on a --shape, --window or --support box, checked before a
 # cell is built: `complexity` on a 500x500 window peaks at 89 MB in 1.0 s.
-# It also caps balanced's --n x --m rectangle and decide's first square,
-# side shape extent + 1, whose geometry takes about 215 B per cell.
+# It also caps balanced's --n x --m rectangle (500 x 500 on a 2x2 block
+# takes 1.2 s and 87 MB, most of it building the rectangle's cells) and
+# decide's first square, side shape extent + 1, whose geometry takes
+# about 215 B per cell.
 MAX_BOX_CELLS = 250_000
-
-# The ceiling on annihilator_search's exact elimination, window cells x
-# support cells x the smaller of the two: an n x n support on an n x n
-# 3-color window takes about 1 s at n = 13 (4.8M), 1.6 s at 14 and 35 s at
-# 20, where products of integers hundreds of digits long dominate.
-MAX_ELIMINATION_WORK = 5_000_000
 
 # The ceiling on determinism's --R: the probe's head geometry keeps one
 # blame bit per earlier step for each check, so memory grows as R^4
@@ -132,23 +129,6 @@ def _parse_box(text: str) -> DiscreteDomain:
             f"expected 'WxH' or 'WxH@x,y', got {text!r}") from None
 
 
-def _budget(args) -> int:
-    """--budget, else TILECRAFT_BUDGET, else the default; must be positive."""
-    text = args.budget
-    if text is None:
-        text = os.environ.get("TILECRAFT_BUDGET")
-    if text is None:
-        return DEFAULT_BUDGET
-    try:
-        budget = int(text)
-    except ValueError:
-        budget = 0
-    if budget < 1:
-        raise ser.SchemaError(
-            f"node budget must be a positive integer, got {text!r}")
-    return budget
-
-
 def _emit(report: dict, args, started: float) -> None:
     report["wall_time_s"] = round(time.monotonic() - started, 6)
     if args.ascii:
@@ -219,9 +199,9 @@ def _make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_decide(args, report: dict) -> int:
-    ps = ser.pattern_set_from_json(_load_json(args.pattern_set_file))
-    budget = _budget(args)
+def _cmd_decide(args, report: dict, doc) -> int:
+    ps = ser.pattern_set_from_json(doc)
+    budget = ser.node_budget(args.budget)
     side = ps.shape.max_extent() + 1
     if side * side > MAX_BOX_CELLS:
         raise ser.SchemaError(
@@ -238,90 +218,6 @@ def _cmd_decide(args, report: dict) -> int:
     return EXIT_UNDECIDED
 
 
-def _cmd_complexity(args, report: dict) -> int:
-    config = ser.configuration_from_json(_load_json(args.config_file))
-    rep = is_low_complexity(config, args.shape, args.window)
-    report["outcome"] = {
-        "count": rep.count,
-        "bound": rep.bound,
-        "window_cells": rep.window_cells,
-        "low_complexity": rep.low,
-    }
-    return 0
-
-
-def _cmd_annihilator(args, report: dict) -> int:
-    from .algebra import annihilator_search, periodic_annihilator
-
-    config = ser.configuration_from_json(_load_json(args.config_file))
-    if isinstance(config, PeriodicConfig):
-        cert = periodic_annihilator(config)
-        report["outcome"] = {"found": True, "mode": "periodic",
-                             **ser.certificate_to_json(cert)}
-        return 0
-    if args.support is None or args.window is None:
-        raise ser.SchemaError(
-            "window configurations need --support and --window")
-    rows, cols = len(args.window), len(args.support)
-    if rows * cols * min(rows, cols) > MAX_ELIMINATION_WORK:
-        raise ser.SchemaError(
-            f"expected window cells x support cells x the smaller of the two "
-            f"to be at most {MAX_ELIMINATION_WORK}, got {rows} window and "
-            f"{cols} support cells")
-    cert = annihilator_search(config, args.window, args.support)
-    if cert is None:
-        report["outcome"] = {"found": False, "mode": "search"}
-    else:
-        report["outcome"] = {"found": True, "mode": "search",
-                             **ser.certificate_to_json(cert)}
-    return 0
-
-
-def _cmd_determinism(args, report: dict) -> int:
-    ps = ser.pattern_set_from_json(_load_json(args.pattern_set_file))
-    budget = _budget(args)
-    (cl,) = classify_directions(ps, [args.direction], args.k, args.radius,
-                                budget)
-    report["outcome"] = ser.classification_to_json(cl)
-    report["budget"] = {"limit": budget}
-    return 0
-
-
-def _cmd_balanced(args, report: dict) -> int:
-    from . import balanced as bal
-
-    config = ser.configuration_from_json(_load_json(args.config_file))
-    window = args.window
-    if window is None:
-        if not isinstance(config, PeriodicConfig):
-            window = config.domain()
-        else:
-            window = DiscreteDomain.rect(4 * config.span_x + 4,
-                                         4 * config.span_y + 4)
-    rect_report = bal.is_balanced(config,
-                                  DiscreteDomain.rect(args.n, args.m),
-                                  args.direction, window)
-    result = bal.balanced_search(config, args.n, args.m, args.direction,
-                                 window, args.area_budget)
-    outcome = {"rectangle": ser.balanced_report_to_json(rect_report)}
-    if result is None:
-        outcome["search"] = {"found": False}
-    else:
-        outcome["search"] = {"found": True,
-                             **ser.balanced_result_to_json(result)}
-    report["outcome"] = outcome
-    return 0
-
-
-_HANDLERS = {
-    "decide": (_cmd_decide, "pattern_set_file"),
-    "complexity": (_cmd_complexity, "config_file"),
-    "annihilator": (_cmd_annihilator, "config_file"),
-    "determinism": (_cmd_determinism, "pattern_set_file"),
-    "balanced": (_cmd_balanced, "config_file"),
-}
-
-
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -336,12 +232,17 @@ def main(argv=None) -> int:
         # argparse exits 0 for --help, 2 for usage errors; 2 collides
         # with the undecided exit code, so usage errors map to 3
         return 0 if exc.code == 0 else EXIT_INPUT_ERROR
-    handler, input_attr = _HANDLERS[args.command]
+    if args.command == "decide":
+        handler, input_attr = _cmd_decide, "pattern_set_file"
+    else:  # the analysis commands, loaded only when one of them runs
+        from .analysis_io import HANDLERS
+        handler, input_attr = HANDLERS[args.command]
     started = time.monotonic()
     report = {"command": list(argv)}
     try:
-        report["input_digest"] = _digest(getattr(args, input_attr))
-        code = handler(args, report)
+        path = getattr(args, input_attr)
+        report["input_digest"] = _digest(path)
+        code = handler(args, report, _load_json(path))
     except (OSError, ser.SchemaError) as exc:
         report["error"] = str(exc)
         if isinstance(exc, ser.SchemaError) and exc.errors:

@@ -1,17 +1,42 @@
-"""Lattice geometry: cells, domains, patterns and colorings of Z^2.
+"""Lattice values: vectors, rectangles, alphabets, domains and patterns.
 
-A coloring is either total and doubly periodic (stored as a reduced
-fundamental block over its period lattice) or a finite rectangular
-window.  Values are plain integers.  Everything here is immutable and
-every operation is pure.
+Everything here is immutable and every operation is pure.  Colorings
+of the whole grid and their analysis (patterns_of, complexity, period
+scans) are in colorings; their names still resolve here, loading that
+module on first access.
 """
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from operator import attrgetter
+
+
+def _lazy(namespace: dict, names: dict):
+    """A module __getattr__ (PEP 562) serving the names in ``names``.
+
+    Each is read on first access from the sibling module named beside
+    it, or is that submodule when the module is None, and is kept in
+    ``namespace``, the module's globals, so later reads are plain
+    lookups.  Any other name raises AttributeError, so a probe such as
+    hasattr(module, "__path__") imports nothing.
+    """
+    package = namespace["__package__"]
+
+    def __getattr__(name: str):
+        if name not in names:
+            raise AttributeError(f"module {namespace['__name__']!r} has no "
+                                 f"attribute {name!r}")
+        from importlib import import_module
+
+        module = names[name]
+        if module is None:  # a submodule: importing it binds it
+            return import_module(f"{package}.{name}")
+        value = namespace[name] = getattr(
+            import_module(f"{package}.{module}"), name)
+        return value
+    return __getattr__
 
 
 class OutOfWindow(LookupError):
@@ -270,205 +295,6 @@ class DiscreteDomain(Frozen):
         return len(self.cells) == r.width * r.height
 
 
-class Configuration:
-    """Common interface of periodic and window colorings."""
-
-    def color_at(self, n: Vec2) -> int:
-        raise NotImplementedError
-
-    def translate(self, t: Vec2) -> "Configuration":
-        raise NotImplementedError
-
-
-def _lattice_hnf(gens: list[Vec2]) -> tuple[int, int, int]:
-    """Reduce lattice generators to the basis (a, 0), (b, c).
-
-    Returns (a, b, c) with a > 0, c > 0, 0 <= b < a.  Raises if the
-    generators do not span a rank-2 lattice.
-    """
-    gens = [Vec2(g[0], g[1]) for g in gens if not Vec2(g[0], g[1]).is_zero()]
-    # vector w with minimal positive y-component: fold extended gcds
-    w = None
-    for g in gens:
-        if g.y == 0:
-            continue
-        if w is None:
-            w = g if g.y > 0 else -g
-            continue
-        # combine w and g to reach y = gcd(w.y, g.y)
-        gcd, s, t = _ext_gcd(w.y, g.y)
-        w = Vec2(s * w.x + t * g.x, gcd)
-    xs = []
-    for g in gens:
-        if w is not None and g.y != 0:
-            g = g - (g.y // w.y) * w
-        if g.y == 0 and g.x != 0:
-            xs.append(abs(g.x))
-    if w is None or not xs:
-        raise ValueError("period vectors must be linearly independent")
-    a = math.gcd(*xs)
-    c = w.y
-    b = w.x % a
-    return a, b, c
-
-
-def _ext_gcd(p: int, q: int) -> tuple[int, int, int]:
-    """(g, s, t) with s*p + t*q = g = gcd(p, q), g > 0 for (p, q) != (0, 0)."""
-    old_r, r = p, q
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quo = old_r // r
-        old_r, r = r, old_r - quo * r
-        old_s, s = s, old_s - quo * s
-        old_t, t = t, old_t - quo * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
-def _block_color(a: int, b: int, c: int, block, n) -> int:
-    k, j = divmod(n[1], c)
-    i = (n[0] - k * b) % a
-    return block[j][i]
-
-
-def _block_rows(a: int, b: int, c: int, block, x0: int, y0: int,
-                width: int, height: int) -> list:
-    """The colors of [x0, x0+width) x [y0, y0+height), row by row: row
-    y = k*c + j is cut from block row j repeated, from (x0 - k*b) % a."""
-    lines = [row * (width // a + 2) for row in block]
-    rows = []
-    for y in range(y0, y0 + height):
-        k, j = divmod(y, c)
-        start = (x0 - k * b) % a
-        rows.append(lines[j][start:start + width])
-    return rows
-
-
-def _saturate(a: int, b: int, c: int, block) -> tuple[int, int, int, tuple]:
-    """Grow the stored lattice to the full period lattice of the block.
-
-    Every period is congruent modulo the stored lattice to exactly one
-    coset representative (i, j), i < a and j < c, so the stored basis
-    and the representatives that preserve the block generate it."""
-    periods = [Vec2(i, j) for j in range(c) for i in range(a) if (i or j)
-               and _block_rows(a, b, c, block, -i, -j, a, c) == list(block)]
-    if not periods:
-        return a, b, c, block
-    a2, b2, c2 = _lattice_hnf([Vec2(a, 0), Vec2(b, c), *periods])
-    return a2, b2, c2, tuple(_block_rows(a, b, c, block, 0, 0, a2, c2))
-
-
-class PeriodicConfig(Configuration, Frozen):
-    """Total coloring with two independent periods.
-
-    Canonical storage: the *maximal* period lattice in Hermite form
-    (a, 0), (b, c) with 0 <= b < a, and the block on [0,a) x [0,c).
-    Equal colorings therefore compare equal regardless of which period
-    pair was used to build them.
-    """
-
-    span_x: int
-    shear: int
-    span_y: int
-    block: tuple[tuple[int, ...], ...]
-
-    def __init__(self, span_x: int, shear: int, span_y: int,
-                 block: tuple[tuple[int, ...], ...]):
-        block = tuple(tuple(int(v) for v in row) for row in block)
-        if span_x < 1 or span_y < 1 or not 0 <= shear < span_x:
-            raise ValueError("invalid reduced period basis")
-        if len(block) != span_y or any(len(r) != span_x for r in block):
-            raise ValueError("block does not match the fundamental rectangle")
-        Frozen.__init__(self, *_saturate(span_x, shear, span_y, block))
-
-    @classmethod
-    def from_periods(cls, p1: Vec2, p2: Vec2,
-                     values: Callable[[int, int], int]) -> "PeriodicConfig":
-        p1, p2 = Vec2(*p1), Vec2(*p2)
-        if p1.cross(p2) == 0:
-            raise ValueError("period vectors must be linearly independent")
-        a, b, c = _lattice_hnf([p1, p2])
-        for j in range(c):
-            for i in range(a):
-                v = values(i, j)
-                for p in (p1, p2):
-                    if values(i + p.x, j + p.y) != v:
-                        raise ValueError(
-                            f"values are not {tuple(p)}-periodic at ({i},{j})")
-        block = tuple(tuple(values(i, j) for i in range(a)) for j in range(c))
-        return cls(a, b, c, block)
-
-    @classmethod
-    def from_block(cls, rows: Iterable[Iterable[int]]) -> "PeriodicConfig":
-        block = tuple(tuple(int(v) for v in row) for row in rows)
-        if not block or not block[0]:
-            raise ValueError("block must be nonempty")
-        return cls(len(block[0]), 0, len(block), block)
-
-    @classmethod
-    def constant(cls, color: int) -> "PeriodicConfig":
-        return cls.from_block([[color]])
-
-    @property
-    def p1(self) -> Vec2:
-        return Vec2(self.span_x, 0)
-
-    @property
-    def p2(self) -> Vec2:
-        return Vec2(self.shear, self.span_y)
-
-    def color_at(self, n) -> int:
-        return _block_color(self.span_x, self.shear, self.span_y, self.block, n)
-
-    def translate(self, t) -> "PeriodicConfig":
-        a, b, c = self.span_x, self.shear, self.span_y
-        return PeriodicConfig(a, b, c, _block_rows(a, b, c, self.block,
-                                                   -t[0], -t[1], a, c))
-
-    def is_period(self, t) -> bool:
-        """Membership in the stored lattice, which is the maximal one."""
-        x, y = t[0], t[1]
-        if x == 0 and y == 0:
-            return False
-        return (y % self.span_y == 0
-                and (x - y // self.span_y * self.shear) % self.span_x == 0)
-
-
-class WindowConfig(Configuration, Frozen):
-    """Coloring known on one axis-aligned rectangle only."""
-
-    rect: Rect
-    values: tuple[tuple[int, ...], ...]  # rows, values[j][i] at (x0+i, y0+j)
-
-    def __init__(self, rect: Rect, values: tuple[tuple[int, ...], ...]):
-        rect = Rect(*rect)
-        values = tuple(tuple(int(v) for v in row) for row in values)
-        if len(values) != rect.height or any(len(r) != rect.width for r in values):
-            raise ValueError("window values do not match the rectangle")
-        Frozen.__init__(self, rect, values)
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]],
-                  origin: Vec2 = ORIGIN) -> "WindowConfig":
-        values = tuple(tuple(int(v) for v in row) for row in rows)
-        if not values or not values[0]:
-            raise ValueError("window must be nonempty")
-        return cls(Rect.of_size(len(values[0]), len(values), origin), values)
-
-    def color_at(self, n) -> int:
-        if not self.rect.contains(n):
-            raise OutOfWindow(f"cell {tuple(n)} outside window {tuple(self.rect)}")
-        return self.values[n[1] - self.rect.y0][n[0] - self.rect.x0]
-
-    def translate(self, t) -> "WindowConfig":
-        return WindowConfig(self.rect.translate(t), self.values)
-
-    def domain(self) -> DiscreteDomain:
-        return DiscreteDomain(self.rect.cells())
-
-
 class Pattern(Frozen):
     """Coloring of a finite domain; equality includes the domain."""
 
@@ -497,181 +323,11 @@ class Pattern(Frozen):
         return zip(self.domain.cells, self.values)
 
 
-def translate(c: Configuration, t) -> Configuration:
-    return c.translate(Vec2(t[0], t[1]))
 
-
-def color_at(c: Configuration, n) -> int:
-    return c.color_at(Vec2(n[0], n[1]))
-
-
-def _fitting_translates(shape: DiscreteDomain, window: DiscreteDomain,
-                        inside: Callable | None = None) -> Iterator[Vec2]:
-    """Translations t with shape + t inside the window, canonical order.
-
-    Given a cell test ``inside``, every cell of shape + t must pass it
-    instead, and the window's bounding rectangle only bounds t; an empty
-    window then raises ValueError, as an empty shape always does.
-    """
-    if inside is None:
-        if not len(window):
-            return
-        if not window.is_rectangle():  # else every bounded t fits
-            inside = window.__contains__
-    sb = shape.bounding_rect()
-    wb = window.bounding_rect()
-    for ty in range(wb.y0 - sb.y0, wb.y1 - sb.y1 + 1):
-        for tx in range(wb.x0 - sb.x0, wb.x1 - sb.x1 + 1):
-            t = Vec2(tx, ty)
-            if inside is None or all(inside(cell + t) for cell in shape.cells):
-                yield t
-
-
-def patterns_of(c: Configuration, shape: DiscreteDomain,
-                window: DiscreteDomain) -> list[Pattern]:
-    """Distinct shape-patterns read at every translate inside the window.
-
-    Patterns are re-indexed to the shape's own cells and returned sorted
-    by their value tuples, so the result does not depend on enumeration
-    order.  An empty shape has exactly one (empty) pattern.  The values
-    come from _pattern_values: row slices of a periodic coloring's block
-    on a rectangular window at least one block wide, and a cell-by-cell
-    walk over every fitting translate otherwise.
-    """
-    return [Pattern(shape, vals)
-            for vals in sorted(_pattern_values(c, shape, window))]
-
-
-def _pattern_values(c: Configuration, shape: DiscreteDomain,
-                    window: DiscreteDomain) -> set[tuple[int, ...]]:
-    """The value tuples of patterns_of, as a set.
-
-    A periodic configuration on a rectangular window whose translates
-    span at least span_x columns is read from row slices.  Counted from
-    the window's first translate t0, the translates t0 + (i, j) with
-    i < span_x and j < min(rows, span_y) meet every lattice coset that
-    a fitting translate meets, each once, so one _block_rows read of the
-    rectangle they cover gives every pattern.  Any other configuration
-    or window, and a too-narrow window, is read cell by cell at every
-    fitting translate.
-    """
-    if not len(shape):
-        return {()}
-    if isinstance(c, PeriodicConfig) and window.is_rectangle():
-        s, w = shape.bounding_rect(), window.bounding_rect()
-        a, rows = c.span_x, min(w.height - s.height + 1, c.span_y)
-        if rows > 0 and w.width - s.width + 1 >= a:
-            lines = _block_rows(a, c.shear, c.span_y, c.block, w.x0, w.y0,
-                                s.width + a - 1, s.height + rows - 1)
-            cells = [(x - s.x0, y - s.y0) for x, y in shape.cells]
-            seen = set()
-            for j in range(rows):
-                seen.update(zip(*[lines[y + j][x:x + a] for x, y in cells]))
-            return seen
-    seen = {tuple(c.color_at(cell + t) for cell in shape.cells)
-            for t in _fitting_translates(shape, window)}
-    if not seen:
-        raise EmptyWindow(
-            f"no translate of the {len(shape)}-cell shape fits in the window")
-    return seen
-
-
-class ComplexityReport(Frozen):
-    """Pattern count against the low-complexity bound |D|."""
-
-    count: int
-    bound: int
-    window_cells: int
-
-    @property
-    def low(self) -> bool:
-        return self.count <= self.bound
-
-    def __bool__(self) -> bool:
-        return self.low
-
-
-def is_low_complexity(c: Configuration, shape: DiscreteDomain,
-                      window: DiscreteDomain) -> ComplexityReport:
-    count = len(_pattern_values(c, shape, window))
-    return ComplexityReport(count, len(shape), len(window))
-
-
-class PeriodScan(Frozen):
-    """Observed period vectors, plus candidates with no comparable pair."""
-
-    periods: tuple[Vec2, ...]
-    skipped: tuple[Vec2, ...]
-
-    def __iter__(self) -> Iterator[Vec2]:
-        return iter(self.periods)
-
-    def __contains__(self, t) -> bool:
-        return Vec2(t[0], t[1]) in self.periods
-
-    def __len__(self) -> int:
-        return len(self.periods)
-
-
-def find_periods(c: Configuration, window: DiscreteDomain | None,
-                 bound: int) -> PeriodScan:
-    """Nonzero vectors t (Chebyshev norm <= bound) preserving the coloring.
-
-    Periodic configurations are tested exactly against their block;
-    windows compare every cell pair (n, n-t) available inside the
-    window.  Candidates with no comparable pair are skipped and
-    reported, not treated as periods.
-    """
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    candidates = [Vec2(x, y)
-                  for y in range(-bound, bound + 1)
-                  for x in range(-bound, bound + 1)
-                  if (x, y) != (0, 0)]
-    if isinstance(c, PeriodicConfig):
-        return PeriodScan(tuple(t for t in candidates if c.is_period(t)), ())
-    if window is None:
-        raise ValueError("window configurations need an explicit window")
-    cells = list(window.cells)
-    periods, skipped = [], []
-    for t in candidates:
-        compared = False
-        holds = True
-        for n in cells:
-            m = n - t
-            if m in window:
-                compared = True
-                if c.color_at(n) != c.color_at(m):
-                    holds = False
-                    break
-        if not compared:
-            skipped.append(t)
-        elif holds:
-            periods.append(t)
-    return PeriodScan(tuple(periods), tuple(skipped))
-
-
-class TwoPeriodicReport(Frozen):
-    """Whether two independent periods exist within the bound."""
-
-    two_periodic: bool
-    horizontal: Vec2 | None  # smallest (k, 0) period within bound, if any
-    vertical: Vec2 | None    # smallest (0, k) period within bound, if any
-    scan: PeriodScan
-
-    def __bool__(self) -> bool:
-        return self.two_periodic
-
-
-def is_two_periodic(c: Configuration, window: DiscreteDomain | None,
-                    bound: int) -> TwoPeriodicReport:
-    """True when two linearly independent periods exist within the bound."""
-    scan = find_periods(c, window, bound)
-    two = any(p.cross(q) != 0
-              for i, p in enumerate(scan.periods)
-              for q in scan.periods[i + 1:])
-    horizontal = next((Vec2(k, 0) for k in range(1, bound + 1)
-                       if Vec2(k, 0) in scan), None)
-    vertical = next((Vec2(0, k) for k in range(1, bound + 1)
-                     if Vec2(0, k) in scan), None)
-    return TwoPeriodicReport(two, horizontal, vertical, scan)
+# the names that moved to colorings, resolved on first access
+_MOVED = dict.fromkeys((
+    "ComplexityReport", "Configuration", "PeriodScan", "PeriodicConfig",
+    "TwoPeriodicReport", "WindowConfig", "color_at", "find_periods",
+    "is_low_complexity", "is_two_periodic", "patterns_of", "translate"),
+    "colorings")
+__getattr__ = _lazy(globals(), _MOVED)

@@ -1,10 +1,12 @@
-"""JSON encoding/decoding of the toolkit's types, plus ASCII rendering.
+"""JSON encoding/decoding of pattern sets and decisions, ASCII rendering.
 
 The JSON forms are canonical: keys sorted, sets emitted in canonical
 order, so serializing the same object twice gives identical bytes.
 Input documents are checked first against the JSON Schemas in
 src/tilecraft/schemas/, then for what a schema cannot state: patterns
-cover the shape, colors are in the alphabet, and so on.
+cover the shape, colors are in the alphabet, and so on.  The forms of
+configurations and of the analysis reports are in analysis_io, which a
+decision never loads.
 """
 
 from __future__ import annotations
@@ -14,15 +16,9 @@ import json
 import os
 import re
 
-from .grid import (Alphabet, DiscreteDomain, PeriodicConfig, Vec2,
-                   WindowConfig, _lattice_hnf)
-from .sft import (DeterminismReport, DirectionClassification, Empty,
-                  NonEmptyPeriodic, PatternSet, TorusWitness, Undecided)
-
-TYPE_CHECKING = False  # as typing.TYPE_CHECKING, without importing typing
-if TYPE_CHECKING:  # annotations only: decide loads no analysis module
-    from .algebra import AnnihilatorCertificate
-    from .balanced import BalancedReport, BalancedSearchResult
+from .grid import Alphabet, DiscreteDomain, Vec2
+from .sft import (DEFAULT_BUDGET, Empty, NonEmptyPeriodic, PatternSet,
+                  TorusWitness, Undecided)
 
 
 class SchemaError(ValueError):
@@ -198,72 +194,24 @@ def pattern_set_from_json(data) -> PatternSet:
         raise SchemaError(str(exc)) from None
 
 
-# --- configurations --------------------------------------------------------
-
-
-def configuration_to_json(c) -> dict:
-    if isinstance(c, PeriodicConfig):
-        return {
-            "kind": "periodic",
-            "p1": [c.p1.x, c.p1.y],
-            "p2": [c.p2.x, c.p2.y],
-            "block": [list(row) for row in c.block],
-        }
-    if isinstance(c, WindowConfig):
-        return {
-            "kind": "window",
-            "origin": [c.rect.x0, c.rect.y0],
-            "rows": [list(row) for row in c.values],
-        }
-    raise TypeError(f"not a configuration: {c!r}")
-
-
-def configuration_from_json(data):
-    _validate(data, "configuration")
-    window = data["kind"] == "window"
-    rows = data["rows"] if window else data["block"]
-    if any(len(row) != len(rows[0]) for row in rows):
-        raise SchemaError(f"{'window' if window else 'block'} rows must all "
-                          f"have the same length")
-    if window:
-        origin = Vec2(*map(int, data.get("origin", (0, 0))))
-        return WindowConfig.from_rows(rows, origin)
-    rows = [list(map(int, row)) for row in rows]
-    p1 = Vec2(*map(int, data.get("p1", (len(rows[0]), 0))))
-    p2 = Vec2(*map(int, data.get("p2", (0, len(rows)))))
-    if p1.cross(p2) == 0:
-        raise SchemaError("periods must be linearly independent")
-    # the block rows must cover the reduced fundamental rectangle
-    a, b, c = _lattice_hnf([p1, p2])
-    if len(rows[0]) < a or len(rows) < c:
+def node_budget(text: str | None) -> int:
+    """A node budget: text (a --budget value), else TILECRAFT_BUDGET,
+    else DEFAULT_BUDGET; anything but a positive integer is a SchemaError."""
+    if text is None:
+        text = os.environ.get("TILECRAFT_BUDGET")
+    if text is None:
+        return DEFAULT_BUDGET
+    try:
+        budget = int(text)
+    except ValueError:
+        budget = 0
+    if budget < 1:
         raise SchemaError(
-            f"block rows must cover the {a}x{c} reduced fundamental "
-            f"rectangle of the declared periods")
-    config = PeriodicConfig(a, b, c, tuple(tuple(r[:a]) for r in rows[:c]))
-    for j, row in enumerate(rows):
-        for i, v in enumerate(row):
-            if config.color_at(Vec2(i, j)) != v:
-                raise SchemaError(
-                    f"block value at ({i},{j}) is inconsistent with the "
-                    f"declared periods")
-    return config
+            f"node budget must be a positive integer, got {text!r}")
+    return budget
 
 
 # --- results ---------------------------------------------------------------
-
-
-def period_scan_to_json(scan) -> dict:
-    return {"periods": [[t.x, t.y] for t in scan.periods],
-            "skipped": [[t.x, t.y] for t in scan.skipped]}
-
-
-def two_periodic_report_to_json(rep) -> dict:
-    return {
-        "two_periodic": rep.two_periodic,
-        "horizontal": [rep.horizontal.x, rep.horizontal.y] if rep.horizontal else None,
-        "vertical": [rep.vertical.x, rep.vertical.y] if rep.vertical else None,
-        "scan": period_scan_to_json(rep.scan),
-    }
 
 
 def witness_to_json(w: TorusWitness) -> dict:
@@ -287,69 +235,6 @@ def outcome_to_json(outcome) -> dict:
                 "max_pq_tried": outcome.max_pq_tried,
                 "low_complexity": outcome.low_complexity}
     raise TypeError(f"not a decision outcome: {outcome!r}")
-
-
-def certificate_to_json(cert: AnnihilatorCertificate) -> dict:
-    from .algebra import format_poly, poly_to_json
-
-    # a certificate only exists after the zero check on its window
-    return {
-        "poly": poly_to_json(cert.poly),
-        "text": format_poly(cert.poly),
-        "window_cells": len(cert.window),
-        "verified": True,
-    }
-
-
-def determinism_report_to_json(rep: DeterminismReport) -> dict:
-    out = {
-        "direction": [rep.direction.x, rep.direction.y],
-        "k": rep.k,
-        "radius": rep.radius,
-        "verdict": rep.verdict,
-        "box_cells": [[c.x, c.y] for c in rep.box.cells],
-        "box_colorings": rep.box_colorings,
-        "nodes_used": rep.nodes_used,
-        "note": rep.note,
-    }
-    if rep.witness is not None:
-        out["witness"] = {
-            "box_pattern": [[c.x, c.y, v] for c, v in rep.witness.box_pattern.items()],
-            "centers": list(rep.witness.centers),
-        }
-    return out
-
-
-def classification_to_json(cl: DirectionClassification) -> dict:
-    return {
-        "direction": [cl.u.x, cl.u.y],
-        "label": cl.label,
-        "forward": determinism_report_to_json(cl.forward),
-        "backward": determinism_report_to_json(cl.backward),
-    }
-
-
-def balanced_report_to_json(rep: BalancedReport) -> dict:
-    return {
-        "direction": [rep.direction.x, rep.direction.y],
-        "pattern_count": rep.pattern_count,
-        "size": rep.size,
-        "inner_pattern_count": rep.inner_pattern_count,
-        "edge_size": rep.edge_size,
-        "min_line_count": rep.min_line_count,
-        "edge_cells": [[c.x, c.y] for c in rep.edge_cells.cells],
-        "conditions": [rep.cond_low_complexity, rep.cond_edge_extension,
-                       rep.cond_line_length],
-        "balanced": rep.balanced,
-    }
-
-
-def balanced_result_to_json(res: BalancedSearchResult) -> dict:
-    return {
-        "domain": [[c.x, c.y] for c in res.domain.cells],
-        "orientation": [res.orientation.x, res.orientation.y],
-        "report": balanced_report_to_json(res.report),
-    }
 
 
 def canonical_json(obj) -> str:

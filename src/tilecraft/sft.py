@@ -1,10 +1,12 @@
-"""Pattern-defined subshifts: emptiness/periodicity decision and probes.
+"""Pattern-defined subshifts: the emptiness/periodicity decision.
 
 The decision procedure dovetails two semi-decisions: growing square
 searches (a square with no locally valid coloring certifies emptiness)
 and torus searches (a valid wraparound coloring certifies a periodic
 configuration).  For pattern sets with at most |D| allowed patterns,
 one of the two must fire; budgets make every run terminate either way.
+The determinism probes run the same search core with head cells; they
+are in probes, and their names still resolve here on first access.
 
 The search core keeps one integer code per shape translate, shape cell
 k's color at bit k * bits.  Each assignment puts the new color into the
@@ -32,7 +34,11 @@ from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
 
 from .grid import (Alphabet, CertificateError, DiscreteDomain, Frozen, Pattern,
-                   PeriodicConfig, Vec2)
+                   _lazy)
+
+TYPE_CHECKING = False  # as typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:  # annotations only: a decision loads no coloring module
+    from .colorings import PeriodicConfig
 
 
 class _BudgetExceededType:
@@ -131,6 +137,8 @@ class TorusWitness(Frozen):
         Frozen.__init__(self, p, q, values)
 
     def unfold(self) -> PeriodicConfig:
+        from .colorings import PeriodicConfig
+
         return PeriodicConfig.from_block(self.values)
 
 
@@ -477,128 +485,8 @@ def decide_with_usage(ps: PatternSet, budget: int = DEFAULT_BUDGET
             nodes_total)
 
 
-# ---------------------------------------------------------------------------
-# determinism probes
-
-
-def box_cells(u, k: int) -> DiscreteDomain:
-    """Cells x with -k < <x,u> < 0 and -k < <x,u_perp> < k.
-
-    The strict inequalities confine every coordinate to [-(k-1), k-1],
-    so a full scan of that square is exact.
-    """
-    u = Vec2.nonzero(u, "box direction must be nonzero")
-    if k < 1:
-        raise ValueError("box width must be >= 1")
-    up = u.perp()
-    cells = []
-    for y in range(-(k - 1), k):
-        for x in range(-(k - 1), k):
-            v = Vec2(x, y)
-            if -k < v.dot(u) < 0 and -k < v.dot(up) < k:
-                cells.append(v)
-    return DiscreteDomain(tuple(cells))
-
-
-class NonForcedWitness(Frozen):
-    """A box coloring that extends with two different center colors."""
-
-    box_pattern: Pattern
-    centers: tuple[int, int]
-
-
-class DeterminismReport(Frozen):
-    """Outcome of a finite-radius forcing probe.
-
-    Forced is sound evidence of determinism at radius k.  NonForced is
-    evidence at the consistency radius only: the witnesses are locally
-    valid in the probe square but might not extend to the subshift.
-
-    ``box_colorings`` counts the extendable box colorings examined, in
-    lexicographic order, up to and including the witness's (all of them
-    when forced; those seen before the budget ran out when inconclusive).
-    """
-
-    direction: Vec2
-    k: int
-    radius: int
-    verdict: str  # "forced" | "non_forced" | "inconclusive"
-    box: DiscreteDomain
-    witness: NonForcedWitness | None
-    box_colorings: int
-    nodes_used: int
-    note: str = ""
-
-
-def determinism_probe(ps: PatternSet, u, k: int, radius: int,
-                      budget: int = DEFAULT_BUDGET) -> DeterminismReport:
-    """Check whether box contents force the center cell's color.
-
-    One search of the square of the given radius around the center
-    assigns the box cells first, then the center, and yields one locally
-    valid square per extendable box+center coloring, in lexicographic
-    order.  The first box coloring that extends with two different
-    center colors is the non-forced witness; if every extendable box
-    coloring pins the center, the direction is reported forced.
-    ``box_colorings`` is the number of extendable box colorings
-    examined, in lexicographic order, up to and including the witness.
-    """
-    u = Vec2.nonzero(u, "probe direction must be nonzero")
-    if radius < k:
-        raise ValueError("consistency radius must be at least k")
-    box = box_cells(u, k)
-    side = 2 * radius + 1
-    center = Vec2(radius, radius)
-    box_sq = [c + center for c in box.cells]
-    colorings = 0
-    last = first = witness = None
-    for grid, nodes in _search(_Compiled(ps), side, side, False, budget,
-                               head=(*box_sq, center)):
-        if grid is None or grid is BUDGET_EXCEEDED:
-            break
-        beta = tuple(grid[c.y][c.x] for c in box_sq)
-        value = grid[center.y][center.x]
-        if beta == last:
-            witness = NonForcedWitness(Pattern(box, beta), (first, value))
-            break
-        colorings += 1
-        last, first = beta, value
-    if witness is not None:
-        verdict, note = "non_forced", ""
-    elif grid is BUDGET_EXCEEDED:
-        verdict, note = "inconclusive", "budget exhausted"
-    else:
-        verdict = "forced"
-        note = "" if colorings else "no locally valid square at this radius"
-    return DeterminismReport(u, k, radius, verdict, box, witness, colorings,
-                             nodes, note)
-
-
-class DirectionClassification(Frozen):
-    """The probes of a direction and its opposite, and their label."""
-
-    u: Vec2
-    forward: DeterminismReport
-    backward: DeterminismReport
-    label: str  # "two_sided" | "one_sided" | "non_deterministic" | "inconclusive"
-
-
-def classify_directions(ps: PatternSet, directions: Iterable, k: int,
-                        radius: int,
-                        budget: int = DEFAULT_BUDGET) -> list[DirectionClassification]:
-    """Probe each direction and its opposite; label per the taxonomy."""
-    out = []
-    for d in directions:
-        u = Vec2(d[0], d[1])
-        fwd = determinism_probe(ps, u, k, radius, budget)
-        bwd = determinism_probe(ps, -u, k, radius, budget)
-        if "inconclusive" in (fwd.verdict, bwd.verdict):
-            label = "inconclusive"
-        elif fwd.verdict == "forced" and bwd.verdict == "forced":
-            label = "two_sided"
-        elif fwd.verdict == "forced" or bwd.verdict == "forced":
-            label = "one_sided"
-        else:
-            label = "non_deterministic"
-        out.append(DirectionClassification(u, fwd, bwd, label))
-    return out
+# the determinism probes moved to probes, resolved on first access
+_MOVED = dict.fromkeys((
+    "DeterminismReport", "DirectionClassification", "NonForcedWitness",
+    "box_cells", "classify_directions", "determinism_probe"), "probes")
+__getattr__ = _lazy(globals(), _MOVED)

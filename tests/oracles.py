@@ -15,8 +15,8 @@ import numpy as np
 
 from tilecraft.balanced import (BalancedSearchResult, NotLowComplexityWarning,
                                 Stripe, is_balanced, is_convex)
+from tilecraft.colorings import _block_color, _lattice_hnf
 from tilecraft.grid import (DiscreteDomain, Rect, Vec2, ZeroVector,
-                            _block_color, _lattice_hnf,
                             is_low_complexity)
 from tilecraft.sft import box_cells
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tilecraft import balanced
 from tilecraft.balanced import (DoesNotFit, NotConvex, NotLowComplexityWarning,
                                 Stripe, _convex_candidates, _convex_sets,
                                 balanced_search, edge, fits, is_balanced,
@@ -55,6 +56,17 @@ def test_edge_subset_single_line():
 def test_convex_rectangles():
     for w, h in ((1, 1), (2, 3), (4, 4)):
         assert is_convex(DiscreteDomain.rect(w, h))
+
+
+def test_full_rectangles_are_convex_without_the_hull(monkeypatch):
+    def no_hull(cells):
+        raise AssertionError("a full rectangle needs no hull")
+    monkeypatch.setattr(balanced, "_hull", no_hull)
+    for w, h, origin in ((1, 1, (0, 0)), (1, 7, (0, 0)), (5, 1, (-2, 3)),
+                         (2, 3, (0, 0)), (4, 4, (-1, -1)), (30, 20, (7, -5))):
+        assert is_convex(DiscreteDomain.rect(w, h, Vec2(*origin)))
+    with pytest.raises(AssertionError, match="no hull"):
+        is_convex(DiscreteDomain([(0, 0), (1, 0), (0, 1)]))
 
 
 def test_convex_collinear_gap():

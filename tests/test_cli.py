@@ -8,10 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from tilecraft import algebra, balanced, sft
+from tilecraft import algebra, balanced, probes, sft
 from tilecraft import cli
-from tilecraft.cli import (EXIT_UNWRITTEN, MAX_BOX_CELLS, MAX_ELIMINATION_WORK,
-                           MAX_PROBE_RADIUS, main)
+from tilecraft.analysis_io import MAX_ELIMINATION_WORK
+from tilecraft.cli import EXIT_UNWRITTEN, MAX_BOX_CELLS, MAX_PROBE_RADIUS, main
 from tilecraft.grid import DiscreteDomain
 
 CHECKERBOARD = {"shape": "rect 2 2", "alphabet": [0, 1],
@@ -248,7 +248,7 @@ def _two_cell_set(dx):
 
 @pytest.mark.parametrize("argv, guarded, message", [
     (["determinism", "CB", "--dir", "1,0", "--R", "51"],
-     (cli, "classify_directions"), "a probe radius of at most 50"),
+     (probes, "classify_directions"), "a probe radius of at most 50"),
     (["balanced", "CONST", "--u", "0,1", "--n", "1", "--m", "250001"],
      (balanced, "is_balanced"), "--n x --m must be at most 250000 cells"),
     (["decide", "WIDE"], (cli, "decide_with_usage"),

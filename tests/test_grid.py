@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from tilecraft.algebra import LaurentPoly, annihilates, apply, difference_poly
 from tilecraft.balanced import Stripe, balanced_search, edge, is_balanced
+from tilecraft.colorings import _block_color, _block_rows, _saturate
 from tilecraft.grid import (Alphabet, DiscreteDomain, EmptyWindow, OutOfWindow,
                             Pattern, PeriodicConfig, Rect, Vec2, WindowConfig,
-                            ZeroVector, _block_color, _block_rows, _saturate,
-                            find_periods, is_low_complexity, is_two_periodic,
-                            patterns_of, translate)
+                            ZeroVector, find_periods, is_low_complexity,
+                            is_two_periodic, patterns_of, translate)
 from tilecraft.sft import PatternSet, box_cells, determinism_probe
 
 import oracles

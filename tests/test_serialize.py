@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tilecraft import serialize
+from tilecraft.analysis_io import (configuration_from_json,
+                                   configuration_to_json)
 from tilecraft.grid import (Alphabet, DiscreteDomain, PeriodicConfig, Vec2,
                             WindowConfig)
 from tilecraft.serialize import (SchemaError, canonical_json,
-                                 configuration_from_json,
-                                 configuration_to_json, pattern_set_from_json,
+                                 pattern_set_from_json,
                                  pattern_set_to_json, render_rows,
                                  shape_from_json, shape_to_json,
                                  witness_from_json, witness_to_json)
@@ -155,8 +156,8 @@ def test_configuration_skew_periods():
 def test_period_scan_serialization(checkerboard):
     from tilecraft.grid import DiscreteDomain as DD
     from tilecraft.grid import find_periods, is_two_periodic
-    from tilecraft.serialize import (period_scan_to_json,
-                                     two_periodic_report_to_json)
+    from tilecraft.analysis_io import (period_scan_to_json,
+                                       two_periodic_report_to_json)
     scan = find_periods(checkerboard, None, 2)
     data = period_scan_to_json(scan)
     assert [1, 1] in data["periods"] and data["skipped"] == []
