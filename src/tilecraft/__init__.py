@@ -30,8 +30,8 @@ _LAZY = {
     **sft._MOVED,  # the probes names
     **dict.fromkeys((
         "AnnihilatorCertificate", "LaurentPoly", "TrivialAnnihilatorWarning",
-        "X", "Y", "ZeroSeriesWarning", "annihilates", "annihilator_search",
-        "apply", "difference_poly", "format_poly", "parse_poly",
+        "ZeroSeriesWarning", "annihilates", "annihilator_search", "apply",
+        "difference_poly", "format_poly", "parse_poly",
         "periodic_annihilator", "poly_mul"), "algebra"),
     **dict.fromkeys((
         "BalancedReport", "BalancedSearchResult", "DoesNotFit", "NotConvex",

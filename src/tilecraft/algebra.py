@@ -115,10 +115,6 @@ class LaurentPoly:
         return f"LaurentPoly({format_poly(self)!r})"
 
 
-X = LaurentPoly.monomial((1, 0))
-Y = LaurentPoly.monomial((0, 1))
-
-
 def poly_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     """Convolution product of coefficient maps."""
     return f * g

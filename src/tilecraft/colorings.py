@@ -31,47 +31,22 @@ def _lattice_hnf(gens: list[Vec2]) -> tuple[int, int, int]:
     """Reduce lattice generators to the basis (a, 0), (b, c).
 
     Returns (a, b, c) with a > 0, c > 0, 0 <= b < a.  Raises if the
-    generators do not span a rank-2 lattice.
+    generators do not span a rank-2 lattice.  Euclid runs each generator
+    against w, whose y is (up to sign) the gcd of the y components so
+    far, until its y is 0, and its x then folds into a.  Every step is
+    unimodular, so the lattice never changes.
     """
-    gens = [Vec2(g[0], g[1]) for g in gens if not Vec2(g[0], g[1]).is_zero()]
-    # vector w with minimal positive y-component: fold extended gcds
-    w = None
+    a, w = 0, ORIGIN
     for g in gens:
-        if g.y == 0:
-            continue
-        if w is None:
-            w = g if g.y > 0 else -g
-            continue
-        # combine w and g to reach y = gcd(w.y, g.y)
-        gcd, s, t = _ext_gcd(w.y, g.y)
-        w = Vec2(s * w.x + t * g.x, gcd)
-    xs = []
-    for g in gens:
-        if w is not None and g.y != 0:
-            g = g - (g.y // w.y) * w
-        if g.y == 0 and g.x != 0:
-            xs.append(abs(g.x))
-    if w is None or not xs:
+        g = Vec2(g[0], g[1])
+        while g.y:
+            w, g = g, w - (w.y // g.y) * g
+        a = math.gcd(a, g.x)
+    if a == 0 or w.y == 0:
         raise ValueError("period vectors must be linearly independent")
-    a = math.gcd(*xs)
-    c = w.y
-    b = w.x % a
-    return a, b, c
-
-
-def _ext_gcd(p: int, q: int) -> tuple[int, int, int]:
-    """(g, s, t) with s*p + t*q = g = gcd(p, q), g > 0 for (p, q) != (0, 0)."""
-    old_r, r = p, q
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quo = old_r // r
-        old_r, r = r, old_r - quo * r
-        old_s, s = s, old_s - quo * s
-        old_t, t = t, old_t - quo * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
+    if w.y < 0:
+        w = -w
+    return a, w.x % a, w.y
 
 
 def _block_color(a: int, b: int, c: int, block, n) -> int:
@@ -134,8 +109,6 @@ class PeriodicConfig(Configuration, Frozen):
     def from_periods(cls, p1: Vec2, p2: Vec2,
                      values: Callable[[int, int], int]) -> "PeriodicConfig":
         p1, p2 = Vec2(*p1), Vec2(*p2)
-        if p1.cross(p2) == 0:
-            raise ValueError("period vectors must be linearly independent")
         a, b, c = _lattice_hnf([p1, p2])
         for j in range(c):
             for i in range(a):

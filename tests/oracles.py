@@ -15,7 +15,7 @@ import numpy as np
 
 from tilecraft.balanced import (BalancedSearchResult, NotLowComplexityWarning,
                                 Stripe, is_balanced, is_convex)
-from tilecraft.colorings import _block_color, _lattice_hnf
+from tilecraft.colorings import _block_color
 from tilecraft.grid import (DiscreteDomain, Rect, Vec2, ZeroVector,
                             is_low_complexity)
 from tilecraft.sft import box_cells
@@ -351,6 +351,27 @@ def naive_fits(domain: DiscreteDomain, region, window: DiscreteDomain | Rect | N
     return None
 
 
+def naive_lattice_basis(gens):
+    """The Hermite basis (a, 0), (b, c) of the lattice the generators
+    span, as (a, b, c); None when they span no rank-2 lattice.
+
+    Read off invariants, no reduction: the index a*c is the gcd of all
+    |cross(g_i, g_j)|, c is the gcd of the y components, and b is the
+    one value in range(a) whose lattice holds every generator.
+    """
+    gens = [(int(g[0]), int(g[1])) for g in gens]
+    index = math.gcd(*(abs(p[0] * q[1] - p[1] * q[0])
+                       for p, q in combinations(gens, 2)))
+    if index == 0:
+        return None
+    c = math.gcd(*(y for _, y in gens))
+    a = index // c
+    shears = [b for b in range(a)
+              if all(y % c == 0 and (x - y // c * b) % a == 0 for x, y in gens)]
+    assert len(shears) == 1, (gens, shears)
+    return a, shears[0], c
+
+
 # the former grid._is_block_period, kept verbatim: a cell-by-cell test
 def _is_block_period(a: int, b: int, c: int, block, t: Vec2) -> bool:
     for j in range(c):
@@ -377,7 +398,7 @@ def naive_saturate(a: int, b: int, c: int, block) -> tuple[int, int, int, tuple]
                 if t.is_zero():
                     continue
                 if _is_block_period(a, b, c, block, t):
-                    a2, b2, c2 = _lattice_hnf([Vec2(a, 0), Vec2(b, c), t])
+                    a2, b2, c2 = naive_lattice_basis([(a, 0), (b, c), t])
                     block2 = tuple(
                         tuple(_block_color(a, b, c, block, (x, y)) for x in range(a2))
                         for y in range(c2)

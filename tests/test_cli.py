@@ -186,6 +186,15 @@ def test_complexity_ragged_block_is_input_error(tmp_path, capsys):
     assert "same length" in report_of(out)["error"]
 
 
+def test_complexity_dependent_periods_is_input_error(tmp_path, capsys):
+    f = write(tmp_path, "p.json", {"kind": "periodic", "p1": [2, 0],
+                                   "p2": [4, 0], "block": [[0, 1]]})
+    code, out = run(capsys, "complexity", f, "--shape", "2x2",
+                    "--window", "4x4")
+    assert code == 3
+    assert "linearly independent" in report_of(out)["error"]
+
+
 @pytest.mark.parametrize("doc, n_errors", [
     ({"shape": 7, "alphabet": []}, 3),
     ({"shape": "rect 2 2", "alphabet": "01", "allowed": [[[0, 1]]],

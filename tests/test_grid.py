@@ -1,3 +1,4 @@
+import math
 import random
 import re
 import warnings
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from tilecraft.algebra import LaurentPoly, annihilates, apply, difference_poly
 from tilecraft.balanced import Stripe, balanced_search, edge, is_balanced
-from tilecraft.colorings import _block_color, _block_rows, _saturate
+from tilecraft.colorings import (_block_color, _block_rows, _lattice_hnf,
+                                  _saturate)
 from tilecraft.grid import (Alphabet, DiscreteDomain, EmptyWindow, OutOfWindow,
                             Pattern, PeriodicConfig, Rect, Vec2, WindowConfig,
                             ZeroVector, find_periods, is_low_complexity,
@@ -390,6 +392,46 @@ def test_periodic_storage_basis_invariant():
         for q1, q2 in ((p1 + p2, p2), (p1, p1 + p2), (2 * p1 + p2, p1 + p2)):
             assert q1.cross(q2) != 0
             assert PeriodicConfig.from_periods(q1, q2, val) == reference
+
+
+def test_lattice_hnf_matches_the_invariants_oracle():
+    # 1-5 generators with entries up to +-60, among them zero vectors and
+    # parallel duplicates; the reduction raises exactly when the oracle
+    # finds no rank-2 lattice
+    rng = random.Random(1811)
+    deficient = 0
+    for _ in range(3000):
+        bound = rng.choice((1, 3, 60))
+        gens = []
+        for _ in range(rng.randint(1, 5)):
+            roll = rng.random()
+            if roll < 0.1:
+                gens.append(Vec2(0, 0))
+            elif roll < 0.3 and gens:
+                g = rng.choice(gens)
+                d = math.gcd(*g) or 1
+                k = 60 // max(abs(g.x) // d, abs(g.y) // d, 1)
+                gens.append(rng.randint(-k, k) * Vec2(g.x // d, g.y // d))
+            else:
+                gens.append(Vec2(rng.randint(-bound, bound),
+                                 rng.randint(-bound, bound)))
+        expected = oracles.naive_lattice_basis(gens)
+        if expected is None:
+            deficient += 1
+            with pytest.raises(ValueError, match="linearly independent"):
+                _lattice_hnf(gens)
+        else:
+            assert _lattice_hnf(gens) == expected, gens
+    assert 500 < deficient < 2500
+
+
+@pytest.mark.parametrize("p1, p2", [((2, 1), (-4, -2)), ((3, 0), (1, 0)),
+                                    ((0, 0), (1, 1)), ((2, 3), (0, 0))],
+                         ids=["parallel", "parallel-axis", "zero-first",
+                              "zero-second"])
+def test_from_periods_needs_independent_periods(p1, p2):
+    with pytest.raises(ValueError, match="linearly independent"):
+        PeriodicConfig.from_periods(Vec2(*p1), Vec2(*p2), lambda i, j: 0)
 
 
 def test_saturate_matches_former_loop():

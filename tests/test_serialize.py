@@ -146,6 +146,13 @@ def test_configuration_periodic_consistency_checked():
         configuration_from_json(bad)
 
 
+def test_configuration_dependent_periods_are_schema_error():
+    data = {"kind": "periodic", "p1": [2, 0], "p2": [4, 0],
+            "block": [[0, 1]]}
+    with pytest.raises(SchemaError, match="linearly independent"):
+        configuration_from_json(data)
+
+
 def test_configuration_skew_periods():
     data = {"kind": "periodic", "p1": [1, 1], "p2": [2, 0],
             "block": [[0, 1], [1, 0]]}
