@@ -31,8 +31,8 @@ _LAZY = {
     **dict.fromkeys((
         "AnnihilatorCertificate", "LaurentPoly", "TrivialAnnihilatorWarning",
         "ZeroSeriesWarning", "annihilates", "annihilator_search", "apply",
-        "difference_poly", "format_poly", "parse_poly",
-        "periodic_annihilator", "poly_mul"), "algebra"),
+        "difference_poly", "format_poly", "periodic_annihilator",
+        "poly_mul"), "algebra"),
     **dict.fromkeys((
         "BalancedReport", "BalancedSearchResult", "DoesNotFit", "NotConvex",
         "NotLowComplexityWarning", "Stripe", "StripeScenarioReport",

@@ -1,15 +1,15 @@
 """Integer Laurent polynomials in two variables and annihilation tests.
 
 A polynomial acts on a coloring by convolution: (f.c)_n = sum over
-terms f_t * c(n - t).  Under this convention multiplying by the
-monomial x^a y^b translates the coloring by (a, b), so the difference
+terms f_t * c(n - t).  Under this convention multiplying by the term
+x^a y^b translates the coloring by (a, b), so the difference
 polynomial x^a y^b - 1 annihilates a coloring exactly when (a, b) is
-one of its period vectors.  All arithmetic is exact.
+one of its period vectors.  All arithmetic is exact.  There is no I/O
+here: format_poly gives the canonical text, analysis_io the JSON form.
 """
 
 from __future__ import annotations
 
-import re
 import warnings
 from types import MappingProxyType
 
@@ -53,10 +53,6 @@ class LaurentPoly:
     @classmethod
     def one(cls) -> "LaurentPoly":
         return cls({Vec2(0, 0): 1})
-
-    @classmethod
-    def monomial(cls, e, coeff: int = 1) -> "LaurentPoly":
-        return cls({Vec2(e[0], e[1]): coeff})
 
     @property
     def terms(self):
@@ -120,7 +116,7 @@ def poly_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     return f * g
 
 
-def _monomial_text(e: Vec2) -> str:
+def _power_text(e: Vec2) -> str:
     parts = []
     for name, exp in (("x", e.x), ("y", e.y)):
         if exp == 1:
@@ -137,7 +133,7 @@ def format_poly(f: LaurentPoly) -> str:
     chunks = []
     for e in f.support():
         coeff = f.coefficient(e)
-        mono = _monomial_text(e)
+        mono = _power_text(e)
         mag = abs(coeff)
         if mono and mag == 1:
             body = mono
@@ -150,69 +146,6 @@ def format_poly(f: LaurentPoly) -> str:
         else:
             chunks.append(f"{'+' if coeff > 0 else '-'} {body}")
     return " ".join(chunks)
-
-
-_TERM_RE = re.compile(
-    r"^(?P<coeff>\d+)?"
-    r"(?:\*?x(?:\^(?P<xe>-?\d+))?)?"
-    r"(?:\*?y(?:\^(?P<ye>-?\d+))?)?$"
-)
-
-
-def _split_signed_terms(text: str) -> list[tuple[int, str]]:
-    """Split a sum into (sign, term) pairs; '-' after '^' is an exponent."""
-    out: list[tuple[int, str]] = []
-    cur: list[str] = []
-    sign = 1
-    prev = ""
-    for ch in text:
-        if ch in "+-" and prev != "^":
-            if cur:
-                out.append((sign, "".join(cur)))
-                cur = []
-                sign = 1
-            if ch == "-":
-                sign = -sign
-        elif not ch.isspace():
-            cur.append(ch)
-        if not ch.isspace():
-            prev = ch
-    if not cur:
-        raise ValueError(f"dangling sign in {text!r}")
-    out.append((sign, "".join(cur)))
-    return out
-
-
-def parse_poly(text: str) -> LaurentPoly:
-    """Inverse of :func:`format_poly`; accepts any +/- separated sum."""
-    if text.strip() == "0":
-        return LaurentPoly.zero()
-    if not text.strip():
-        raise ValueError("empty polynomial text")
-    acc: dict[Vec2, int] = {}
-    for sign, chunk in _split_signed_terms(text):
-        m = _TERM_RE.match(chunk)
-        has_mono = "x" in chunk or "y" in chunk
-        if not m or (m.group("coeff") is None and not has_mono):
-            raise ValueError(f"cannot parse term {chunk!r} in {text!r}")
-        coeff = sign * int(m.group("coeff") or 1)
-        xe = int(m.group("xe")) if m.group("xe") is not None else (1 if "x" in chunk else 0)
-        ye = int(m.group("ye")) if m.group("ye") is not None else (1 if "y" in chunk else 0)
-        e = Vec2(xe, ye)
-        acc[e] = acc.get(e, 0) + coeff
-    return LaurentPoly(acc)
-
-
-def poly_to_json(f: LaurentPoly) -> dict:
-    return {"terms": [[e.x, e.y, f.coefficient(e)] for e in f.support()]}
-
-
-def poly_from_json(data: dict) -> LaurentPoly:
-    acc: dict[Vec2, int] = {}
-    for a, b, coeff in data["terms"]:
-        e = Vec2(int(a), int(b))
-        acc[e] = acc.get(e, 0) + int(coeff)
-    return LaurentPoly(acc)
 
 
 def difference_poly(v) -> LaurentPoly:

@@ -1,13 +1,13 @@
 """The analysis commands: configuration and report JSON, CLI handlers.
 
-configuration_from_json reads the configuration documents that
-complexity, annihilator and balanced take, checked as serialize checks
-a pattern set; the *_to_json functions give the canonical forms of
-period scans, annihilator certificates and the determinism and
-balanced reports.  HANDLERS maps each analysis command to its handler
-and the argument naming its input file: cli.main imports this module
-only when one of those commands runs, so a decision never loads it,
-nor colorings or probes.
+A document the command line reads keeps a reader and a writer, a report
+only its writer and only while a command emits it.  So configurations
+have configuration_from_json (checked as serialize checks a pattern set)
+and configuration_to_json; annihilator certificates, their polynomials
+and the determinism and balanced reports have only *_to_json.  HANDLERS
+maps each analysis command to its handler and the argument naming its
+input file: cli.main imports this module only when one of those
+commands runs, so a decision never loads it, nor colorings or probes.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .serialize import (SchemaError, _validate, node_budget,
 
 TYPE_CHECKING = False  # as typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:  # annotations only: each command loads what it runs
-    from .algebra import AnnihilatorCertificate
+    from .algebra import AnnihilatorCertificate, LaurentPoly
     from .balanced import BalancedReport, BalancedSearchResult
     from .probes import DeterminismReport, DirectionClassification
 
@@ -79,22 +79,12 @@ def configuration_from_json(data):
     return config
 
 
-def period_scan_to_json(scan) -> dict:
-    return {"periods": [[t.x, t.y] for t in scan.periods],
-            "skipped": [[t.x, t.y] for t in scan.skipped]}
-
-
-def two_periodic_report_to_json(rep) -> dict:
-    return {
-        "two_periodic": rep.two_periodic,
-        "horizontal": [rep.horizontal.x, rep.horizontal.y] if rep.horizontal else None,
-        "vertical": [rep.vertical.x, rep.vertical.y] if rep.vertical else None,
-        "scan": period_scan_to_json(rep.scan),
-    }
+def poly_to_json(f: LaurentPoly) -> dict:
+    return {"terms": [[e.x, e.y, f.coefficient(e)] for e in f.support()]}
 
 
 def certificate_to_json(cert: AnnihilatorCertificate) -> dict:
-    from .algebra import format_poly, poly_to_json
+    from .algebra import format_poly
 
     # a certificate only exists after the zero check on its window
     return {

@@ -4,9 +4,10 @@ The JSON forms are canonical: keys sorted, sets emitted in canonical
 order, so serializing the same object twice gives identical bytes.
 Input documents are checked first against the JSON Schemas in
 src/tilecraft/schemas/, then for what a schema cannot state: patterns
-cover the shape, colors are in the alphabet, and so on.  The forms of
-configurations and of the analysis reports are in analysis_io, which a
-decision never loads.
+cover the shape, colors are in the alphabet, and so on.  A document the
+command line reads keeps a reader and a writer (pattern_set_*); a result
+keeps only its writer.  The forms of configurations and of the analysis
+reports are in analysis_io, which a decision never loads.
 """
 
 from __future__ import annotations
@@ -128,11 +129,14 @@ def shape_to_json(domain: DiscreteDomain):
 
 
 def shape_from_json(data) -> DiscreteDomain:
-    """A schema-valid shape: 'rect w h' or a list of [x, y] cells."""
+    """A schema-valid shape: 'rect w h' or a list of distinct [x, y] cells."""
     if isinstance(data, str):
         _, w, h = data.split()
         return DiscreteDomain.rect(int(w), int(h))
-    return DiscreteDomain(tuple(Vec2(int(x), int(y)) for x, y in data))
+    shape = DiscreteDomain(tuple(Vec2(int(x), int(y)) for x, y in data))
+    if len(shape) != len(data):
+        raise SchemaError("shape names a cell more than once")
+    return shape
 
 
 def _pattern_to_json(shape: DiscreteDomain, values: tuple):
@@ -216,11 +220,6 @@ def node_budget(text: str | None) -> int:
 
 def witness_to_json(w: TorusWitness) -> dict:
     return {"p": w.p, "q": w.q, "values": [list(row) for row in w.values]}
-
-
-def witness_from_json(data: dict) -> TorusWitness:
-    return TorusWitness(int(data["p"]), int(data["q"]),
-                        tuple(tuple(int(v) for v in row) for row in data["values"]))
 
 
 def outcome_to_json(outcome) -> dict:

@@ -15,7 +15,6 @@ import numpy as np
 
 from tilecraft.balanced import (BalancedSearchResult, NotLowComplexityWarning,
                                 Stripe, is_balanced, is_convex)
-from tilecraft.colorings import _block_color
 from tilecraft.grid import (DiscreteDomain, Rect, Vec2, ZeroVector,
                             is_low_complexity)
 from tilecraft.sft import box_cells
@@ -372,16 +371,32 @@ def naive_lattice_basis(gens):
     return a, shears[0], c
 
 
-# the former grid._is_block_period, kept verbatim: a cell-by-cell test
+def block_color(a: int, b: int, c: int, block, n) -> int:
+    """The color at n of block repeated over the lattice spanned by
+    (a, 0) and (b, c).
+
+    Cramer's rule gives n's coordinates (s, t) in that basis; stepping
+    back by floor(s) * (a, 0) + floor(t) * (b, c) lands in the
+    fundamental parallelogram, and a multiple of (a, 0) then in the
+    block's [0, a) x [0, c).
+    """
+    x, y = n[0], n[1]
+    s, t = (c * x - b * y) // (a * c), y // c
+    return block[y - t * c][(x - s * a - t * b) % a]
+
+
+# the former grid._is_block_period, reading through block_color: a
+# cell-by-cell test
 def _is_block_period(a: int, b: int, c: int, block, t: Vec2) -> bool:
     for j in range(c):
         for i in range(a):
-            if _block_color(a, b, c, block, (i - t[0], j - t[1])) != block[j][i]:
+            if block_color(a, b, c, block, (i - t[0], j - t[1])) != block[j][i]:
                 return False
     return True
 
 
-# the former grid._saturate, kept verbatim: a flagged restart loop
+# the former grid._saturate, reading through block_color and reducing
+# with naive_lattice_basis: a flagged restart loop
 def naive_saturate(a: int, b: int, c: int, block) -> tuple[int, int, int, tuple]:
     """Grow the stored lattice to the full period lattice of the block.
 
@@ -400,7 +415,7 @@ def naive_saturate(a: int, b: int, c: int, block) -> tuple[int, int, int, tuple]
                 if _is_block_period(a, b, c, block, t):
                     a2, b2, c2 = naive_lattice_basis([(a, 0), (b, c), t])
                     block2 = tuple(
-                        tuple(_block_color(a, b, c, block, (x, y)) for x in range(a2))
+                        tuple(block_color(a, b, c, block, (x, y)) for x in range(a2))
                         for y in range(c2)
                     )
                     a, b, c, block = a2, b2, c2, block2

@@ -157,6 +157,15 @@ def test_decide_repeated_pattern_cell_is_input_error(tmp_path, capsys):
     assert "allowed[0]" in report_of(out)["error"]
 
 
+def test_decide_repeated_shape_cell_is_input_error(tmp_path, capsys):
+    f = write(tmp_path, "dupshape.json",
+              {"shape": [[0, 0], [0, 0], [1, 0]], "alphabet": [0, 1],
+               "allowed": [[[0, 0, 0], [1, 0, 1]]]})
+    code, out = run(capsys, "decide", f)
+    assert code == 3
+    assert "shape names a cell more than once" in report_of(out)["error"]
+
+
 @pytest.mark.parametrize("argv", [
     ["complexity", "PER", "--shape", "2x2", "--window", "100000x100000"],
     ["complexity", "PER", "--shape", "501x500@-3,4", "--window", "4x4"],

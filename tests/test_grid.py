@@ -238,9 +238,13 @@ def test_block_rows_match_block_color(data):
     width = data.draw(st.integers(0, 3 * a + 2))
     height = data.draw(st.integers(0, 2 * c + 2))
     rows = _block_rows(a, b, c, block, x0, y0, width, height)
-    assert [list(row) for row in rows] == [
-        [_block_color(a, b, c, block, (x, y)) for x in range(x0, x0 + width)]
-        for y in range(y0, y0 + height)]
+    expected = [[oracles.block_color(a, b, c, block, (x, y))
+                 for x in range(x0, x0 + width)]
+                for y in range(y0, y0 + height)]
+    assert [list(row) for row in rows] == expected
+    assert [[_block_color(a, b, c, block, (x, y))
+             for x in range(x0, x0 + width)]
+            for y in range(y0, y0 + height)] == expected
 
 
 @pytest.mark.parametrize("a, b, c, block", [
@@ -306,6 +310,9 @@ def test_find_periods_checkerboard(checkerboard):
     for t in (Vec2(1, 1), Vec2(-1, 1), Vec2(2, 0), Vec2(0, 2)):
         assert t in scan
     assert Vec2(1, 0) not in scan
+    # tested against its block, a periodic coloring needs no window and
+    # skips no candidate
+    assert scan.skipped == () and find_periods(checkerboard, None, 2) == scan
 
 
 def test_find_periods_constant(constant_zero):
@@ -454,7 +461,7 @@ def test_saturate_matches_former_loop():
                     for _ in range(c0)]
             b = rng.choice([x for x in range(a)
                             if (x - c // c0 * b0) % a0 == 0])
-            block = tuple(tuple(_block_color(a0, b0, c0, tile, (i, j))
+            block = tuple(tuple(oracles.block_color(a0, b0, c0, tile, (i, j))
                                 for i in range(a)) for j in range(c))
         expected = oracles.naive_saturate(a, b, c, block)
         assert _saturate(a, b, c, block) == expected

@@ -14,9 +14,8 @@ from tilecraft.grid import (Alphabet, DiscreteDomain, PeriodicConfig, Vec2,
 from tilecraft.serialize import (SchemaError, canonical_json,
                                  pattern_set_from_json,
                                  pattern_set_to_json, render_rows,
-                                 shape_from_json, shape_to_json,
-                                 witness_from_json, witness_to_json)
-from tilecraft.sft import PatternSet, TorusWitness
+                                 shape_from_json, shape_to_json)
+from tilecraft.sft import PatternSet
 
 
 def test_shape_roundtrip_rect():
@@ -158,24 +157,6 @@ def test_configuration_skew_periods():
             "block": [[0, 1], [1, 0]]}
     c = configuration_from_json(data)
     assert c == PeriodicConfig.from_block([[0, 1], [1, 0]])
-
-
-def test_period_scan_serialization(checkerboard):
-    from tilecraft.grid import DiscreteDomain as DD
-    from tilecraft.grid import find_periods, is_two_periodic
-    from tilecraft.analysis_io import (period_scan_to_json,
-                                       two_periodic_report_to_json)
-    scan = find_periods(checkerboard, None, 2)
-    data = period_scan_to_json(scan)
-    assert [1, 1] in data["periods"] and data["skipped"] == []
-    rep = is_two_periodic(checkerboard, DD.rect(8, 8), 2)
-    data = two_periodic_report_to_json(rep)
-    assert data["two_periodic"] and data["horizontal"] == [2, 0]
-
-
-def test_witness_roundtrip():
-    w = TorusWitness(2, 3, ((0, 1), (1, 0), (1, 1)))
-    assert witness_from_json(witness_to_json(w)) == w
 
 
 def test_render_rows():
