@@ -11,10 +11,11 @@ here: format_poly gives the canonical text, analysis_io the JSON form.
 from __future__ import annotations
 
 import warnings
+from itertools import chain
 from types import MappingProxyType
 
-from .colorings import (Configuration, PeriodicConfig, _block_color,
-                        _block_rows)
+from .colorings import (Configuration, PeriodicConfig, WindowConfig,
+                        _block_color, _block_rows)
 from .grid import CertificateError, DiscreteDomain, Frozen, Vec2
 from .linalg import nullspace_vector
 
@@ -154,24 +155,46 @@ def difference_poly(v) -> LaurentPoly:
     return LaurentPoly({v: 1, Vec2(0, 0): -1})
 
 
+def _summed_rows(f: LaurentPoly, width: int, height: int, read) -> list:
+    """The rows of the sum over f's terms e of coeff times read(e)."""
+    rows = [[0] * width] * height
+    for e, coeff in f.terms.items():
+        rows = [[v + coeff * s for v, s in zip(row, line)]
+                for row, line in zip(rows, read(e))]
+    return rows
+
+
+def _fc_block(f: LaurentPoly, c: PeriodicConfig) -> list:
+    """One fundamental block of f.c, which has the periods of c, so f.c
+    vanishes on all of Z^2 exactly when this block is zero."""
+    a, b, h = c.span_x, c.shear, c.span_y
+    return _summed_rows(f, a, h, lambda e: _block_rows(
+        a, b, h, c.block, -e.x, -e.y, a, h))
+
+
 def apply(f: LaurentPoly, c: Configuration, window: DiscreteDomain) -> dict[Vec2, int]:
-    """Values of the formal product f.c on the window cells.  f.c has
-    the periods of c, so for a periodic c one block of it is summed from
-    c's shifted blocks, then read row by row on a rectangular window and
-    cell by cell on any other."""
-    items = [(e, f.coefficient(e)) for e in f.support()]
+    """Values of the formal product f.c on the window cells.  f.c has the
+    periods of a periodic c: its one summed block is read by rows on a
+    rectangular window, else by cells.  A window c sums row slices on a
+    rectangle whose reads stay in c.rect, else cells (or OutOfWindow)."""
+    r = window.bounding_rect() if window.is_rectangle() else None
     if isinstance(c, PeriodicConfig):
         a, b, h = c.span_x, c.shear, c.span_y
-        block = [[0] * a] * h
-        for e, coeff in items:
-            shifted = _block_rows(a, b, h, c.block, -e.x, -e.y, a, h)
-            block = [[v + coeff * s for v, s in zip(row, line)]
-                     for row, line in zip(block, shifted)]
-        if not window.is_rectangle():
+        block = _fc_block(f, c)
+        if r is None:
             return {n: _block_color(a, b, h, block, n) for n in window.cells}
-        r = window.bounding_rect()
         rows = _block_rows(a, b, h, block, r.x0, r.y0, r.width, r.height)
-        return {n: rows[n.y - r.y0][n.x - r.x0] for n in window.cells}
+        return dict(zip(window.cells, chain.from_iterable(rows)))
+    box = c.rect if isinstance(c, WindowConfig) else None
+    if r and box and all(box.contains((r.x0 - x, r.y0 - y))
+                         and box.contains((r.x1 - x, r.y1 - y))
+                         for x, y in f.terms):
+        w, h, dx, dy = r.width, r.height, r.x0 - box.x0, r.y0 - box.y0
+        rows = _summed_rows(f, w, h, lambda e: [
+            line[dx - e.x:dx - e.x + w]
+            for line in c.values[dy - e.y:dy - e.y + h]])
+        return dict(zip(window.cells, chain.from_iterable(rows)))
+    items = [(e, f.coefficient(e)) for e in f.support()]
     return {n: sum(coeff * c.color_at(n - e) for e, coeff in items)
             for n in window.cells}
 
@@ -200,12 +223,12 @@ class AnnihilatorCertificate(Frozen):
 def periodic_annihilator(c: PeriodicConfig) -> AnnihilatorCertificate:
     """Product of the two period difference polynomials, verified.
 
-    The verification window covers two fundamental blocks in each
-    direction.
+    The check is global: one block of the product applied to c is zero.
+    The certificate names a window of two blocks in each direction.
     """
     poly = difference_poly(c.p1) * difference_poly(c.p2)
     window = DiscreteDomain.rect(2 * c.span_x, 2 * c.span_y)
-    if not annihilates(poly, c, window):
+    if any(map(any, _fc_block(poly, c))):
         raise CertificateError("period difference product failed to annihilate")
     return AnnihilatorCertificate(poly, window)
 
@@ -216,12 +239,24 @@ def annihilator_search(c: Configuration, window: DiscreteDomain,
 
     Sets up one linear equation per window cell and extracts a
     primitive integer kernel vector by exact elimination.  The result,
-    when found, annihilates on exactly the given window.
+    when found, annihilates on exactly the given window.  A window c
+    whose rectangle holds every read gives the equations from its rows.
     """
     support = support_box.cells
     if not support:
         raise ValueError("support box must be nonempty")
-    rows = [[c.color_at(n - t) for t in support] for n in window.cells]
+    if not window.cells:
+        raise ValueError("window must be nonempty")
+    w, s = window.bounding_rect(), support_box.bounding_rect()
+    if (isinstance(c, WindowConfig)
+            and c.rect.contains((w.x0 - s.x1, w.y0 - s.y1))
+            and c.rect.contains((w.x1 - s.x0, w.y1 - s.y0))):
+        x0, y0, values = c.rect.x0, c.rect.y0, c.values
+        offsets = [(t.x + x0, t.y + y0) for t in support]
+        rows = [[values[y - ty][x - tx] for tx, ty in offsets]
+                for x, y in window.cells]
+    else:
+        rows = [[c.color_at(n - t) for t in support] for n in window.cells]
     if not any(map(any, rows)):
         warnings.warn("coloring is the zero series on the window",
                       ZeroSeriesWarning, stacklevel=2)

@@ -309,19 +309,23 @@ def find_periods(c: Configuration, window: DiscreteDomain | None,
                  bound: int) -> PeriodScan:
     """Nonzero vectors t (Chebyshev norm <= bound) preserving the coloring.
 
-    Periodic configurations are tested exactly against their block;
-    windows compare every cell pair (n, n-t) available inside the
-    window.  Candidates with no comparable pair are skipped and
-    reported, not treated as periods.
+    A periodic configuration keeps the (x, y) in its stored, maximal
+    lattice: y = k*span_y and x = k*shear modulo span_x.  Windows compare
+    every cell pair (n, n-t) available inside the window.  Candidates
+    with no comparable pair are skipped and reported, not periods.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
+    if isinstance(c, PeriodicConfig):
+        a, b, h = c.span_x, c.shear, c.span_y
+        side = range(-bound, bound + 1)
+        return PeriodScan(tuple(
+            Vec2(x, y) for y in side if y % h == 0 for x in side
+            if (x or y) and (x - y // h * b) % a == 0), ())
     candidates = [Vec2(x, y)
                   for y in range(-bound, bound + 1)
                   for x in range(-bound, bound + 1)
                   if (x, y) != (0, 0)]
-    if isinstance(c, PeriodicConfig):
-        return PeriodScan(tuple(t for t in candidates if c.is_period(t)), ())
     if window is None:
         raise ValueError("window configurations need an explicit window")
     cells = list(window.cells)

@@ -262,7 +262,13 @@ class DiscreteDomain(Frozen):
 
     @classmethod
     def rect(cls, width: int, height: int, origin: Vec2 = ORIGIN) -> "DiscreteDomain":
-        return cls(tuple(Rect.of_size(width, height, origin).cells()))
+        """A rectangle's cells, already distinct and canonical: no sort."""
+        cells = tuple(Rect.of_size(width, height, origin).cells())
+        self = cls.__new__(cls)
+        self.__dict__.update(_set=frozenset(cells), _rect=Rect(
+            cells[0].x, cells[0].y, cells[-1].x, cells[-1].y))
+        Frozen.__init__(self, cells)
+        return self
 
     def __iter__(self) -> Iterator[Vec2]:
         return iter(self.cells)

@@ -1,16 +1,21 @@
 import random
+import re
 import tracemalloc
+import warnings
 
 import pytest
 
+from tilecraft import algebra
 from tilecraft.algebra import (AnnihilatorCertificate, LaurentPoly,
                                TrivialAnnihilatorWarning, ZeroSeriesWarning,
                                annihilates, annihilator_search, apply,
                                difference_poly, format_poly,
                                periodic_annihilator, poly_mul)
 from tilecraft.analysis_io import poly_to_json
-from tilecraft.grid import (DiscreteDomain, PeriodicConfig, Vec2, WindowConfig,
-                            ZeroVector, find_periods)
+from tilecraft.grid import (DiscreteDomain, OutOfWindow, PeriodicConfig, Rect,
+                            Vec2, WindowConfig, ZeroVector, find_periods)
+
+import oracles
 
 
 
@@ -222,6 +227,132 @@ def test_search_primitive_normalization():
     coeffs = sorted(cert.poly.terms.values())
     import math
     assert math.gcd(*coeffs) == 1
+
+
+def test_search_empty_window_is_an_error(checkerboard):
+    # with no equation every nonzero polynomial would annihilate
+    with pytest.raises(ValueError, match="^window must be nonempty$"):
+        annihilator_search(checkerboard, DiscreteDomain(()),
+                           DiscreteDomain.rect(2, 2))
+
+
+# --- row reads against per-cell references ----------------------------------
+
+def random_periodic(rng):
+    a, h = rng.randint(1, 4), rng.randint(1, 4)
+    block = [[rng.randrange(3) for _ in range(a)] for _ in range(h)]
+    return PeriodicConfig(a, rng.randrange(a), h, block)
+
+
+def random_window(rng, span=4, side=7):
+    """A rectangle with an origin that may be negative, or a ragged,
+    holed subset of one."""
+    r = DiscreteDomain.rect(rng.randint(1, side), rng.randint(1, side),
+                            Vec2(rng.randint(-span, span), rng.randint(-span, span)))
+    if rng.random() < 0.5:
+        return r
+    return DiscreteDomain(n for n in r if rng.random() < 0.7)
+
+
+def per_cell_apply(f, c, window):
+    """The cell-by-cell sum, reading c through color_at."""
+    items = [(e, f.coefficient(e)) for e in f.support()]
+    return {n: sum(coeff * c.color_at(n - e) for e, coeff in items)
+            for n in window.cells}
+
+
+def outcome(call):
+    try:
+        return list(call().items())
+    except OutOfWindow as exc:
+        return ("OutOfWindow", str(exc))
+
+
+def test_periodic_apply_matches_block_color_oracle():
+    rng = random.Random(2003)
+    sheared = 0
+    for _ in range(400):
+        c = random_periodic(rng)
+        sheared += c.shear > 0
+        f = random_poly(rng, max_terms=5, span=3)
+        window = random_window(rng)
+        a, b, h, block = c.span_x, c.shear, c.span_y, c.block
+        expected = [(n, sum(coeff * oracles.block_color(a, b, h, block, n - e)
+                            for e, coeff in f.terms.items()))
+                    for n in window.cells]
+        assert list(apply(f, c, window).items()) == expected
+    assert sheared > 50
+
+
+def test_window_apply_matches_per_cell_path():
+    rng = random.Random(2011)
+    rows_read = outside = 0
+    for _ in range(600):
+        w, h = rng.randint(4, 12), rng.randint(4, 12)
+        c = WindowConfig(Rect.of_size(w, h, Vec2(rng.randint(-6, 0),
+                                                 rng.randint(-6, 0))),
+                         [[rng.randint(-4, 4) for _ in range(w)]
+                          for _ in range(h)])
+        f = random_poly(rng, max_terms=4, span=2)
+        window = random_window(rng, span=2, side=5)
+        expected = outcome(lambda: per_cell_apply(f, c, window))
+        assert outcome(lambda: apply(f, c, window)) == expected
+        if window.is_rectangle() and not f.is_zero:
+            if isinstance(expected, tuple):
+                outside += 1
+            else:
+                rows_read += 1
+    assert rows_read > 50 and outside > 50
+
+
+def test_block_check_agrees_with_annihilates_on_two_blocks():
+    rng = random.Random(2027)
+    verdicts = set()
+    for _ in range(400):
+        c = random_periodic(rng)
+        f = random_poly(rng, max_terms=3, span=2)
+        if rng.random() < 0.5:  # a multiple of a lattice vector's difference
+            t = rng.randint(-2, 2) * c.p1 + rng.randint(-2, 2) * c.p2
+            f = f * difference_poly(t) if not t.is_zero() else f
+        if f.is_zero:
+            continue
+        window = DiscreteDomain.rect(2 * c.span_x, 2 * c.span_y)
+        vanishes = not any(map(any, algebra._fc_block(f, c)))
+        assert vanishes == annihilates(f, c, window)
+        verdicts.add(vanishes)
+    assert verdicts == {True, False}
+
+
+def test_search_rows_match_color_at(monkeypatch):
+    systems = []
+    monkeypatch.setattr(algebra, "nullspace_vector",
+                        lambda rows: systems.append(rows))
+    rng = random.Random(2039)
+    rows_read = outside = 0
+    for _ in range(400):
+        w, h = rng.randint(4, 12), rng.randint(4, 12)
+        c = WindowConfig(Rect.of_size(w, h, Vec2(rng.randint(-6, 0),
+                                                 rng.randint(-6, 0))),
+                         [[rng.randrange(3) for _ in range(w)]
+                          for _ in range(h)])
+        window = random_window(rng, span=2, side=5)
+        support = random_window(rng, span=1, side=3)
+        if not len(window) or not len(support):
+            continue
+        try:
+            expected = [[c.color_at(n - t) for t in support] for n in window]
+        except OutOfWindow as exc:
+            with pytest.raises(OutOfWindow, match=f"^{re.escape(str(exc))}$"):
+                annihilator_search(c, window, support)
+            outside += 1
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ZeroSeriesWarning)
+            assert annihilator_search(c, window, support) is None
+        assert systems.pop() == expected
+        # all reads of two rectangles lie in c.rect, so the rows were read
+        rows_read += window.is_rectangle() and support.is_rectangle()
+    assert rows_read > 50 and outside > 50
 
 
 # --- text and json round trips ----------------------------------------------

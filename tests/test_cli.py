@@ -393,16 +393,19 @@ def test_annihilator_oversized_system_is_input_error(tmp_path, capsys,
         "be at most 5000000, got 400 window and 400 support cells")
 
 
-@pytest.mark.parametrize("doc, options, message", [
-    (PER23, (), "period difference product failed to annihilate"),
+@pytest.mark.parametrize("doc, options, check, message", [
+    # the periodic check reads one block of f.c; a nonzero block fails it
+    (PER23, (), ("_fc_block", lambda f, c: [[1]]),
+     "period difference product failed to annihilate"),
     ({"kind": "window",
       "rows": [[(i + j) % 2 for i in range(6)] for j in range(6)]},
      ("--support", "2x2", "--window", "4x4@1,1"),
+     ("annihilates", lambda f, c, window: False),
      "kernel vector failed re-verification"),
 ], ids=["periodic", "search"])
 def test_annihilator_failed_self_check_is_an_error_report(
-        tmp_path, capsys, monkeypatch, doc, options, message):
-    monkeypatch.setattr(algebra, "annihilates", lambda f, c, window: False)
+        tmp_path, capsys, monkeypatch, doc, options, check, message):
+    monkeypatch.setattr(algebra, *check)
     f = write(tmp_path, "c.json", doc)
     code, out = run(capsys, "annihilator", f, *options)
     assert code == 2

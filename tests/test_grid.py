@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 import re
 import warnings
@@ -348,6 +349,25 @@ def test_find_periods_contains_declared():
         assert p1 in scan and p2 in scan
 
 
+def test_find_periods_periodic_lists_the_block_periods():
+    # every candidate in the bound's square, kept when the oracle's
+    # cell-by-cell block comparison holds: same vectors, same order
+    rng = random.Random(41)
+    for _ in range(200):
+        a, h = rng.randint(1, 5), rng.randint(1, 5)
+        block = [[rng.randrange(2) for _ in range(a)] for _ in range(h)]
+        c = PeriodicConfig(a, rng.randrange(a), h, block)
+        bound = rng.randint(1, 6)
+        expected = tuple(
+            Vec2(x, y) for y in range(-bound, bound + 1)
+            for x in range(-bound, bound + 1) if (x, y) != (0, 0)
+            and oracles._is_block_period(c.span_x, c.shear, c.span_y,
+                                         c.block, Vec2(x, y)))
+        scan = find_periods(c, None, bound)
+        assert scan.periods == expected and scan.skipped == ()
+        assert all(type(t) is Vec2 for t in scan)
+
+
 # --- is_two_periodic -------------------------------------------------------
 
 def test_two_periodic_checkerboard(checkerboard):
@@ -524,6 +544,29 @@ def test_alphabet_canonical():
 def test_domain_canonical_order():
     d = DiscreteDomain([(1, 1), (0, 0), (1, 0), (0, 1)])
     assert d.cells == (Vec2(0, 0), Vec2(1, 0), Vec2(0, 1), Vec2(1, 1))
+
+
+def test_rect_domain_matches_the_general_constructor():
+    rng = random.Random(43)
+    for _ in range(100):
+        w, h = rng.randint(1, 6), rng.randint(1, 6)
+        origin = Vec2(rng.randint(-5, 5), rng.randint(-5, 5))
+        d = DiscreteDomain.rect(w, h, origin)
+        cells = [(x, y) for y in range(origin.y, origin.y + h)
+                 for x in range(origin.x, origin.x + w)]
+        rng.shuffle(cells)
+        general = DiscreteDomain(cells)
+        for e in (d, pickle.loads(pickle.dumps(d))):
+            assert e.cells == general.cells
+            assert e == general and hash(e) == hash(general)
+            assert e.bounding_rect() == general.bounding_rect()
+            assert e.is_rectangle()
+            for y in range(origin.y - 1, origin.y + h + 1):
+                for x in range(origin.x - 1, origin.x + w + 1):
+                    assert ((x, y) in e) == ((x, y) in general)
+    for w, h in ((0, 3), (3, 0), (-1, 2)):
+        with pytest.raises(ValueError):
+            DiscreteDomain.rect(w, h)
 
 
 def test_five_pattern_window_has_five_blocks(five_pattern_window, square2):
