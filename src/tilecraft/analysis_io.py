@@ -165,7 +165,7 @@ def _cmd_annihilator(args, report: dict, doc) -> int:
     if isinstance(config, PeriodicConfig):
         cert = periodic_annihilator(config)
         report["outcome"] = {"found": True, "mode": "periodic",
-                             **certificate_to_json(cert)}
+                             "scope": "global", **certificate_to_json(cert)}
         return 0
     if args.support is None or args.window is None:
         raise SchemaError(
@@ -177,11 +177,10 @@ def _cmd_annihilator(args, report: dict, doc) -> int:
             f"to be at most {MAX_ELIMINATION_WORK}, got {rows} window and "
             f"{cols} support cells")
     cert = annihilator_search(config, args.window, args.support)
-    if cert is None:
-        report["outcome"] = {"found": False, "mode": "search"}
-    else:
-        report["outcome"] = {"found": True, "mode": "search",
-                             **certificate_to_json(cert)}
+    report["outcome"] = {"found": cert is not None, "mode": "search",
+                         "scope": "window"}
+    if cert is not None:
+        report["outcome"].update(certificate_to_json(cert))
     return 0
 
 

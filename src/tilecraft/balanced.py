@@ -4,22 +4,23 @@ A convex cell set D is balanced for a direction u in a coloring when
 (i) the coloring is low complexity on D, (ii) dropping the edge of D
 in direction u loses almost no patterns, and (iii) no cut of D
 perpendicular to u is much shorter than that edge.  All counting goes
-through colorings._pattern_values, the value tuples of patterns_of, so
+through colorings._pattern_reader, the value tuples of patterns_of, so
 the numbers here are the same numbers the complexity reports show.  On
 a periodic coloring and a rectangular window at least one block wide,
-each count reads one translate per lattice coset from row slices of
-the block; a window coloring, a ragged window or a narrower one is
-read cell by cell at every fitting translate.
+a search reads the block once and each count reads one translate per
+lattice coset from row slices of that read; a window coloring, a ragged
+window or a narrower one is read cell by cell at every translate.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from functools import cache
+from collections.abc import Callable
+from functools import cache, partial
 
 from .colorings import (Configuration, PeriodScan, _fitting_translates,
-                        _pattern_values, find_periods, is_low_complexity)
+                        _pattern_reader, _pattern_values, find_periods)
 from .colorings import patterns_of  # noqa: F401  perfbench's tracer wraps it here
 from .grid import ORIGIN, DiscreteDomain, Frozen, Vec2
 
@@ -169,15 +170,15 @@ def is_balanced(c: Configuration, domain: DiscreteDomain, u,
     u = Vec2.nonzero(u, "balanced direction must be nonzero")
     if not is_convex(domain):
         raise NotConvex("balanced sets must be convex")
-    return _report(c, domain, u, window,
-                   len(_pattern_values(c, domain, window)))
+    read = partial(_pattern_values, c, window=window)
+    return _report(read, domain, u, len(read(domain)))
 
 
-def _report(c: Configuration, domain: DiscreteDomain, u: Vec2,
-            window: DiscreteDomain, full: int) -> BalancedReport:
+def _report(read: Callable[[DiscreteDomain], set], domain: DiscreteDomain,
+            u: Vec2, full: int) -> BalancedReport:
     """The report for a convex domain whose pattern count is full."""
     e = edge(domain, u)
-    inner = len(_pattern_values(c, domain.minus(e), window))
+    inner = len(read(domain.minus(e)))
     levels: dict[int, int] = {}
     for cell in domain.cells:
         s = cell.dot(u)
@@ -273,21 +274,27 @@ def balanced_search(c: Configuration, n: int, m: int, u,
     candidate sets are built once per process and reused; their cost
     grows 3-4x per cell of area_budget (about 0.4 s at 6 cells, 1.6 s
     and 51 MB at 7), so the command line caps area_budget at its
-    MAX_AREA_BUDGET (7).
+    MAX_AREA_BUDGET (7).  The n x m rectangle, every candidate and every
+    candidate minus its edge fit in a square of side
+    max(n, m, min(area_budget, n*m)), so one _pattern_reader of that box
+    counts them all from one block read.
     """
     u = Vec2.nonzero(u, "search direction must be nonzero")
-    rect_report = is_low_complexity(c, DiscreteDomain.rect(n, m), window)
-    if not rect_report.low:
+    rect = DiscreteDomain.rect(n, m)
+    side = max(n, m, min(area_budget, n * m))
+    read = _pattern_reader(c, window, side, side)
+    rect_count = len(read(rect))
+    if rect_count > n * m:
         warnings.warn(
-            f"coloring has {rect_report.count} > {rect_report.bound} patterns "
+            f"coloring has {rect_count} > {n * m} patterns "
             f"on the {n}x{m} rectangle; balanced set may not exist",
             NotLowComplexityWarning, stacklevel=2)
     for d in _convex_candidates(area_budget, n * m):
-        full = len(_pattern_values(c, d, window))
+        full = len(read(d))
         if full > len(d):
             continue  # condition (i) fails for u and -u alike
         for orientation in (u, -u):
-            report = _report(c, d, orientation, window, full)
+            report = _report(read, d, orientation, full)
             if report.balanced:
                 return BalancedSearchResult(d, orientation, report)
     return None

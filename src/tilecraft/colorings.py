@@ -236,36 +236,50 @@ def patterns_of(c: Configuration, shape: DiscreteDomain,
 
 def _pattern_values(c: Configuration, shape: DiscreteDomain,
                     window: DiscreteDomain) -> set[tuple[int, ...]]:
-    """The value tuples of patterns_of, as a set.
+    """The value tuples of patterns_of, as a set."""
+    box = shape.bounding_rect() if len(shape) else Rect(0, 0, 0, 0)
+    return _pattern_reader(c, window, box.width, box.height)(shape)
 
-    A periodic configuration on a rectangular window whose translates
-    span at least span_x columns is read from row slices.  Counted from
+
+def _pattern_reader(c: Configuration, window: DiscreteDomain, width: int,
+                    height: int) -> Callable[[DiscreteDomain], set]:
+    """The _pattern_values of any shape whose bounding box fits in
+    width x height, from at most one block read.
+
+    On a periodic configuration and a rectangular window, a shape whose
+    translates span at least span_x columns is read from row slices: from
     the window's first translate t0, the translates t0 + (i, j) with
-    i < span_x and j < min(rows, span_y) meet every lattice coset that
-    a fitting translate meets, each once, so one _block_rows read of the
-    rectangle they cover gives every pattern.  Any other configuration
-    or window, and a too-narrow window, is read cell by cell at every
-    fitting translate.
+    i < span_x and j < min(rows, span_y) meet each lattice coset that a
+    fitting translate meets once, and they lie in the box grown by
+    span_x - 1 columns and span_y - 1 rows, so one _block_rows read,
+    clipped to the window, serves every shape.  Anything else is read
+    cell by cell at every fitting translate.
     """
-    if not len(shape):
-        return {()}
+    lines = None
     if isinstance(c, PeriodicConfig) and window.is_rectangle():
-        s, w = shape.bounding_rect(), window.bounding_rect()
-        a, rows = c.span_x, min(w.height - s.height + 1, c.span_y)
+        w, a, h = window.bounding_rect(), c.span_x, c.span_y
+        lines = _block_rows(a, c.shear, h, c.block, w.x0, w.y0,
+                            min(w.width, width + a - 1),
+                            min(w.height, height + h - 1))
+
+    def read(shape: DiscreteDomain) -> set[tuple[int, ...]]:
+        if not shape.cells:
+            return {()}
+        s = shape.bounding_rect()
+        rows = 0 if lines is None else min(w.height - s.height + 1, h)
         if rows > 0 and w.width - s.width + 1 >= a:
-            lines = _block_rows(a, c.shear, c.span_y, c.block, w.x0, w.y0,
-                                s.width + a - 1, s.height + rows - 1)
             cells = [(x - s.x0, y - s.y0) for x, y in shape.cells]
             seen = set()
             for j in range(rows):
                 seen.update(zip(*[lines[y + j][x:x + a] for x, y in cells]))
             return seen
-    seen = {tuple(c.color_at(cell + t) for cell in shape.cells)
-            for t in _fitting_translates(shape, window)}
-    if not seen:
-        raise EmptyWindow(
-            f"no translate of the {len(shape)}-cell shape fits in the window")
-    return seen
+        seen = {tuple(c.color_at(cell + t) for cell in shape.cells)
+                for t in _fitting_translates(shape, window)}
+        if not seen:
+            raise EmptyWindow(f"no translate of the {len(shape)}-cell "
+                              f"shape fits in the window")
+        return seen
+    return read
 
 
 class ComplexityReport(Frozen):

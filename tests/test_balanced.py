@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tilecraft import balanced
+from tilecraft import balanced, colorings
 from tilecraft.balanced import (DoesNotFit, NotConvex, NotLowComplexityWarning,
                                 Stripe, _convex_candidates, _convex_sets,
                                 balanced_search, edge, fits, is_balanced,
@@ -337,6 +337,86 @@ def _search_outcome(search, case):
 def test_balanced_search_matches_naive_search(case):
     assert (_search_outcome(balanced_search, case)
             == _search_outcome(oracles.naive_balanced_search, case))
+
+
+@st.composite
+def _shared_read_cases(draw):
+    """Sheared periodic colorings on windows about as wide and tall as
+    balanced_search's one block read, with the search's arguments and a
+    window coloring equal to the periodic one on the window.
+
+    The rectangular windows run from the read box plus span_x - 1
+    columns to three columns more, and from one row too short for
+    span_y translates of the tallest set to three rows more; ragged
+    windows and the window coloring take the cell-by-cell path."""
+    colors = draw(st.integers(2, 3))
+    a, h = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    b = draw(st.integers(0, a - 1))
+    config = PeriodicConfig(a, b, h, draw(st.lists(
+        st.lists(st.integers(0, colors - 1), min_size=a, max_size=a),
+        min_size=h, max_size=h)))
+    n, m, area_budget = (draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+                         draw(st.integers(1, 4)))
+    side = max(n, m, min(area_budget, n * m))
+    ww = side + config.span_x - 1 + draw(st.integers(0, 3))
+    wh = max(1, side + config.span_y - 1 + draw(st.integers(-1, 3)))
+    origin = Vec2(draw(st.integers(-5, 5)), draw(st.integers(-5, 5)))
+    cells = [origin + (x, y) for y in range(wh) for x in range(ww)]
+    if draw(st.integers(0, 3)) == 0:  # ragged: a few cells left out
+        dropped = draw(st.sets(st.sampled_from(cells), min_size=1,
+                               max_size=3))
+        cells = [cell for cell in cells if cell not in dropped]
+    window = DiscreteDomain(cells)
+    copy = WindowConfig.from_rows(
+        [[oracles.block_color(config.span_x, config.shear, config.span_y,
+                              config.block, (x, y))
+          for x in range(origin.x, origin.x + ww)]
+         for y in range(origin.y, origin.y + wh)], origin)
+    u = draw(st.sampled_from(_DIRECTIONS[:-1]))
+    return config, copy, n, m, u, window, area_budget
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_shared_read_cases())
+def test_shared_block_read_matches_naive_search(case):
+    # the naive search counts each set through its own read, and on the
+    # window coloring cell by cell through the oracles' block_color
+    config, copy, n, m, u, window, area_budget = case
+    found = _search_outcome(balanced_search,
+                            (config, n, m, u, window, area_budget))
+    assert found == _search_outcome(oracles.naive_balanced_search,
+                                    (config, n, m, u, window, area_budget))
+    assert found == _search_outcome(oracles.naive_balanced_search,
+                                    (copy, n, m, u, window, area_budget))
+    result, _warnings = found
+    domains = [DiscreteDomain.rect(n, m)]
+    if isinstance(result, balanced.BalancedSearchResult):
+        assert is_balanced(config, result.domain, result.orientation,
+                           window) == result.report
+        domains.append(result.domain)
+    for d in domains:
+        assert (_search_outcome(is_balanced, (config, d, u, window))
+                == _search_outcome(is_balanced, (copy, d, u, window)))
+
+
+def test_search_reads_the_block_once(monkeypatch):
+    # no set is balanced until the 3-cell ones, so the search counts
+    # the rectangle and many candidates and inner sets, all from one read
+    config = PeriodicConfig(2, 1, 2, ((0, 1), (1, 1)))
+    assert config.shear == 1
+    window = W(9, 8, Vec2(-3, 2))
+    expected = oracles.naive_balanced_search(config, 2, 2, Vec2(1, 0),
+                                             window, 4)
+    assert len(expected.domain) == 3
+    reads = []
+    real = colorings._block_rows
+
+    def counted(*args):
+        reads.append(args)
+        return real(*args)
+    monkeypatch.setattr(colorings, "_block_rows", counted)
+    assert balanced_search(config, 2, 2, Vec2(1, 0), window, 4) == expected
+    assert len(reads) == 1
 
 
 # --- stripe_scenario_check -----------------------------------------------------------

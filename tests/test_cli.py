@@ -362,6 +362,32 @@ def test_annihilator_not_found(tmp_path, capsys, de_bruijn_window):
     assert not report_of(out)["outcome"]["found"]
 
 
+def test_annihilator_periodic_scope_is_global(tmp_path, capsys):
+    # the periodic check reads one block of f.c, which covers all of Z^2
+    f = write(tmp_path, "p.json", PER23)
+    code, out = run(capsys, "annihilator", f)
+    assert code == 0
+    outcome = report_of(out)["outcome"]
+    assert (outcome["mode"], outcome["scope"]) == ("periodic", "global")
+    assert outcome["window_cells"] == 4 * 2 * 3
+
+
+def test_annihilator_search_scope_is_window(tmp_path, capsys,
+                                           de_bruijn_window):
+    # a search verifies f.c = 0 on its window only, found or not
+    rows = [[(i + j) % 2 for i in range(6)] for j in range(6)]
+    db_rows = [list(r) for r in de_bruijn_window.values]
+    for name, doc_rows, found in (("w.json", rows, True),
+                                  ("db.json", db_rows, False)):
+        f = write(tmp_path, name, {"kind": "window", "rows": doc_rows})
+        code, out = run(capsys, "annihilator", f, "--support", "2x2",
+                        "--window", "4x4@1,1")
+        assert code == 0
+        outcome = report_of(out)["outcome"]
+        assert (outcome["found"], outcome["mode"], outcome["scope"]) == (
+            found, "search", "window")
+
+
 def test_decide_failed_self_check_is_an_error_report(tmp_path, capsys,
                                                      monkeypatch):
     # every search "finds" the all-zero grid, which the checkerboard set
