@@ -1,4 +1,4 @@
-"""Balanced-set geometry: edges, convexity, fits and the three conditions.
+"""Balanced-set geometry: edges, convexity and the three conditions.
 
 A convex cell set is balanced for a direction when the coloring is low
 complexity on it, removing its directional edge loses almost nothing,
@@ -7,9 +7,9 @@ sets drive the periodicity argument; the bounded search below looks
 for one in canonical order.
 """
 
-from tilecraft import (DiscreteDomain, PeriodicConfig, Stripe, Vec2,
-                       WindowConfig, balanced_search, edge, fits, is_balanced,
-                       is_convex, stripe_scenario_check)
+from tilecraft import (DiscreteDomain, PeriodicConfig, Vec2, WindowConfig,
+                       balanced_search, edge, find_periods, is_balanced,
+                       is_convex)
 
 triangle = DiscreteDomain([(0, 0), (1, 0), (0, 1)])
 print("triangle convex:", is_convex(triangle))
@@ -31,20 +31,24 @@ print("first balanced set found:", [tuple(c) for c in result.domain],
       "oriented", tuple(result.orientation))
 print()
 
-# stripe scenario: two colorings equal on a band's interior but not on
-# its edge line corroborate periodicity perpendicular to the band
+# the stripe argument: two colorings that agree on the interior of the
+# width-3 band -3 < x <= 0 but not on its edge column x = 0 point to a
+# period perpendicular to the band's direction (1, 0)
 rows_d = [[x % 2 for x in range(-4, 4)] for _ in range(6)]
 rows_e = [list(r) for r in rows_d]
 for r in rows_e:
-    r[4] ^= 1  # disturb the stripe's edge column x = 0
+    r[4] ^= 1  # disturb the band's edge column x = 0
 d = WindowConfig.from_rows(rows_d, Vec2(-4, 0))
 e = WindowConfig.from_rows(rows_e, Vec2(-4, 0))
-win = DiscreteDomain.rect(8, 6, Vec2(-4, 0))
-rep = stripe_scenario_check(d, e, DiscreteDomain.rect(2, 2), Vec2(1, 0), 3,
-                            win, period_bound=2)
-print("stripe hypotheses hold:", rep.hypotheses_hold)
-print("periods perpendicular to (1,0):",
-      [tuple(p) for p in rep.perpendicular_periods])
-print("band placement found by fits:", tuple(rep.fit_at))
-print("a 2x2 square also fits directly in the width-3 band:",
-      tuple(fits(DiscreteDomain.rect(2, 2), Stripe(Vec2(1, 0), 3), win)))
+
+
+def agree(columns):
+    return all(d.color_at(Vec2(x, y)) == e.color_at(Vec2(x, y))
+               for x in columns for y in range(6))
+
+
+print("band interior x = -2, -1 agrees:", agree((-2, -1)))
+print("band edge column x = 0 differs:", not agree((0,)))
+scan = find_periods(d, DiscreteDomain.rect(8, 6, Vec2(-4, 0)), 2)
+print("periods perpendicular to (1, 0):",
+      [tuple(p) for p in scan if p.dot(Vec2(1, 0)) == 0])

@@ -31,13 +31,11 @@ _LAZY = {
     **dict.fromkeys((
         "AnnihilatorCertificate", "LaurentPoly", "TrivialAnnihilatorWarning",
         "ZeroSeriesWarning", "annihilates", "annihilator_search", "apply",
-        "difference_poly", "format_poly", "periodic_annihilator",
-        "poly_mul"), "algebra"),
+        "difference_poly", "format_poly", "periodic_annihilator"), "algebra"),
     **dict.fromkeys((
-        "BalancedReport", "BalancedSearchResult", "DoesNotFit", "NotConvex",
-        "NotLowComplexityWarning", "Stripe", "StripeScenarioReport",
-        "balanced_search", "edge", "fits", "is_balanced", "is_convex",
-        "stripe_scenario_check"), "balanced"),
+        "BalancedReport", "BalancedSearchResult", "NotConvex",
+        "NotLowComplexityWarning", "balanced_search", "edge", "is_balanced",
+        "is_convex"), "balanced"),
 }
 
 __all__ = sorted({name for name in globals() if not name.startswith("_")}

@@ -112,11 +112,6 @@ class LaurentPoly:
         return f"LaurentPoly({format_poly(self)!r})"
 
 
-def poly_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """Convolution product of coefficient maps."""
-    return f * g
-
-
 def _power_text(e: Vec2) -> str:
     parts = []
     for name, exp in (("x", e.x), ("y", e.y)):

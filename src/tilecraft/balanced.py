@@ -1,4 +1,4 @@
-"""Edges, convexity, fits, stripes and the balanced-set conditions.
+"""Edges, convexity and the balanced-set conditions.
 
 A convex cell set D is balanced for a direction u in a coloring when
 (i) the coloring is low complexity on D, (ii) dropping the edge of D
@@ -19,18 +19,13 @@ import warnings
 from collections.abc import Callable
 from functools import cache, partial
 
-from .colorings import (Configuration, PeriodScan, _fitting_translates,
-                        _pattern_reader, _pattern_values, find_periods)
+from .colorings import Configuration, _pattern_reader, _pattern_values
 from .colorings import patterns_of  # noqa: F401  perfbench's tracer wraps it here
 from .grid import ORIGIN, DiscreteDomain, Frozen, Vec2
 
 
 class NotConvex(ValueError):
     """The balanced conditions are defined for convex cell sets only."""
-
-
-class DoesNotFit(ValueError):
-    """No translate of the set lies inside the target region."""
 
 
 class NotLowComplexityWarning(UserWarning):
@@ -82,50 +77,6 @@ def is_convex(domain: DiscreteDomain) -> bool:
                 return False
             inside += 1
     return inside == len(cells)
-
-
-class Stripe(Frozen):
-    """Band -k < <x,u> <= 0; its interior drops the boundary line."""
-
-    u: Vec2
-    k: int
-
-    def __init__(self, u, k: int):
-        u = Vec2.nonzero(u, "stripe direction must be nonzero")
-        if k < 1:
-            raise ValueError("stripe width must be >= 1")
-        Frozen.__init__(self, u, k)
-
-    def contains(self, x) -> bool:
-        s = Vec2(x[0], x[1]).dot(self.u)
-        return -self.k < s <= 0
-
-    def interior_contains(self, x) -> bool:
-        s = Vec2(x[0], x[1]).dot(self.u)
-        return -self.k < s < 0
-
-    def cells_in(self, window: DiscreteDomain) -> DiscreteDomain:
-        return DiscreteDomain(tuple(x for x in window.cells if self.contains(x)))
-
-
-def fits(domain: DiscreteDomain, region: DiscreteDomain | Stripe,
-         window: DiscreteDomain | None = None) -> Vec2 | None:
-    """First translation t (canonical order) with domain + t inside region.
-
-    The region is a DiscreteDomain or a Stripe; the window's bounding
-    rectangle bounds the searched translations and defaults to a
-    DiscreteDomain region's.  Returns None when no searched translate
-    fits.
-    """
-    if isinstance(region, Stripe):
-        if window is None:
-            raise ValueError("stripe fitting needs an explicit window")
-        inside = region.contains
-    else:
-        inside = region.__contains__
-        if window is None:
-            window = region
-    return next(_fitting_translates(domain, window, inside), None)
 
 
 class BalancedReport(Frozen):
@@ -298,52 +249,3 @@ def balanced_search(c: Configuration, n: int, m: int, u,
             if report.balanced:
                 return BalancedSearchResult(d, orientation, report)
     return None
-
-
-class StripeScenarioReport(Frozen):
-    """Desk-scale corroboration of the stripe disagreement scenario.
-
-    When two colorings agree on a stripe's interior but not on the
-    whole stripe, periodicity perpendicular to the stripe direction is
-    expected; this harness checks the hypotheses and reports the
-    perpendicular periods actually observed.  It corroborates, it does
-    not prove.
-    """
-
-    fit_at: Vec2
-    interior_agree: bool
-    stripe_differ: bool
-    perpendicular_periods: tuple[Vec2, ...]
-    period_scan: PeriodScan | None
-
-    @property
-    def hypotheses_hold(self) -> bool:
-        return self.interior_agree and self.stripe_differ
-
-    @property
-    def corroborated(self) -> bool | None:
-        if not self.hypotheses_hold:
-            return None
-        return bool(self.perpendicular_periods)
-
-
-def stripe_scenario_check(d: Configuration, e: Configuration,
-                          domain: DiscreteDomain, u, k: int,
-                          window: DiscreteDomain,
-                          period_bound: int = 4) -> StripeScenarioReport:
-    u = Vec2(u[0], u[1])
-    stripe = Stripe(u, k)
-    t = fits(domain, stripe, window)
-    if t is None:
-        raise DoesNotFit(f"no translate of the set fits in the width-{k} stripe")
-    stripe_cells = stripe.cells_in(window)
-    interior = [x for x in stripe_cells if stripe.interior_contains(x)]
-    interior_agree = all(d.color_at(x) == e.color_at(x) for x in interior)
-    stripe_equal = all(d.color_at(x) == e.color_at(x) for x in stripe_cells)
-    scan = None
-    perpendicular: tuple[Vec2, ...] = ()
-    if interior_agree and not stripe_equal:
-        scan = find_periods(d, window, period_bound)
-        perpendicular = tuple(p for p in scan.periods if p.dot(u) == 0)
-    return StripeScenarioReport(t, interior_agree, not stripe_equal,
-                                perpendicular, scan)

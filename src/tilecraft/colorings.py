@@ -147,14 +147,6 @@ class PeriodicConfig(Configuration, Frozen):
         return PeriodicConfig(a, b, c, _block_rows(a, b, c, self.block,
                                                    -t[0], -t[1], a, c))
 
-    def is_period(self, t) -> bool:
-        """Membership in the stored lattice, which is the maximal one."""
-        x, y = t[0], t[1]
-        if x == 0 and y == 0:
-            return False
-        return (y % self.span_y == 0
-                and (x - y // self.span_y * self.shear) % self.span_x == 0)
-
 
 class WindowConfig(Configuration, Frozen):
     """Coloring known on one axis-aligned rectangle only."""
@@ -197,19 +189,14 @@ def color_at(c: Configuration, n) -> int:
     return c.color_at(Vec2(n[0], n[1]))
 
 
-def _fitting_translates(shape: DiscreteDomain, window: DiscreteDomain,
-                        inside: Callable | None = None) -> Iterator[Vec2]:
-    """Translations t with shape + t inside the window, canonical order.
-
-    Given a cell test ``inside``, every cell of shape + t must pass it
-    instead, and the window's bounding rectangle only bounds t; an empty
-    window then raises ValueError, as an empty shape always does.
-    """
-    if inside is None:
-        if not len(window):
-            return
-        if not window.is_rectangle():  # else every bounded t fits
-            inside = window.__contains__
+def _fitting_translates(shape: DiscreteDomain,
+                        window: DiscreteDomain) -> Iterator[Vec2]:
+    """Translations t with shape + t inside the window, canonical order:
+    the translates _pattern_reader reads cell by cell."""
+    if not len(window):
+        return
+    # a rectangle holds every translate its bounding rectangle allows
+    inside = None if window.is_rectangle() else window.__contains__
     sb = shape.bounding_rect()
     wb = window.bounding_rect()
     for ty in range(wb.y0 - sb.y0, wb.y1 - sb.y1 + 1):
@@ -359,29 +346,3 @@ def find_periods(c: Configuration, window: DiscreteDomain | None,
         elif holds:
             periods.append(t)
     return PeriodScan(tuple(periods), tuple(skipped))
-
-
-class TwoPeriodicReport(Frozen):
-    """Whether two independent periods exist within the bound."""
-
-    two_periodic: bool
-    horizontal: Vec2 | None  # smallest (k, 0) period within bound, if any
-    vertical: Vec2 | None    # smallest (0, k) period within bound, if any
-    scan: PeriodScan
-
-    def __bool__(self) -> bool:
-        return self.two_periodic
-
-
-def is_two_periodic(c: Configuration, window: DiscreteDomain | None,
-                    bound: int) -> TwoPeriodicReport:
-    """True when two linearly independent periods exist within the bound."""
-    scan = find_periods(c, window, bound)
-    two = any(p.cross(q) != 0
-              for i, p in enumerate(scan.periods)
-              for q in scan.periods[i + 1:])
-    horizontal = next((Vec2(k, 0) for k in range(1, bound + 1)
-                       if Vec2(k, 0) in scan), None)
-    vertical = next((Vec2(0, k) for k in range(1, bound + 1)
-                     if Vec2(0, k) in scan), None)
-    return TwoPeriodicReport(two, horizontal, vertical, scan)

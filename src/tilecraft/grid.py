@@ -164,9 +164,6 @@ class Vec2(namedtuple("Vec2", "x y")):
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
 
-    def chebyshev(self) -> int:
-        return max(abs(self.x), abs(self.y))
-
 
 ORIGIN = Vec2(0, 0)
 
@@ -333,7 +330,6 @@ class Pattern(Frozen):
 # the names that moved to colorings, resolved on first access
 _MOVED = dict.fromkeys((
     "ComplexityReport", "Configuration", "PeriodScan", "PeriodicConfig",
-    "TwoPeriodicReport", "WindowConfig", "color_at", "find_periods",
-    "is_low_complexity", "is_two_periodic", "patterns_of", "translate"),
-    "colorings")
+    "WindowConfig", "color_at", "find_periods", "is_low_complexity",
+    "patterns_of", "translate"), "colorings")
 __getattr__ = _lazy(globals(), _MOVED)

@@ -18,12 +18,6 @@ DE_BRUIJN_ROWS = ((1, 1, 1, 0, 1),
                   (1, 0, 0, 0, 1),
                   (1, 1, 1, 0, 1))
 
-# four distinct rows, no period vector within Chebyshev bound 2
-DISTINCT_ROWS = ((1, 1, 0, 0),
-                 (0, 1, 0, 0),
-                 (1, 0, 0, 0),
-                 (0, 0, 0, 0))
-
 
 @pytest.fixture
 def checkerboard():

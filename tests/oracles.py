@@ -9,14 +9,12 @@ import math
 import warnings
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Callable
 
 import numpy as np
 
 from tilecraft.balanced import (BalancedSearchResult, NotLowComplexityWarning,
-                                Stripe, is_balanced, is_convex)
-from tilecraft.grid import (DiscreteDomain, Rect, Vec2, ZeroVector,
-                            is_low_complexity)
+                                is_balanced, is_convex)
+from tilecraft.grid import DiscreteDomain, Vec2, ZeroVector, is_low_complexity
 from tilecraft.sft import box_cells
 
 
@@ -317,36 +315,6 @@ def naive_balanced_search(c, n, m, u, window, area_budget=6):
             report = is_balanced(c, d, orientation, window)
             if report.balanced:
                 return BalancedSearchResult(d, orientation, report)
-    return None
-
-
-# the former balanced.fits, kept verbatim: its own canonical-order scan
-def naive_fits(domain: DiscreteDomain, region, window: DiscreteDomain | Rect | None = None):
-    """First translation t (canonical order) with domain + t inside region.
-
-    The region may be a DiscreteDomain, a Stripe, or any cell
-    predicate; the window bounds the searched translations.  Returns
-    None when no searched translate fits.
-    """
-    if isinstance(region, DiscreteDomain):
-        pred: Callable = region.__contains__
-        if window is None:
-            window = region.bounding_rect()
-    elif isinstance(region, Stripe):
-        pred = region.contains
-        if window is None:
-            raise ValueError("stripe fitting needs an explicit window")
-    else:
-        pred = region
-        if window is None:
-            raise ValueError("predicate fitting needs an explicit window")
-    wrect = window if isinstance(window, Rect) else window.bounding_rect()
-    drect = domain.bounding_rect()
-    for ty in range(wrect.y0 - drect.y0, wrect.y1 - drect.y1 + 1):
-        for tx in range(wrect.x0 - drect.x0, wrect.x1 - drect.x1 + 1):
-            t = Vec2(tx, ty)
-            if all(pred(c + t) for c in domain.cells):
-                return t
     return None
 
 

@@ -10,7 +10,7 @@ from tilecraft.algebra import (AnnihilatorCertificate, LaurentPoly,
                                TrivialAnnihilatorWarning, ZeroSeriesWarning,
                                annihilates, annihilator_search, apply,
                                difference_poly, format_poly,
-                               periodic_annihilator, poly_mul)
+                               periodic_annihilator)
 from tilecraft.analysis_io import poly_to_json
 from tilecraft.grid import (DiscreteDomain, OutOfWindow, PeriodicConfig, Rect,
                             Vec2, WindowConfig, ZeroVector, find_periods)
@@ -37,24 +37,24 @@ def convolve_reference(f, g):
     return LaurentPoly({Vec2(*k): v for k, v in acc.items()})
 
 
-# --- poly_mul ---------------------------------------------------------------
+# --- multiplication ---------------------------------------------------------
 
 def test_mul_identity():
     f = LaurentPoly({(1, 0): 1, (0, 0): -1})
-    assert poly_mul(f, LaurentPoly.one()) == f
+    assert f * LaurentPoly.one() == f
 
 
 def test_mul_difference_of_squares():
     x_minus = LaurentPoly({(1, 0): 1, (0, 0): -1})
     x_plus = LaurentPoly({(1, 0): 1, (0, 0): 1})
-    assert poly_mul(x_minus, x_plus) == LaurentPoly({(2, 0): 1, (0, 0): -1})
+    assert x_minus * x_plus == LaurentPoly({(2, 0): 1, (0, 0): -1})
 
 
 def test_mul_laurent_cross_terms():
     f = LaurentPoly({(2, -1): 1, (0, 0): -1})
     g = LaurentPoly({(-1, 3): 1, (0, 0): -1})
     expected = LaurentPoly({(1, 2): 1, (2, -1): -1, (-1, 3): -1, (0, 0): 1})
-    assert poly_mul(f, g) == expected
+    assert f * g == expected
     assert convolve_reference(f, g) == expected
 
 
@@ -116,7 +116,7 @@ def test_apply_on_a_sparse_window_reads_only_its_cells(checkerboard):
 def test_annihilates_period_product(vertical_stripes):
     c = PeriodicConfig.from_periods(Vec2(2, 0), Vec2(0, 3),
                                     lambda x, y: (x % 2) + 2 * (y % 3))
-    f = poly_mul(difference_poly(Vec2(2, 0)), difference_poly(Vec2(0, 3)))
+    f = difference_poly(Vec2(2, 0)) * difference_poly(Vec2(0, 3))
     assert annihilates(f, c, DiscreteDomain.rect(10, 10))
     assert not annihilates(difference_poly(Vec2(1, 0)), vertical_stripes,
                            DiscreteDomain.rect(10, 10))
@@ -133,14 +133,14 @@ def test_annihilator_ideal_properties(checkerboard):
     w_big = DiscreteDomain.rect(8, 8, Vec2(-4, -4))
     w_small = DiscreteDomain.rect(4, 4, Vec2(-2, -2))
     f = difference_poly(Vec2(1, 1))
-    g = poly_mul(f, LaurentPoly({(1, 0): 2}))  # another annihilator
+    g = f * LaurentPoly({(1, 0): 2})  # another annihilator
     assert annihilates(f, checkerboard, w_big)
     assert annihilates(g, checkerboard, w_big)
     window = DiscreteDomain(c for c in w_big if c in w_small)
     assert annihilates(f + g, checkerboard, window)
     for _ in range(20):
         h = random_poly(rng, max_terms=3, span=1)
-        hf = poly_mul(h, f)
+        hf = h * f
         if hf.is_zero:
             continue
         assert annihilates(hf, checkerboard, w_small)
@@ -166,22 +166,22 @@ def test_periodic_annihilator_axis():
     c = PeriodicConfig.from_periods(Vec2(2, 0), Vec2(0, 3),
                                     lambda x, y: (x % 2) + 2 * (y % 3))
     cert = periodic_annihilator(c)
-    expected = poly_mul(difference_poly(Vec2(2, 0)), difference_poly(Vec2(0, 3)))
+    expected = difference_poly(Vec2(2, 0)) * difference_poly(Vec2(0, 3))
     assert cert.poly == expected
     assert format_poly(cert.poly) == "x^2*y^3 - x^2 - y^3 + 1"
 
 
 def test_periodic_annihilator_checkerboard(checkerboard):
     cert = periodic_annihilator(checkerboard)
-    expected = poly_mul(difference_poly(Vec2(2, 0)), difference_poly(Vec2(1, 1)))
+    expected = difference_poly(Vec2(2, 0)) * difference_poly(Vec2(1, 1))
     assert cert.poly == expected
     assert annihilates(cert.poly, checkerboard, DiscreteDomain.rect(8, 8))
 
 
 def test_periodic_annihilator_constant(constant_zero):
     cert = periodic_annihilator(constant_zero)
-    assert cert.poly == poly_mul(difference_poly(Vec2(1, 0)),
-                                 difference_poly(Vec2(0, 1)))
+    assert cert.poly == (difference_poly(Vec2(1, 0))
+                         * difference_poly(Vec2(0, 1)))
 
 
 def test_certificate_requires_nonzero():
@@ -358,8 +358,8 @@ def test_search_rows_match_color_at(monkeypatch):
 # --- text and json round trips ----------------------------------------------
 
 def test_format_examples():
-    f = poly_mul(LaurentPoly({(2, -1): 1, (0, 0): -1}),
-                 LaurentPoly({(-1, 3): 1, (0, 0): -1}))
+    f = (LaurentPoly({(2, -1): 1, (0, 0): -1})
+         * LaurentPoly({(-1, 3): 1, (0, 0): -1}))
     assert format_poly(f) == "-x^2*y^-1 + x*y^2 + 1 - x^-1*y^3"
     assert format_poly(LaurentPoly.zero()) == "0"
     assert format_poly(LaurentPoly({(0, 0): -7})) == "-7"

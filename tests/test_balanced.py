@@ -1,4 +1,3 @@
-import random
 import warnings
 
 import pytest
@@ -6,10 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tilecraft import balanced, colorings
-from tilecraft.balanced import (DoesNotFit, NotConvex, NotLowComplexityWarning,
-                                Stripe, _convex_candidates, _convex_sets,
-                                balanced_search, edge, fits, is_balanced,
-                                is_convex, stripe_scenario_check)
+from tilecraft.balanced import (NotConvex, NotLowComplexityWarning,
+                                _convex_candidates, _convex_sets,
+                                balanced_search, edge, is_balanced, is_convex)
 from tilecraft.grid import (DiscreteDomain, PeriodicConfig, Vec2, WindowConfig,
                             ZeroVector, patterns_of)
 
@@ -128,78 +126,6 @@ def test_convex_cuts_contiguous():
             for cells in levels.values():
                 xs = sorted(c.dot(u.perp()) for c in cells)
                 assert xs == list(range(xs[0], xs[0] + len(xs)))
-
-
-# --- fits ------------------------------------------------------------------------
-
-def test_fits_rect_in_rect():
-    assert fits(DiscreteDomain.rect(2, 2), DiscreteDomain.rect(3, 3)) == Vec2(0, 0)
-
-
-def test_fits_stripe():
-    window = W(8, 8, Vec2(-4, -4))
-    t = fits(DiscreteDomain.rect(2, 2), Stripe(Vec2(0, 1), 3), window)
-    assert t is not None
-    # both rows inside the band -3 < y <= 0
-    for cell in DiscreteDomain.rect(2, 2).translate(t).cells:
-        assert -3 < cell.y <= 0
-
-
-def test_fits_stripe_too_narrow():
-    window = W(8, 8, Vec2(-4, -4))
-    assert fits(DiscreteDomain.rect(2, 2), Stripe(Vec2(0, 1), 1), window) is None
-
-
-def _outcome(f, *args):
-    try:
-        return f(*args)
-    except Exception as exc:  # compared by type and message
-        return type(exc), str(exc)
-
-
-def _random_cells(rng, w, h, origin, ragged):
-    cells = [Vec2(origin.x + x, origin.y + y)
-             for y in range(h) for x in range(w)]
-    if ragged:
-        cells = rng.sample(cells, rng.randint(1, len(cells)))
-    return DiscreteDomain(cells)
-
-
-def test_fits_matches_former_scan():
-    # shapes, rectangular, ragged and empty regions and windows, stripes,
-    # and the default window, against the former fits verbatim
-    rng = random.Random(907)
-
-    def origin():
-        return Vec2(rng.randint(-3, 3), rng.randint(-3, 3))
-
-    tally = {"fit": 0, "none": 0, "error": 0}
-    for _ in range(3000):
-        shape = (DiscreteDomain(()) if rng.random() < 0.05 else
-                 _random_cells(rng, rng.randint(1, 3), rng.randint(1, 3),
-                               origin(), rng.random() < 0.5))
-        kind = rng.choice(["rect", "ragged", "empty", "stripe"])
-        if kind == "stripe":
-            u = Vec2(0, 0)
-            while u.is_zero():
-                u = Vec2(rng.randint(-2, 2), rng.randint(-2, 2))
-            region = Stripe(u, rng.randint(1, 4))
-        elif kind == "empty":
-            region = DiscreteDomain(())
-        else:
-            region = _random_cells(rng, rng.randint(1, 6), rng.randint(1, 6),
-                                   origin(), kind == "ragged")
-        window = rng.choice([
-            None, DiscreteDomain(()),
-            _random_cells(rng, rng.randint(1, 7), rng.randint(1, 7),
-                          origin(), False),
-            _random_cells(rng, rng.randint(1, 7), rng.randint(1, 7),
-                          origin(), True)])
-        expected = _outcome(oracles.naive_fits, shape, region, window)
-        assert _outcome(fits, shape, region, window) == expected
-        tally["fit" if isinstance(expected, Vec2) else
-              "none" if expected is None else "error"] += 1
-    assert min(tally.values()) > 300, tally
 
 
 # --- is_balanced -------------------------------------------------------------------
@@ -417,44 +343,3 @@ def test_search_reads_the_block_once(monkeypatch):
     monkeypatch.setattr(colorings, "_block_rows", counted)
     assert balanced_search(config, 2, 2, Vec2(1, 0), window, 4) == expected
     assert len(reads) == 1
-
-
-# --- stripe_scenario_check -----------------------------------------------------------
-
-def make_stripe_pair():
-    # vertical stripes on columns -4..3; the edge column of the width-3
-    # band (x = 0) is altered in the second coloring
-    rows_d = [[(x % 2) for x in range(-4, 4)] for _ in range(6)]
-    rows_e = [list(row) for row in rows_d]
-    for row in rows_e:
-        row[4] ^= 1  # column x = 0
-    origin = Vec2(-4, 0)
-    return (WindowConfig.from_rows(rows_d, origin),
-            WindowConfig.from_rows(rows_e, origin))
-
-
-def test_stripe_hypotheses_fail_when_equal():
-    d, _ = make_stripe_pair()
-    window = DiscreteDomain.rect(8, 6, Vec2(-4, 0))
-    rep = stripe_scenario_check(d, d, DiscreteDomain.rect(2, 2), Vec2(1, 0),
-                                3, window)
-    assert not rep.hypotheses_hold
-    assert rep.corroborated is None
-
-
-def test_stripe_scenario_corroborates():
-    d, e = make_stripe_pair()
-    window = DiscreteDomain.rect(8, 6, Vec2(-4, 0))
-    rep = stripe_scenario_check(d, e, DiscreteDomain.rect(2, 2), Vec2(1, 0),
-                                3, window, period_bound=2)
-    assert rep.hypotheses_hold
-    assert Vec2(0, 1) in rep.perpendicular_periods
-    assert rep.corroborated
-
-
-def test_stripe_does_not_fit():
-    d, e = make_stripe_pair()
-    window = DiscreteDomain.rect(8, 6, Vec2(-4, 0))
-    with pytest.raises(DoesNotFit):
-        stripe_scenario_check(d, e, DiscreteDomain.rect(2, 2), Vec2(1, 0),
-                              1, window)

@@ -9,17 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tilecraft.algebra import LaurentPoly, annihilates, apply, difference_poly
-from tilecraft.balanced import Stripe, balanced_search, edge, is_balanced
+from tilecraft.balanced import balanced_search, edge, is_balanced
 from tilecraft.colorings import (_block_color, _block_rows, _lattice_hnf,
                                   _saturate)
 from tilecraft.grid import (Alphabet, DiscreteDomain, EmptyWindow, OutOfWindow,
                             Pattern, PeriodicConfig, Rect, Vec2, WindowConfig,
                             ZeroVector, find_periods, is_low_complexity,
-                            is_two_periodic, patterns_of, translate)
+                            patterns_of, translate)
 from tilecraft.sft import PatternSet, box_cells, determinism_probe
 
 import oracles
-from conftest import DISTINCT_ROWS, FIVE_PATTERN_ROWS
+from conftest import FIVE_PATTERN_ROWS
 
 
 def rect_window(w, h, origin=Vec2(0, 0)):
@@ -344,7 +344,7 @@ def test_find_periods_contains_declared():
             p1, p2,
             lambda x, y: colors.setdefault(
                 ((x - (y // p2.y) * p2.x) % p1.x, y % p2.y), rng.randint(0, 5)))
-        bound = max(p1.chebyshev(), p2.chebyshev())
+        bound = max(max(abs(p.x), abs(p.y)) for p in (p1, p2))
         scan = find_periods(c, None, bound)
         assert p1 in scan and p2 in scan
 
@@ -366,26 +366,6 @@ def test_find_periods_periodic_lists_the_block_periods():
         scan = find_periods(c, None, bound)
         assert scan.periods == expected and scan.skipped == ()
         assert all(type(t) is Vec2 for t in scan)
-
-
-# --- is_two_periodic -------------------------------------------------------
-
-def test_two_periodic_checkerboard(checkerboard):
-    rep = is_two_periodic(checkerboard, rect_window(8, 8), 2)
-    assert rep.two_periodic
-    assert rep.horizontal == Vec2(2, 0) and rep.vertical == Vec2(0, 2)
-
-
-def test_two_periodic_stripes(vertical_stripes):
-    rep = is_two_periodic(vertical_stripes, rect_window(8, 8), 2)
-    assert rep.two_periodic
-    assert rep.horizontal == Vec2(2, 0) and rep.vertical == Vec2(0, 1)
-
-
-def test_two_periodic_distinct_rows():
-    w = WindowConfig.from_rows(DISTINCT_ROWS)
-    rep = is_two_periodic(w, w.domain(), 2)
-    assert not rep.two_periodic
 
 
 # --- canonical storage -----------------------------------------------------
@@ -492,8 +472,6 @@ def test_saturate_matches_former_loop():
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: edge(DiscreteDomain.rect(2, 2), (0, 0)),
                  "edge direction must be nonzero", id="edge"),
-    pytest.param(lambda: Stripe((0, 0), 2),
-                 "stripe direction must be nonzero", id="Stripe"),
     pytest.param(lambda: is_balanced(PeriodicConfig.constant(0),
                                      DiscreteDomain.rect(2, 2), (0, 0),
                                      DiscreteDomain.rect(4, 4)),
@@ -523,12 +501,13 @@ def test_is_period_matches_direct_comparison():
         w, h = rng.randint(1, 3), rng.randint(1, 3)
         block = [[rng.randint(0, 3) for _ in range(w)] for _ in range(h)]
         c = PeriodicConfig.from_block(block)
+        scan = find_periods(c, None, 3)
         sample = [Vec2(x, y) for y in range(-6, 7) for x in range(-6, 7)]
         for t in (Vec2(x, y) for y in range(-3, 4) for x in range(-3, 4)):
             if t.is_zero():
                 continue
             direct = all(c.color_at(n) == c.color_at(n - t) for n in sample)
-            assert c.is_period(t) == direct
+            assert (t in scan) == direct
 
 
 def test_alphabet_canonical():

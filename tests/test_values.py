@@ -8,11 +8,10 @@ import pickle
 import pytest
 
 from tilecraft.algebra import AnnihilatorCertificate, difference_poly
-from tilecraft.balanced import (BalancedReport, BalancedSearchResult, Stripe,
-                                StripeScenarioReport)
+from tilecraft.balanced import BalancedReport, BalancedSearchResult
 from tilecraft.grid import (Alphabet, ComplexityReport, DiscreteDomain,
-                            Pattern, PeriodicConfig, PeriodScan,
-                            TwoPeriodicReport, Vec2, WindowConfig)
+                            Pattern, PeriodicConfig, PeriodScan, Vec2,
+                            WindowConfig)
 from tilecraft.sft import (DeterminismReport, DirectionClassification, Empty,
                            NonEmptyPeriodic, NonForcedWitness, PatternSet,
                            TorusWitness, Undecided)
@@ -62,10 +61,6 @@ CASES = {
     "ComplexityReport": (lambda: ComplexityReport(2, 4, 9), "count",
                          "ComplexityReport(count=2, bound=4, window_cells=9)"),
     "PeriodScan": (_scan, "periods", SCAN),
-    "TwoPeriodicReport": (
-        lambda: TwoPeriodicReport(False, Vec2(2, 0), None, _scan()), "scan",
-        "TwoPeriodicReport(two_periodic=False, horizontal=Vec2(x=2, y=0), "
-        f"vertical=None, scan={SCAN})"),
     "PatternSet": (
         lambda: PatternSet.from_value_tuples(Alphabet.of([0, 1]), _pair(),
                                              [(0, 1)]), "allowed",
@@ -94,19 +89,12 @@ CASES = {
         lambda: AnnihilatorCertificate(difference_poly((1, 0)), _pair()),
         "poly",
         f"AnnihilatorCertificate(poly=LaurentPoly('x - 1'), window={PAIR})"),
-    "Stripe": (lambda: Stripe((0, 1), 2), "k",
-               "Stripe(u=Vec2(x=0, y=1), k=2)"),
     "BalancedReport": (_balanced, "size", BALANCED),
     "BalancedSearchResult": (
         lambda: BalancedSearchResult(_pair(), Vec2(0, -1), _balanced()),
         "orientation",
         f"BalancedSearchResult(domain={PAIR}, orientation=Vec2(x=0, y=-1), "
         f"report={BALANCED})"),
-    "StripeScenarioReport": (
-        lambda: StripeScenarioReport(Vec2(0, -1), True, False, (), None),
-        "fit_at",
-        "StripeScenarioReport(fit_at=Vec2(x=0, y=-1), interior_agree=True, "
-        "stripe_differ=False, perpendicular_periods=(), period_scan=None)"),
 }
 
 
@@ -162,7 +150,7 @@ def test_pickle_and_deepcopy_round_trip(case):
 
 def test_every_frozen_class_is_covered():
     made = {type(make()).__name__ for make, _f, _t in CASES.values()}
-    assert made == set(CASES) and len(CASES) == 21
+    assert made == set(CASES) and len(CASES) == 18
 
 
 def test_fields_are_taken_in_order_or_by_name_with_defaults():
