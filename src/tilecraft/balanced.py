@@ -38,7 +38,8 @@ def edge(domain: DiscreteDomain, u) -> DiscreteDomain:
     if not len(domain):
         raise ValueError("edge of an empty domain is undefined")
     top = max(c.dot(u) for c in domain.cells)
-    return DiscreteDomain(tuple(c for c in domain.cells if c.dot(u) == top))
+    return DiscreteDomain.__new__(DiscreteDomain)._adopt(
+        tuple([c for c in domain.cells if c.dot(u) == top]))
 
 
 def _hull(points: list[Vec2]) -> list[Vec2]:

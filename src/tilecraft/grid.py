@@ -250,22 +250,29 @@ class DiscreteDomain(Frozen):
     cells: tuple[Vec2, ...]
 
     def __init__(self, cells: Iterable):
-        canon = tuple(sorted({Vec2(int(c[0]), int(c[1])) for c in cells},
-                             key=_canonical_key))
-        xs = [c.x for c in canon]
-        self.__dict__.update(_set=frozenset(canon), _rect=Rect(
-            min(xs), canon[0].y, max(xs), canon[-1].y) if canon else None)
+        self._adopt(tuple(sorted({Vec2(int(c[0]), int(c[1])) for c in cells},
+                                 key=_canonical_key)))
+
+    def _adopt(self, canon: tuple, rect: Rect | None = None) -> "DiscreteDomain":
+        """Store cells that are already distinct Vec2s in canonical order,
+        with no sort, and return self; ``rect`` is their bounding
+        rectangle, found from the cells when not given.  rect, minus and
+        edge build their domains through it on cls.__new__(cls)."""
+        if rect is None and canon:
+            xs = [c.x for c in canon]
+            rect = Rect(min(xs), canon[0].y, max(xs), canon[-1].y)
+        self.__dict__.update(_set=frozenset(canon), _rect=rect)
         Frozen.__init__(self, canon)
+        return self
 
     @classmethod
     def rect(cls, width: int, height: int, origin: Vec2 = ORIGIN) -> "DiscreteDomain":
         """A rectangle's cells, already distinct and canonical: no sort."""
-        cells = tuple(Rect.of_size(width, height, origin).cells())
-        self = cls.__new__(cls)
-        self.__dict__.update(_set=frozenset(cells), _rect=Rect(
-            cells[0].x, cells[0].y, cells[-1].x, cells[-1].y))
-        Frozen.__init__(self, cells)
-        return self
+        r = Rect.of_size(width, height, origin)
+        new, xs = tuple.__new__, range(r.x0, r.x1 + 1)
+        return cls.__new__(cls)._adopt(tuple([new(Vec2, (x, y))
+                                              for y in range(r.y0, r.y1 + 1)
+                                              for x in xs]), r)
 
     def __iter__(self) -> Iterator[Vec2]:
         return iter(self.cells)
@@ -280,7 +287,8 @@ class DiscreteDomain(Frozen):
         return DiscreteDomain(tuple(c + t for c in self.cells))
 
     def minus(self, other: "DiscreteDomain") -> "DiscreteDomain":
-        return DiscreteDomain(tuple(c for c in self.cells if c not in other))
+        return DiscreteDomain.__new__(DiscreteDomain)._adopt(
+            tuple([c for c in self.cells if c not in other._set]))
 
     def bounding_rect(self) -> Rect:
         if not self.cells:

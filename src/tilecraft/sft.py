@@ -195,7 +195,8 @@ class _Compiled:
         self.n_colors = len(self.colors)
         self.bits = bits = max(1, (self.n_colors - 1).bit_length())
         self.cells = ps.shape.cells
-        self.extent = ps.shape.max_extent()
+        x0, y0, x1, y1 = ps.shape._rect
+        self.extent = max(x1 - x0, y1 - y0) + 1
         index = {c: i for i, c in enumerate(self.colors)}
         codes = []
         for t in ps.value_tuples:
@@ -326,6 +327,15 @@ def _search(comp: _Compiled, width: int, height: int, wrap: bool,
     color into its translate's code and looks the code up, so it costs
     the same however many cells the translate has.
 
+    The node loop tries colors ``ci`` upward at step ``pos``, testing the
+    budget before each node.  A color whose checks all pass (the checks'
+    for-else) is kept in ``choice[pos]`` and the search advances to the
+    next step, which starts at color 0; only after an advance does it
+    test for a full grid.  When every color fails (the color loop's
+    while-else) it backs up and resumes one color past the kept choice,
+    so a search exhausted on its last node ends as exhausted, however
+    little budget remains.
+
     With head cells, the search backs up into the last head cell after
     each solution, so it yields exactly one solution per extendable
     coloring of the head, in lexicographic order.  It also backjumps: a
@@ -349,46 +359,25 @@ def _search(comp: _Compiled, width: int, height: int, wrap: bool,
     back = (len(head) or ncells) - 1
 
     codes = [0] * n_translates
-    choice = [-1] * ncells
+    choice = [0] * ncells
     conflict = [0] * ncells
-    nodes = 0
-    pos = 0
+    nodes = pos = ci = 0
     while True:
-        if pos == ncells:
-            grid = [None] * ncells
-            for cell, ci in zip(steps, choice):
-                grid[cell] = comp.colors[ci]
-            yield tuple(tuple(grid[y * width:(y + 1) * width])
-                        for y in range(height)), nodes
-            pos = back
-            conflict[pos] = (1 << pos) - 1  # skip no head step from here
         checks = checks_at[pos]
-        advanced = False
-        ci = choice[pos]
-        while ci + 1 < n_colors:
+        while ci < n_colors:
             if nodes >= budget:
                 yield BUDGET_EXCEEDED, nodes
                 return
-            ci += 1
             nodes += 1
-            ok = True
             for t, low, shift, i, earlier in checks:
                 code = codes[t] = (codes[t] & low) | (ci << shift)
                 if code not in sets[i]:
                     conflict[pos] |= earlier
-                    ok = False
                     break
-            if ok:
-                choice[pos] = ci
-                advanced = True
-                break
-        if advanced:
-            pos += 1
-            if pos < ncells:
-                choice[pos] = -1
-                conflict[pos] = 0
-        else:
-            choice[pos] = -1
+            else:
+                break  # every check passed: ci stays at pos
+            ci += 1
+        else:  # every color failed: back up
             if head:
                 culprits = conflict[pos]
                 pos = culprits.bit_length() - 1
@@ -399,6 +388,21 @@ def _search(comp: _Compiled, width: int, height: int, wrap: bool,
             if pos < 0:
                 yield None, nodes
                 return
+            ci = choice[pos] + 1
+            continue
+        choice[pos] = ci
+        pos += 1
+        if pos < ncells:
+            conflict[pos] = ci = 0
+            continue
+        grid = [None] * ncells
+        for cell, k in zip(steps, choice):
+            grid[cell] = comp.colors[k]
+        yield tuple(tuple(grid[y * width:(y + 1) * width])
+                    for y in range(height)), nodes
+        pos = back
+        conflict[pos] = (1 << pos) - 1  # skip no head step from here
+        ci = choice[pos] + 1
 
 
 # ---------------------------------------------------------------------------
@@ -426,20 +430,28 @@ def torus_search(ps: PatternSet, p: int, q: int,
 
 
 def validate_witness(ps: PatternSet, witness: TorusWitness) -> bool:
-    """Re-check a torus witness cell by cell, independent of the search."""
+    """Re-check a torus witness cell by cell, independent of the search.
+
+    Reads each translate's values at the shape's (x, y) offsets and
+    returns False at the first translate that is not an allowed pattern.
+    """
     allowed = ps.value_tuples
     rows, p, q = witness.values, witness.p, witness.q
     cells = ps.shape.cells
-    return all(
-        tuple(rows[(c.y + ty) % q][(c.x + tx) % p] for c in cells) in allowed
-        for ty in range(q) for tx in range(p))
+    for ty in range(q):
+        for tx in range(p):
+            if tuple(rows[(y + ty) % q][(x + tx) % p]
+                     for x, y in cells) not in allowed:
+                return False
+    return True
 
 
 def _stage_tasks(n: int, s: int) -> list[tuple[int, int, bool]]:
     """Stage s's searches as (width, height, wrap): the n x n square, then
-    every torus with max(p, q) = s in lexicographic order."""
-    return [(n, n, False), *sorted((p, q, True) for p in range(1, s + 1)
-                                   for q in range(1, s + 1) if max(p, q) == s)]
+    every torus with max(p, q) = s in lexicographic order, which is
+    (p, s) for p < s, then (s, q) for q <= s."""
+    return [(n, n, False), *[(p, s, True) for p in range(1, s)],
+            *[(s, q, True) for q in range(1, s + 1)]]
 
 
 def decide(ps: PatternSet, budget: int = DEFAULT_BUDGET) -> DecisionOutcome:
@@ -449,8 +461,10 @@ def decide(ps: PatternSet, budget: int = DEFAULT_BUDGET) -> DecisionOutcome:
     with max(p, q) = s in lexicographic order.  The first exhausted
     square certifies emptiness; the first torus witness certifies
     non-emptiness, after validate_witness has re-checked it (a witness
-    that fails raises CertificateError).  Budgets are counted in search
-    nodes, so equal inputs give equal outcomes.
+    that fails raises CertificateError).  Empty rests on the square
+    search's exhaustion alone: no independent check re-reads it yet.
+    Budgets are counted in search nodes, so equal inputs give equal
+    outcomes.
     """
     outcome, _ = decide_with_usage(ps, budget)
     return outcome
@@ -474,7 +488,10 @@ def decide_with_usage(ps: PatternSet, budget: int = DEFAULT_BUDGET
                 if rows is None:
                     return Empty(n), nodes_total
             elif rows is not None:
-                witness = TorusWitness(p, q, rows)
+                # the search's rows are int tuples of the right shape, so
+                # the witness skips the public constructor's checks
+                witness = TorusWitness.__new__(TorusWitness)
+                Frozen.__init__(witness, p, q, rows)
                 if not validate_witness(ps, witness):
                     raise CertificateError(
                         f"the {p}x{q} torus witness fails re-validation")

@@ -537,6 +537,7 @@ def test_rect_domain_matches_the_general_constructor():
         general = DiscreteDomain(cells)
         for e in (d, pickle.loads(pickle.dumps(d))):
             assert e.cells == general.cells
+            assert all(type(c) is Vec2 for c in e.cells)
             assert e == general and hash(e) == hash(general)
             assert e.bounding_rect() == general.bounding_rect()
             assert e.is_rectangle()
@@ -546,6 +547,37 @@ def test_rect_domain_matches_the_general_constructor():
     for w, h in ((0, 3), (3, 0), (-1, 2)):
         with pytest.raises(ValueError):
             DiscreteDomain.rect(w, h)
+
+
+def test_edge_and_minus_match_the_general_constructor():
+    # edge and minus filter cells that are already canonical, so they
+    # skip the sort; the result must equal a domain built from scratch
+    rng = random.Random(44)
+    for _ in range(300):
+        cells = {(rng.randint(-4, 4), rng.randint(-4, 4))
+                 for _ in range(rng.randint(1, 12))}
+        d = DiscreteDomain(cells)
+        u = Vec2(rng.randint(-2, 2), rng.randint(-2, 2))
+        if u.is_zero():
+            u = Vec2(0, 1)
+        top = max(x * u.x + y * u.y for x, y in cells)
+        other = DiscreteDomain(c for c in cells if rng.random() < 0.5)
+        for got, want in (
+                (edge(d, u), [c for c in cells if c[0] * u.x + c[1] * u.y == top]),
+                (d.minus(other), list(cells - set(other.cells))),
+                (d.minus(d), [])):
+            rng.shuffle(want)
+            general = DiscreteDomain(want)
+            for e in (got, pickle.loads(pickle.dumps(got))):
+                assert e.cells == general.cells
+                assert all(type(c) is Vec2 for c in e.cells)
+                assert e == general and hash(e) == hash(general)
+                assert e._rect == general._rect == (
+                    (min(x for x, _ in want), min(y for _, y in want),
+                     max(x for x, _ in want), max(y for _, y in want))
+                    if want else None)
+                assert all(((x, y) in e) == ((x, y) in general)
+                           for x in range(-5, 6) for y in range(-5, 6))
 
 
 def test_five_pattern_window_has_five_blocks(five_pattern_window, square2):

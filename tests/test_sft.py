@@ -697,3 +697,61 @@ def test_census_pools_keep_outcomes_and_node_counts(reference):
             nodes += used
         totals[pool["name"]] = nodes
     assert totals == {"c3_2x2": 61_268, "bin3x2": 64_700, "bin3x3": 45_288}
+
+
+# --- budget boundaries ---------------------------------------------------------
+# A node budget is exact: one node less than a recorded run spent stops
+# that run on its last node, and the recorded budget reproduces it, also
+# when that last node exhausts a square (Empty, not Undecided).
+
+def test_census_budget_boundary(reference):
+    r = reference["census"]
+    empty_on_last_node = 0
+    for pool in r["pools"]:
+        for idx, code, recorded in pool["items"][::10]:
+            ps = _pool_set(pool["colors"], pool["w"], pool["h"], idx)
+            short, used = sft.decide_with_usage(ps, recorded - 1)
+            assert isinstance(short, Undecided), idx
+            assert used == short.nodes_used == recorded - 1, idx
+            outcome, used = sft.decide_with_usage(ps, recorded)
+            assert (_outcome_code(outcome), used) == (code, recorded), idx
+            if isinstance(outcome, NonEmptyPeriodic):
+                w = outcome.witness
+                assert w == TorusWitness(w.p, w.q, w.values)
+                assert validate_witness(ps, w)
+            empty_on_last_node += code.startswith("E")
+    assert empty_on_last_node > 0
+
+
+def test_stage_tasks_match_the_sorted_definition():
+    for s in range(1, 13):
+        n = s + 2
+        assert sft._stage_tasks(n, s) == [
+            (n, n, False),
+            *sorted((p, q, True) for p in range(1, s + 1)
+                    for q in range(1, s + 1) if max(p, q) == s)]
+
+
+# nodes_used of each walk probe, and of every 8th orbit probe, in pool
+# order at the recorded budget; the walk counts sum to the pinned total
+WALK_NODES = [145, 399, 360, 92, 346, 103, 280, 24, 164, 141, 452, 301, 1350,
+              1136, 496, 258, 591, 335, 334, 633, 138, 186, 84, 1089]
+ORBIT_NODES_EVERY_8TH = [289, 1160, 2016, 2036, 4042, 5477]
+
+
+def test_probe_budget_boundary(reference):
+    r = reference["probe"]
+    assert sum(WALK_NODES) == 9_437
+    cases = [("walk", item, n)
+             for item, n in zip(r["walk"]["items"], WALK_NODES, strict=True)]
+    cases += [("orbit", item, n) for item, n in zip(
+        r["orbit"]["items"][::8], ORBIT_NODES_EVERY_8TH, strict=True)]
+    for cls, (colors, w, h, idx, u, verdict, _), pinned in cases:
+        ps = _pool_set(colors, w, h, idx)
+        k, radius = r[cls]["k"], r[cls]["radius"]
+        short = determinism_probe(ps, Vec2(*u), k, radius, pinned - 1)
+        assert (short.verdict, short.nodes_used) == (
+            "inconclusive", pinned - 1), (cls, idx, u)
+        rep = determinism_probe(ps, Vec2(*u), k, radius, pinned)
+        assert (rep.verdict, rep.nodes_used) == (verdict, pinned), (cls, idx, u)
+    assert {c[1][5] for c in cases} == {"forced", "non_forced"}
