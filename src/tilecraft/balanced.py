@@ -4,12 +4,15 @@ A convex cell set D is balanced for a direction u in a coloring when
 (i) the coloring is low complexity on D, (ii) dropping the edge of D
 in direction u loses almost no patterns, and (iii) no cut of D
 perpendicular to u is much shorter than that edge.  All counting goes
-through colorings._pattern_reader, the value tuples of patterns_of, so
-the numbers here are the same numbers the complexity reports show.  On
-a periodic coloring and a rectangular window at least one block wide,
-a search reads the block once and each count reads one translate per
-lattice coset from row slices of that read; a window coloring, a ragged
-window or a narrower one is read cell by cell at every translate.
+through colorings._pattern_values and _box_reader, the value tuples of
+patterns_of, so the numbers here are the same numbers the complexity
+reports show.  On a periodic coloring and a rectangular window that
+leaves the search's box a translate in every lattice coset, a search
+reads the box once per coset and each count projects those tuples onto
+its set's cells.  On a smaller rectangular window a set whose
+translates span span_x columns is read from row slices of one block
+read; a window coloring, a ragged window or a narrower one is read cell
+by cell at every translate.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import warnings
 from collections.abc import Callable
 from functools import cache, partial
 
-from .colorings import Configuration, _pattern_reader, _pattern_values
+from .colorings import Configuration, _box_reader, _pattern_values
 from .colorings import patterns_of  # noqa: F401  perfbench's tracer wraps it here
 from .grid import ORIGIN, DiscreteDomain, Frozen, Vec2
 
@@ -227,14 +230,15 @@ def balanced_search(c: Configuration, n: int, m: int, u,
     grows 3-4x per cell of area_budget (about 0.4 s at 6 cells, 1.6 s
     and 51 MB at 7), so the command line caps area_budget at its
     MAX_AREA_BUDGET (7).  The n x m rectangle, every candidate and every
-    candidate minus its edge fit in a square of side
-    max(n, m, min(area_budget, n*m)), so one _pattern_reader of that box
-    counts them all from one block read.
+    candidate minus its edge fit in a box max(n, s) wide and max(m, s)
+    tall, s = min(area_budget, n*m), so one _box_reader of that box
+    counts them all from one block read, each as a projection of the
+    box's values when the window leaves the box every lattice coset.
     """
     u = Vec2.nonzero(u, "search direction must be nonzero")
     rect = DiscreteDomain.rect(n, m)
-    side = max(n, m, min(area_budget, n * m))
-    read = _pattern_reader(c, window, side, side)
+    cap = min(area_budget, n * m)
+    read = _box_reader(c, window, max(n, cap), max(m, cap))
     rect_count = len(read(rect))
     if rect_count > n * m:
         warnings.warn(
@@ -243,7 +247,7 @@ def balanced_search(c: Configuration, n: int, m: int, u,
             NotLowComplexityWarning, stacklevel=2)
     for d in _convex_candidates(area_budget, n * m):
         full = len(read(d))
-        if full > len(d):
+        if full > len(d.cells):
             continue  # condition (i) fails for u and -u alike
         for orientation in (u, -u):
             report = _report(read, d, orientation, full)

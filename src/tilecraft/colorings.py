@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable, Iterator
+from operator import itemgetter
 
 from .grid import (ORIGIN, DiscreteDomain, EmptyWindow, Frozen, OutOfWindow,
                    Pattern, Rect, Vec2)
@@ -214,11 +215,21 @@ def patterns_of(c: Configuration, shape: DiscreteDomain,
     by their value tuples, so the result does not depend on enumeration
     order.  An empty shape has exactly one (empty) pattern.  The values
     come from _pattern_values: row slices of a periodic coloring's block
-    on a rectangular window at least one block wide, and a cell-by-cell
-    walk over every fitting translate otherwise.
+    on a rectangular window whose width leaves the shape span_x
+    translates, and a cell-by-cell walk over every fitting translate
+    otherwise.  A PeriodicConfig or WindowConfig holds only ints, so its
+    tuples become Patterns without the public constructor's checks; any
+    other configuration's go through Pattern(shape, values).
     """
-    return [Pattern(shape, vals)
-            for vals in sorted(_pattern_values(c, shape, window))]
+    values = sorted(_pattern_values(c, shape, window))
+    if type(c) not in (PeriodicConfig, WindowConfig):
+        return [Pattern(shape, vals) for vals in values]
+    patterns = []
+    for vals in values:
+        pattern = Pattern.__new__(Pattern)
+        Frozen.__init__(pattern, shape, vals)
+        patterns.append(pattern)
+    return patterns
 
 
 def _pattern_values(c: Configuration, shape: DiscreteDomain,
@@ -267,6 +278,50 @@ def _pattern_reader(c: Configuration, window: DiscreteDomain, width: int,
                               f"shape fits in the window")
         return seen
     return read
+
+
+def _box_reader(c: Configuration, window: DiscreteDomain, width: int,
+                height: int) -> Callable[[DiscreteDomain], set]:
+    """_pattern_reader for many shapes, as projections of one box read.
+
+    The translates t0 + (i, j) of the window's first translate t0 with
+    i < span_x and j < span_y meet every lattice coset once, and each
+    translate a shape can take lies in one of them.  On a periodic
+    configuration and a rectangular window at least span_x - 1 columns
+    wider and span_y - 1 rows taller than the width x height box, the
+    box is read at each from row slices of one _block_rows read, and a
+    shape's values are the projection of those box tuples onto its
+    cells, moved to the box's corner.  The box itself gets the box
+    tuples, so a search whose n x m rectangle is the box does not hold a
+    second copy of them.  Any other case is _pattern_reader's.
+    """
+    w = window.bounding_rect() if window.is_rectangle() else None
+    if not (isinstance(c, PeriodicConfig) and w is not None
+            and w.width - width + 1 >= c.span_x
+            and w.height - height + 1 >= c.span_y):
+        return _pattern_reader(c, window, width, height)
+    a, h = c.span_x, c.span_y
+    lines = _block_rows(a, c.shear, h, c.block, w.x0, w.y0, width + a - 1,
+                        height + h - 1)
+    seen = set()
+    for j in range(h):
+        seen.update(zip(*[lines[y + j][x:x + a]
+                          for y in range(height) for x in range(width)]))
+    boxes = list(seen)
+
+    def project(shape: DiscreteDomain) -> set[tuple[int, ...]]:
+        cells = shape.cells
+        if not cells:
+            return {()}
+        if len(cells) == width * height:  # the box: its tuples, no copies
+            return set(boxes)
+        s = shape.bounding_rect()
+        base = s.y0 * width + s.x0  # the shape's corner, row-major in box
+        get = itemgetter(*[y * width + x - base for x, y in cells])
+        if len(cells) == 1:  # itemgetter of one index gives no tuple
+            return set(zip(map(get, boxes)))
+        return set(map(get, boxes))
+    return project
 
 
 class ComplexityReport(Frozen):

@@ -3,15 +3,17 @@ import pickle
 import random
 import re
 import warnings
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tilecraft import colorings
 from tilecraft.algebra import LaurentPoly, annihilates, apply, difference_poly
 from tilecraft.balanced import balanced_search, edge, is_balanced
 from tilecraft.colorings import (_block_color, _block_rows, _lattice_hnf,
-                                  _saturate)
+                                  _box_reader, _saturate)
 from tilecraft.grid import (Alphabet, DiscreteDomain, EmptyWindow, OutOfWindow,
                             Pattern, PeriodicConfig, Rect, Vec2, WindowConfig,
                             ZeroVector, find_periods, is_low_complexity,
@@ -246,6 +248,74 @@ def test_block_rows_match_block_color(data):
     assert [[_block_color(a, b, c, block, (x, y))
              for x in range(x0, x0 + width)]
             for y in range(y0, y0 + height)] == expected
+
+
+# a sheared lattice four rows tall; color 2 sits in block row 3 only,
+# so a one-row shape meets it only at the fourth row coset
+_TALL = PeriodicConfig(3, 1, 4, ((0, 1, 1), (1, 0, 0), (0, 0, 1), (1, 2, 0)))
+_TALL_SHAPES = [DiscreteDomain(cells) for cells in (
+    [(0, 0)], [(0, 0), (1, 0)], [(0, 0), (1, 0), (2, 0)], [(0, 0), (0, 1)],
+    [(0, 0), (1, 1)], [(1, 0), (0, 1), (1, 1)], [(2, 0), (0, 2)],
+    [(x, y) for y in range(3) for x in range(3)])]
+
+
+def _cell_by_cell(c, shape, window, rows=None):
+    """The value tuples at every translate of shape inside a rectangular
+    window, read through the oracles' block_color; rows, when given,
+    keeps the translates of the window's first rows only."""
+    w, s = window.bounding_rect(), shape.bounding_rect()
+    ys = range(w.y0 - s.y0, w.y1 - s.y1 + 1)[:rows]
+    return {tuple(oracles.block_color(c.span_x, c.shear, c.span_y, c.block,
+                                      cell + (tx, ty)) for cell in shape.cells)
+            for ty in ys for tx in range(w.x0 - s.x0, w.x1 - s.x1 + 1)}
+
+
+def test_box_reader_projects_only_when_its_box_meets_every_coset(
+        monkeypatch):
+    assert (_TALL.span_x, _TALL.shear, _TALL.span_y) == (3, 1, 4)
+    side, origin = 3, Vec2(-2, 4)  # window rows 4, 5, 6 miss block row 3
+    # side + span_y - 2 rows: the box has 3 row cosets, a row shape has 4
+    short = rect_window(side + 2, side + 2, origin)
+    row = _TALL_SHAPES[0]
+    assert (len(_cell_by_cell(_TALL, row, short, rows=3))
+            < len(_cell_by_cell(_TALL, row, short)))
+    read = _box_reader(_TALL, short, side, side)
+    for shape in _TALL_SHAPES:
+        assert read(shape) == _cell_by_cell(_TALL, shape, short), shape
+    # one row taller, every shape is a projection of the box's one read
+    tall = rect_window(side + 2, side + 3, origin)
+    reads = []
+    real = colorings._block_rows
+
+    def counted(*args):
+        reads.append(args)
+        return real(*args)
+
+    def refused(*args):
+        raise AssertionError("read cell by cell")
+    monkeypatch.setattr(colorings, "_block_rows", counted)
+    monkeypatch.setattr(colorings, "_fitting_translates", refused)
+    read = _box_reader(_TALL, tall, side, side)
+    for shape in _TALL_SHAPES:
+        assert read(shape) == _cell_by_cell(_TALL, shape, tall), shape
+    assert len(reads) == 1
+    # the box's own read shares its tuples rather than copying them
+    box = _TALL_SHAPES[-1]
+    assert {id(t) for t in read(box)} == {id(t) for t in read(box)}
+
+
+class _FractionColors(colorings.Configuration):
+    """A user coloring whose color_at gives int-valued Fractions."""
+
+    def color_at(self, n):
+        return Fraction((n.x + 2 * n.y) % 3)
+
+
+def test_patterns_of_another_configuration_holds_ints():
+    patterns = patterns_of(_FractionColors(), rect_window(2, 1),
+                           rect_window(4, 4))
+    assert [p.values for p in patterns] == [(0, 1), (1, 2), (2, 0)]
+    assert all(type(v) is int for p in patterns for v in p.values)
 
 
 @pytest.mark.parametrize("a, b, c, block", [

@@ -5,8 +5,9 @@ objects on the decision and balanced-set paths."""
 import pytest
 
 from tilecraft.balanced import balanced_search
-from tilecraft.grid import (Alphabet, DiscreteDomain, Pattern, PeriodicConfig,
-                            Vec2, is_low_complexity, patterns_of)
+from tilecraft.grid import (Alphabet, DiscreteDomain, Frozen, Pattern,
+                            PeriodicConfig, Vec2, is_low_complexity,
+                            patterns_of)
 from tilecraft.serialize import outcome_to_json, pattern_set_from_json
 from tilecraft.sft import NonEmptyPeriodic, PatternSet, decide_with_usage
 
@@ -83,15 +84,20 @@ def test_equality_and_hashing_read_the_value_tuples():
 
 @pytest.fixture
 def patterns_built(monkeypatch):
-    """The Pattern objects constructed while the test runs."""
+    """The Pattern objects constructed while the test runs.
+
+    Both Pattern.__init__ and the trusted path that skips it store the
+    fields through Frozen.__init__, once per Pattern, so it counts both.
+    """
     built = []
-    init = Pattern.__init__
+    init = Frozen.__init__
 
     def counting(self, *args, **kwargs):
-        built.append(self)
+        if isinstance(self, Pattern):
+            built.append(self)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(Pattern, "__init__", counting)
+    monkeypatch.setattr(Frozen, "__init__", counting)
     return built
 
 
