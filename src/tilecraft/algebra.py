@@ -11,6 +11,7 @@ here: format_poly gives the canonical text, analysis_io the JSON form.
 from __future__ import annotations
 
 import warnings
+from functools import cached_property
 from itertools import chain
 from types import MappingProxyType
 
@@ -204,7 +205,13 @@ def annihilates(f: LaurentPoly, c: Configuration, window: DiscreteDomain) -> boo
 
 
 class AnnihilatorCertificate(Frozen):
-    """A nonzero annihilator together with the window it was checked on."""
+    """A nonzero annihilator together with the window it was checked on.
+
+    periodic_annihilator stores only its window's size, and ``window``
+    builds that rectangle on first read; the certificate then compares,
+    hashes, prints and pickles as the one the constructor gives for the
+    same poly and window.
+    """
 
     poly: LaurentPoly
     window: DiscreteDomain
@@ -214,18 +221,27 @@ class AnnihilatorCertificate(Frozen):
             raise ValueError("certificate polynomial must be nonzero")
         Frozen.__init__(self, poly, window)
 
+    @cached_property
+    def window(self) -> DiscreteDomain:
+        # reached only by a certificate that stores its window's size
+        return DiscreteDomain.rect(*self.__dict__["_window_size"])
+
 
 def periodic_annihilator(c: PeriodicConfig) -> AnnihilatorCertificate:
-    """Product of the two period difference polynomials, verified.
+    """(x^a - 1)(x^b y^h - 1) for c's periods (a, 0) and (b, h), verified.
 
-    The check is global: one block of the product applied to c is zero.
-    The certificate names a window of two blocks in each direction.
+    The product is written out from its four terms, which are distinct
+    since a, h >= 1.  The check is global: one block of the product
+    applied to c is zero.  The certificate names a window of two blocks
+    in each direction, 2a x 2h, built when it is first read.
     """
-    poly = difference_poly(c.p1) * difference_poly(c.p2)
-    window = DiscreteDomain.rect(2 * c.span_x, 2 * c.span_y)
+    a, b, h = c.span_x, c.shear, c.span_y
+    poly = LaurentPoly({(a + b, h): 1, (a, 0): -1, (b, h): -1, (0, 0): 1})
     if any(map(any, _fc_block(poly, c))):
         raise CertificateError("period difference product failed to annihilate")
-    return AnnihilatorCertificate(poly, window)
+    cert = object.__new__(AnnihilatorCertificate)
+    cert.__dict__.update(poly=poly, _window_size=(2 * a, 2 * h))
+    return cert
 
 
 def annihilator_search(c: Configuration, window: DiscreteDomain,

@@ -41,10 +41,12 @@ MAX_AREA_BUDGET = 7
 
 # The ceiling on a --shape, --window or --support box, checked before a
 # cell is built: `complexity` on a 500x500 window peaks at 89 MB in 1.0 s.
-# It also caps balanced's --n x --m rectangle (500 x 500 on a 2x2 block
-# takes 1.2 s and 87 MB, most of it building the rectangle's cells) and
-# decide's first square, side shape extent + 1, whose geometry takes
-# about 215 B per cell.
+# It also caps balanced's --n x --m rectangle: on a 2x2 block, 500 x 500
+# exits 4 in 0.14-0.24 s at 49 MB, since it does not fit the default
+# 12x12 window, and 490 x 490 in a 500x500 window takes 4-9 s and 144 MB
+# (2-core shared VM, whose speed varies in phases).  It caps decide's
+# first square too, side shape extent + 1, whose geometry takes about
+# 215 B per cell.
 MAX_BOX_CELLS = 250_000
 
 # The ceiling on determinism's --R: the probe's head geometry keeps one

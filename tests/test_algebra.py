@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import re
 import tracemalloc
@@ -187,6 +189,66 @@ def test_periodic_annihilator_constant(constant_zero):
 def test_certificate_requires_nonzero():
     with pytest.raises(ValueError):
         AnnihilatorCertificate(LaurentPoly.zero(), DiscreteDomain.rect(2, 2))
+
+
+def sheared_lattices(seed=25, count=120):
+    """Periodic colorings on stored lattices (a, 0), (b, h) with a, h <= 5
+    and 0 <= b < a; every third block repeats a smaller block, which the
+    constructor often reduces to a finer lattice."""
+    rng = random.Random(seed)
+    for k in range(count):
+        a, h = rng.randint(1, 5), rng.randint(1, 5)
+        b = rng.randrange(a)
+        if k % 3:
+            block = [[rng.randrange(3) for _ in range(a)] for _ in range(h)]
+        else:
+            sx, sy = rng.randint(1, a), rng.randint(1, h)
+            small = [[rng.randrange(3) for _ in range(sx)] for _ in range(sy)]
+            block = [[small[y % sy][x % sx] for x in range(a)]
+                     for y in range(h)]
+        yield (a, b, h), PeriodicConfig(a, b, h, block)
+
+
+def test_periodic_annihilator_is_the_period_product_on_sheared_lattices():
+    reduced = 0
+    for stored, c in sheared_lattices():
+        reduced += (c.span_x, c.shear, c.span_y) != stored
+        cert = periodic_annihilator(c)
+        assert cert.poly == difference_poly(c.p1) * difference_poly(c.p2)
+    assert reduced >= 20
+
+
+def test_periodic_certificate_matches_the_public_constructor():
+    for _stored, c in sheared_lattices(seed=26, count=40):
+        cert = periodic_annihilator(c)
+        kept = pickle.loads(pickle.dumps(cert))  # the window still unread
+        public = AnnihilatorCertificate(
+            difference_poly(c.p1) * difference_poly(c.p2),
+            DiscreteDomain.rect(2 * c.span_x, 2 * c.span_y))
+        assert len(cert.window) == 4 * c.span_x * c.span_y
+        assert cert.window == public.window
+        for other in (cert, kept, copy.deepcopy(cert),
+                      pickle.loads(pickle.dumps(cert))):
+            assert other == public and public == other
+            assert hash(other) == hash(public)
+            assert repr(other) == repr(public)
+
+
+def test_periodic_certificate_builds_its_window_on_first_read(monkeypatch):
+    c = PeriodicConfig(3, 1, 2, [[0, 1, 2], [2, 1, 0]])
+    calls = []
+    rect = DiscreteDomain.rect
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return rect(*args, **kwargs)
+
+    monkeypatch.setattr(DiscreteDomain, "rect", classmethod(counting))
+    cert = periodic_annihilator(c)
+    assert calls == []
+    window = cert.window
+    assert calls == [(6, 4)]
+    assert cert.window is window and calls == [(6, 4)]
 
 
 # --- annihilator_search -----------------------------------------------------

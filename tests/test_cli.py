@@ -533,6 +533,20 @@ def test_decide_golden_report(tmp_path, capsys):
     assert got == expected
 
 
+def test_annihilator_golden_report(tmp_path, capsys):
+    f = write(tmp_path, "p.json", PER23)
+    code, out = run(capsys, "annihilator", f)
+    assert code == 0
+    got = json.loads(out)
+    del got["wall_time_s"]
+    got["command"] = ["annihilator", "INPUT"]
+    got["input_digest"] = "sha256:INPUT"
+    expected = json.loads(
+        (Path(__file__).parent / "golden"
+         / "annihilator_per23.json").read_text())
+    assert got == expected
+
+
 def test_reports_byte_identical(tmp_path, capsys):
     f = write(tmp_path, "cb.json", CHECKERBOARD)
     outs = []
