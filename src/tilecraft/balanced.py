@@ -4,15 +4,14 @@ A convex cell set D is balanced for a direction u in a coloring when
 (i) the coloring is low complexity on D, (ii) dropping the edge of D
 in direction u loses almost no patterns, and (iii) no cut of D
 perpendicular to u is much shorter than that edge.  All counting goes
-through colorings._pattern_values and _box_reader, the value tuples of
+through colorings._box_reader, whose counts are the value tuples of
 patterns_of, so the numbers here are the same numbers the complexity
-reports show.  On a periodic coloring and a rectangular window that
-leaves the search's box a translate in every lattice coset, a search
-reads the box once per coset and each count projects those tuples onto
-its set's cells.  On a smaller rectangular window a set whose
-translates span span_x columns is read from row slices of one block
-read; a window coloring, a ragged window or a narrower one is read cell
-by cell at every translate.
+reports show.  A search counts all its sets from one box, is_balanced
+from its domain's bounding box.  On a periodic coloring and a
+rectangular window that leaves the box a translate in every lattice
+coset, the box is read once per coset and each count projects those
+tuples onto its set's cells.  Otherwise each set is read on its own by
+_pattern_values, from row slices of one block read or cell by cell.
 """
 
 from __future__ import annotations
@@ -20,9 +19,9 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Callable
-from functools import cache, partial
+from functools import cache
 
-from .colorings import Configuration, _box_reader, _pattern_values
+from .colorings import Configuration, _box_reader
 from .colorings import patterns_of  # noqa: F401  perfbench's tracer wraps it here
 from .grid import ORIGIN, DiscreteDomain, Frozen, Vec2
 
@@ -125,7 +124,8 @@ def is_balanced(c: Configuration, domain: DiscreteDomain, u,
     u = Vec2.nonzero(u, "balanced direction must be nonzero")
     if not is_convex(domain):
         raise NotConvex("balanced sets must be convex")
-    read = partial(_pattern_values, c, window=window)
+    box = domain.bounding_rect()  # an empty domain raises ValueError
+    read = _box_reader(c, window, box.width, box.height)  # D and its inner
     return _report(read, domain, u, len(read(domain)))
 
 
@@ -232,8 +232,8 @@ def balanced_search(c: Configuration, n: int, m: int, u,
     MAX_AREA_BUDGET (7).  The n x m rectangle, every candidate and every
     candidate minus its edge fit in a box max(n, s) wide and max(m, s)
     tall, s = min(area_budget, n*m), so one _box_reader of that box
-    counts them all from one block read, each as a projection of the
-    box's values when the window leaves the box every lattice coset.
+    counts them all from one block read, as projections of the box's
+    values, when the window leaves the box every lattice coset.
     """
     u = Vec2.nonzero(u, "search direction must be nonzero")
     rect = DiscreteDomain.rect(n, m)

@@ -193,7 +193,7 @@ def color_at(c: Configuration, n) -> int:
 def _fitting_translates(shape: DiscreteDomain,
                         window: DiscreteDomain) -> Iterator[Vec2]:
     """Translations t with shape + t inside the window, canonical order:
-    the translates _pattern_reader reads cell by cell."""
+    the translates _pattern_values reads cell by cell."""
     if not len(window):
         return
     # a rectangle holds every translate its bounding rectangle allows
@@ -214,12 +214,13 @@ def patterns_of(c: Configuration, shape: DiscreteDomain,
     Patterns are re-indexed to the shape's own cells and returned sorted
     by their value tuples, so the result does not depend on enumeration
     order.  An empty shape has exactly one (empty) pattern.  The values
-    come from _pattern_values: row slices of a periodic coloring's block
-    on a rectangular window whose width leaves the shape span_x
-    translates, and a cell-by-cell walk over every fitting translate
-    otherwise.  A PeriodicConfig or WindowConfig holds only ints, so its
-    tuples become Patterns without the public constructor's checks; any
-    other configuration's go through Pattern(shape, values).
+    come from _pattern_values: row slices of one block read, sized to the
+    shape's box, for a periodic coloring on a rectangular window whose
+    width leaves the shape span_x translates, and a cell-by-cell walk
+    over every fitting translate otherwise.  A PeriodicConfig or
+    WindowConfig holds only ints, so its tuples become Patterns without
+    the public constructor's checks; any other configuration's go
+    through Pattern(shape, values).
     """
     values = sorted(_pattern_values(c, shape, window))
     if type(c) not in (PeriodicConfig, WindowConfig):
@@ -234,72 +235,59 @@ def patterns_of(c: Configuration, shape: DiscreteDomain,
 
 def _pattern_values(c: Configuration, shape: DiscreteDomain,
                     window: DiscreteDomain) -> set[tuple[int, ...]]:
-    """The value tuples of patterns_of, as a set."""
-    box = shape.bounding_rect() if len(shape) else Rect(0, 0, 0, 0)
-    return _pattern_reader(c, window, box.width, box.height)(shape)
-
-
-def _pattern_reader(c: Configuration, window: DiscreteDomain, width: int,
-                    height: int) -> Callable[[DiscreteDomain], set]:
-    """The _pattern_values of any shape whose bounding box fits in
-    width x height, from at most one block read.
+    """The value tuples of patterns_of, as a set.
 
     On a periodic configuration and a rectangular window, a shape whose
     translates span at least span_x columns is read from row slices: from
     the window's first translate t0, the translates t0 + (i, j) with
-    i < span_x and j < min(rows, span_y) meet each lattice coset that a
-    fitting translate meets once, and they lie in the box grown by
-    span_x - 1 columns and span_y - 1 rows, so one _block_rows read,
-    clipped to the window, serves every shape.  Anything else is read
-    cell by cell at every fitting translate.
+    i < span_x and j < rows = min(translate rows, span_y) meet each
+    lattice coset that a fitting translate meets once, and they lie in
+    the shape's box grown by span_x - 1 columns and rows - 1 rows, one
+    _block_rows read.  Anything else is read cell by cell at every
+    fitting translate.
     """
-    lines = None
+    if not shape.cells:
+        return {()}
+    s = shape.bounding_rect()
     if isinstance(c, PeriodicConfig) and window.is_rectangle():
-        w, a, h = window.bounding_rect(), c.span_x, c.span_y
-        lines = _block_rows(a, c.shear, h, c.block, w.x0, w.y0,
-                            min(w.width, width + a - 1),
-                            min(w.height, height + h - 1))
-
-    def read(shape: DiscreteDomain) -> set[tuple[int, ...]]:
-        if not shape.cells:
-            return {()}
-        s = shape.bounding_rect()
-        rows = 0 if lines is None else min(w.height - s.height + 1, h)
+        w, a = window.bounding_rect(), c.span_x
+        rows = min(w.height - s.height + 1, c.span_y)
         if rows > 0 and w.width - s.width + 1 >= a:
+            lines = _block_rows(a, c.shear, c.span_y, c.block, w.x0, w.y0,
+                                s.width + a - 1, s.height + rows - 1)
             cells = [(x - s.x0, y - s.y0) for x, y in shape.cells]
             seen = set()
             for j in range(rows):
                 seen.update(zip(*[lines[y + j][x:x + a] for x, y in cells]))
             return seen
-        seen = {tuple(c.color_at(cell + t) for cell in shape.cells)
-                for t in _fitting_translates(shape, window)}
-        if not seen:
-            raise EmptyWindow(f"no translate of the {len(shape)}-cell "
-                              f"shape fits in the window")
-        return seen
-    return read
+    seen = {tuple(c.color_at(cell + t) for cell in shape.cells)
+            for t in _fitting_translates(shape, window)}
+    if not seen:
+        raise EmptyWindow(f"no translate of the {len(shape)}-cell "
+                          f"shape fits in the window")
+    return seen
 
 
 def _box_reader(c: Configuration, window: DiscreteDomain, width: int,
                 height: int) -> Callable[[DiscreteDomain], set]:
-    """_pattern_reader for many shapes, as projections of one box read.
+    """_pattern_values for many shapes that fit in a width x height box.
 
     The translates t0 + (i, j) of the window's first translate t0 with
     i < span_x and j < span_y meet every lattice coset once, and each
     translate a shape can take lies in one of them.  On a periodic
     configuration and a rectangular window at least span_x - 1 columns
-    wider and span_y - 1 rows taller than the width x height box, the
-    box is read at each from row slices of one _block_rows read, and a
-    shape's values are the projection of those box tuples onto its
-    cells, moved to the box's corner.  The box itself gets the box
-    tuples, so a search whose n x m rectangle is the box does not hold a
-    second copy of them.  Any other case is _pattern_reader's.
+    wider and span_y - 1 rows taller than the box, the box is read at
+    each from row slices of one _block_rows read, and a shape's values
+    are the projection of those box tuples onto its cells, moved to the
+    box's corner.  The box itself gets the box tuples, so a search whose
+    n x m rectangle is the box does not hold a second copy of them.  In
+    any other case each shape is read on its own by _pattern_values.
     """
     w = window.bounding_rect() if window.is_rectangle() else None
     if not (isinstance(c, PeriodicConfig) and w is not None
             and w.width - width + 1 >= c.span_x
             and w.height - height + 1 >= c.span_y):
-        return _pattern_reader(c, window, width, height)
+        return lambda shape: _pattern_values(c, shape, window)
     a, h = c.span_x, c.span_y
     lines = _block_rows(a, c.shear, h, c.block, w.x0, w.y0, width + a - 1,
                         height + h - 1)

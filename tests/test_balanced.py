@@ -343,3 +343,26 @@ def test_search_reads_the_block_once(monkeypatch):
     monkeypatch.setattr(colorings, "_block_rows", counted)
     assert balanced_search(config, 2, 2, Vec2(1, 0), window, 4) == expected
     assert len(reads) == 1
+
+
+def test_is_balanced_reads_the_block_once(monkeypatch):
+    # the domain and the domain minus its edge are projections of one
+    # read of the domain's bounding box
+    config = PeriodicConfig(2, 1, 2, ((0, 1), (1, 1)))
+    window = W(9, 8, Vec2(-3, 2))
+    found = oracles.naive_balanced_search(config, 2, 2, Vec2(1, 0),
+                                          window, 4)
+    copy = WindowConfig.from_rows(
+        [[config.color_at((x, y)) for x in range(-3, 6)]
+         for y in range(2, 10)], Vec2(-3, 2))
+    cases = [(W(2, 2), Vec2(1, 0)), (found.domain, found.orientation)]
+    expected = [is_balanced(copy, d, u, window) for d, u in cases]
+    reads = []
+    real = colorings._block_rows
+
+    def counted(*args):
+        reads.append(args)
+        return real(*args)
+    monkeypatch.setattr(colorings, "_block_rows", counted)
+    assert [is_balanced(config, d, u, window) for d, u in cases] == expected
+    assert len(reads) == len(cases)

@@ -547,6 +547,34 @@ def test_annihilator_golden_report(tmp_path, capsys):
     assert got == expected
 
 
+@pytest.mark.parametrize("golden, argv", [
+    ("complexity_per23_8x8", ["complexity", "--shape", "2x2",
+                              "--window", "8x8"]),
+    ("complexity_per23_8x3", ["complexity", "--shape", "2x2",
+                              "--window", "8x3"]),
+    ("balanced_per23", ["balanced", "--u", "0,1", "--n", "2", "--m", "2"]),
+    ("balanced_per23_12x4", ["balanced", "--u", "0,1", "--n", "2",
+                             "--m", "2", "--window", "12x4"]),
+])
+def test_counting_golden_reports(tmp_path, capsys, golden, argv):
+    # complexity reads one shape; balanced reads the rectangle and the
+    # search's sets, with the box in every lattice coset (default window)
+    # and without it (12x4)
+    f = write(tmp_path, "p.json", PER23)
+    command, *options = argv
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", balanced.NotLowComplexityWarning)
+        code, out = run(capsys, command, f, *options)
+    assert code == 0
+    got = json.loads(out)
+    del got["wall_time_s"]
+    got["command"] = [command, "INPUT", *options]
+    got["input_digest"] = "sha256:INPUT"
+    expected = json.loads(
+        (Path(__file__).parent / "golden" / f"{golden}.json").read_text())
+    assert got == expected
+
+
 def test_reports_byte_identical(tmp_path, capsys):
     f = write(tmp_path, "cb.json", CHECKERBOARD)
     outs = []

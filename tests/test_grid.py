@@ -304,6 +304,48 @@ def test_box_reader_projects_only_when_its_box_meets_every_coset(
     assert {id(t) for t in read(box)} == {id(t) for t in read(box)}
 
 
+def _rows_only(monkeypatch):
+    """The list of _block_rows reads that follow; a cell-by-cell walk
+    fails the test."""
+    reads = []
+    real = colorings._block_rows
+
+    def counted(*args):
+        reads.append(args)
+        return real(*args)
+
+    def refused(*args):
+        raise AssertionError("read cell by cell")
+    monkeypatch.setattr(colorings, "_block_rows", counted)
+    monkeypatch.setattr(colorings, "_fitting_translates", refused)
+    return reads
+
+
+def test_box_reader_reads_each_shape_from_row_slices_on_a_short_window(
+        monkeypatch):
+    # the box misses a row coset, so each shape is read on its own, and
+    # every one is still wide enough for the row-slice path
+    short = rect_window(5, 5, Vec2(-2, 4))
+    reads = _rows_only(monkeypatch)
+    read = _box_reader(_TALL, short, 3, 3)
+    for shape in _TALL_SHAPES:
+        assert read(shape) == _cell_by_cell(_TALL, shape, short), shape
+    assert len(reads) == len(_TALL_SHAPES)
+
+
+@pytest.mark.parametrize("k", [1, 7, 40])
+def test_sparse_shape_reads_rows_sized_to_its_box(monkeypatch, k):
+    # two cells k apart on a diagonal, on a window two translate rows
+    # tall and wide enough for span_x translates: one read of the
+    # shape's box grown by span_x - 1 columns and one row
+    shape = DiscreteDomain([(0, 0), (k, k)])
+    window = rect_window(k + 6, k + 2, Vec2(3, -5))
+    reads = _rows_only(monkeypatch)
+    values = [p.values for p in patterns_of(_TALL, shape, window)]
+    assert values == sorted(_cell_by_cell(_TALL, shape, window))
+    assert [args[-2:] for args in reads] == [(k + 1 + 2, k + 1 + 1)]
+
+
 class _FractionColors(colorings.Configuration):
     """A user coloring whose color_at gives int-valued Fractions."""
 
