@@ -15,8 +15,7 @@ from __future__ import annotations
 from .colorings import (PeriodicConfig, WindowConfig, _lattice_hnf,
                         is_low_complexity)
 from .grid import DiscreteDomain, Vec2
-from .serialize import (SchemaError, _validate, node_budget,
-                        pattern_set_from_json)
+from .serialize import SchemaError, _validate, pattern_set_from_json
 
 TYPE_CHECKING = False  # as typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:  # annotations only: each command loads what it runs
@@ -188,11 +187,10 @@ def _cmd_determinism(args, report: dict, doc) -> int:
     from .probes import classify_directions
 
     ps = pattern_set_from_json(doc)
-    budget = node_budget(args.budget)
     (cl,) = classify_directions(ps, [args.direction], args.k, args.radius,
-                                budget)
+                                args.budget)
     report["outcome"] = classification_to_json(cl)
-    report["budget"] = {"limit": budget}
+    report["budget"] = {"limit": args.budget}
     return 0
 
 

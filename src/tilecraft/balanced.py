@@ -64,22 +64,19 @@ def _hull(points: list[Vec2]) -> list[Vec2]:
 def is_convex(domain: DiscreteDomain) -> bool:
     """True when the domain equals the lattice points of its real hull.
 
-    A full rectangle, whose cell count is its bounding rectangle's area,
-    is convex without the hull and the scan of that rectangle.
+    The domain lies in its hull, so it is convex when it has as many
+    cells as the hull has lattice points, which Pick's theorem counts
+    from the hull's edges: (twice the area + boundary points) // 2 + 1.
+    A collinear hull has two edges and gives gcd + 1.  A full rectangle
+    is convex without the hull.
     """
     if len(domain) <= 1 or domain.is_rectangle():
         return True
-    cells = list(domain.cells)
-    hull = _hull(cells)
+    hull = _hull(list(domain.cells))
     edges = list(zip(hull, hull[1:] + hull[:1]))
-    box = domain.bounding_rect()
-    inside = 0
-    for p in box.cells():
-        if all((b - a).cross(p - a) >= 0 for a, b in edges):
-            if p not in domain:
-                return False
-            inside += 1
-    return inside == len(cells)
+    twice_area = sum(a.cross(b) for a, b in edges)
+    boundary = sum(math.gcd(*(b - a)) for a, b in edges)
+    return len(domain) == (twice_area + boundary) // 2 + 1
 
 
 class BalancedReport(Frozen):

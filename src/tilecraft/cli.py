@@ -7,8 +7,10 @@ Exit codes are frozen: 0 = a periodic witness exists, 1 = empty,
 2 = undecided within budget or a failed self-check (no verified
 verdict), 3 = input/usage error, 4 = domain error, 5 = the report
 could not be written (standard output was closed).
-Reports are canonical JSON (sorted keys); the only nondeterministic
-field is wall_time_s.
+Every setting comes from argv and is checked by argparse, so a bad
+option is a usage error (exit 3, empty stdout). Each command prints one
+report, canonical JSON (sorted keys); the only nondeterministic field is
+wall_time_s.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import time
 
 from . import serialize as ser
 from .grid import CertificateError, DiscreteDomain, OutOfWindow, Vec2
-from .sft import Empty, NonEmptyPeriodic, decide_with_usage
+from .sft import DEFAULT_BUDGET, Empty, NonEmptyPeriodic, decide_with_usage
 
 EXIT_NONEMPTY = 0
 EXIT_EMPTY = 1
@@ -131,23 +133,6 @@ def _parse_box(text: str) -> DiscreteDomain:
             f"expected 'WxH' or 'WxH@x,y', got {text!r}") from None
 
 
-def _emit(report: dict, args, started: float) -> None:
-    report["wall_time_s"] = round(time.monotonic() - started, 6)
-    if args.ascii:
-        _print_ascii(report)
-    else:
-        print(ser.canonical_json(report))
-
-
-def _print_ascii(report: dict) -> None:
-    for key, value in sorted(report.items()):
-        if key in ("render",):
-            continue
-        print(f"{key}: {json.dumps(value, sort_keys=True)}")
-    if "render" in report:
-        print(report["render"])
-
-
 def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tilecraft",
@@ -160,7 +145,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("pattern_set_file",
                    help="pattern set JSON whose first square, of side "
                         f"shape extent + 1, has at most {MAX_BOX_CELLS} cells")
-    p.add_argument("--budget")
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
 
     p = sub.add_parser("complexity", help="pattern count on a shape")
     p.add_argument("config_file")
@@ -180,7 +165,7 @@ def _make_parser() -> argparse.ArgumentParser:
                    default=4, dest="radius",
                    help=f"probe radius, from --k to {MAX_PROBE_RADIUS} "
                         "(default: %(default)s)")
-    p.add_argument("--budget")
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
 
     p = sub.add_parser("balanced", help="balanced-set search")
     p.add_argument("config_file")
@@ -195,23 +180,19 @@ def _make_parser() -> argparse.ArgumentParser:
                    type=_at_most(MAX_AREA_BUDGET, "an area budget"),
                    help="largest candidate set in cells, from 1 to "
                         f"{MAX_AREA_BUDGET} (default: %(default)s)")
-
-    for sp in sub.choices.values():
-        sp.add_argument("--ascii", action="store_true", default=False)
     return parser
 
 
 def _cmd_decide(args, report: dict, doc) -> int:
     ps = ser.pattern_set_from_json(doc)
-    budget = ser.node_budget(args.budget)
     side = ps.shape.max_extent() + 1
     if side * side > MAX_BOX_CELLS:
         raise ser.SchemaError(
             f"expected a first square of at most {MAX_BOX_CELLS} cells, got "
             f"side {side} from a shape of extent {side - 1}")
-    outcome, nodes = decide_with_usage(ps, budget)
+    outcome, nodes = decide_with_usage(ps, args.budget)
     report["outcome"] = ser.outcome_to_json(outcome)
-    report["budget"] = {"limit": budget, "nodes_used": nodes}
+    report["budget"] = {"limit": args.budget, "nodes_used": nodes}
     if isinstance(outcome, NonEmptyPeriodic):
         report["render"] = ser.render_rows(outcome.witness.values, ps.alphabet)
         return EXIT_NONEMPTY
@@ -256,8 +237,9 @@ def main(argv=None) -> int:
     except (OutOfWindow, ValueError) as exc:
         report["error"] = str(exc)
         code = EXIT_DOMAIN_ERROR
+    report["wall_time_s"] = round(time.monotonic() - started, 6)
     try:
-        _emit(report, args, started)
+        print(ser.canonical_json(report))
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader is gone; as Python's signal docs advise, point stdout

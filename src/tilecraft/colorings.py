@@ -179,7 +179,8 @@ class WindowConfig(Configuration, Frozen):
         return WindowConfig(self.rect.translate(t), self.values)
 
     def domain(self) -> DiscreteDomain:
-        return DiscreteDomain(self.rect.cells())
+        r = self.rect
+        return DiscreteDomain.rect(r.width, r.height, Vec2(r.x0, r.y0))
 
 
 def translate(c: Configuration, t) -> Configuration:
@@ -366,12 +367,12 @@ def find_periods(c: Configuration, window: DiscreteDomain | None,
         return PeriodScan(tuple(
             Vec2(x, y) for y in side if y % h == 0 for x in side
             if (x or y) and (x - y // h * b) % a == 0), ())
+    if window is None:
+        raise ValueError("window configurations need an explicit window")
     candidates = [Vec2(x, y)
                   for y in range(-bound, bound + 1)
                   for x in range(-bound, bound + 1)
                   if (x, y) != (0, 0)]
-    if window is None:
-        raise ValueError("window configurations need an explicit window")
     cells = list(window.cells)
     periods, skipped = [], []
     for t in candidates:

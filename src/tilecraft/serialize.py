@@ -18,8 +18,7 @@ import os
 import re
 
 from .grid import Alphabet, DiscreteDomain, Vec2
-from .sft import (DEFAULT_BUDGET, Empty, NonEmptyPeriodic, PatternSet,
-                  TorusWitness, Undecided)
+from .sft import Empty, NonEmptyPeriodic, PatternSet, TorusWitness, Undecided
 
 
 class SchemaError(ValueError):
@@ -196,23 +195,6 @@ def pattern_set_from_json(data) -> PatternSet:
         return PatternSet.from_value_tuples(alphabet, shape, values)
     except ValueError as exc:  # a color outside the alphabet
         raise SchemaError(str(exc)) from None
-
-
-def node_budget(text: str | None) -> int:
-    """A node budget: text (a --budget value), else TILECRAFT_BUDGET,
-    else DEFAULT_BUDGET; anything but a positive integer is a SchemaError."""
-    if text is None:
-        text = os.environ.get("TILECRAFT_BUDGET")
-    if text is None:
-        return DEFAULT_BUDGET
-    try:
-        budget = int(text)
-    except ValueError:
-        budget = 0
-    if budget < 1:
-        raise SchemaError(
-            f"node budget must be a positive integer, got {text!r}")
-    return budget
 
 
 # --- results ---------------------------------------------------------------

@@ -242,34 +242,36 @@ def naive_probe(tuples, shape_cells, colors, u, k, radius):
     return "forced", None, count
 
 
-def naive_is_convex(domain: DiscreteDomain) -> bool:
-    """Convexity by Caratheodory's theorem in the plane, no hull.
-
-    A point lies in the real hull of D iff it is on a segment between
-    two cells of D or inside a triangle of three, so D is convex iff no
-    lattice point of its bounding box outside D is on such a segment or
-    in such a triangle.
-    """
-    cells = list(domain.cells)
-
+def naive_in_hull(p: Vec2, cells) -> bool:
+    """Caratheodory's theorem in the plane: p lies in the real hull of
+    the cells iff it is one of them, on a segment between two, or inside
+    a triangle of three."""
     def cross(o, a, b):
         return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
 
-    def on_segment(p, a, b):
+    def on_segment(a, b):
         return cross(a, b, p) == 0 and (p - a).dot(p - b) <= 0
 
-    def in_triangle(p, a, b, c):
+    def in_triangle(a, b, c):
         area = cross(a, b, c)
         return area != 0 and all(area * cross(s, t, p) >= 0
                                  for s, t in ((a, b), (b, c), (c, a)))
 
-    def in_hull(p):
-        return (any(on_segment(p, a, b) for a, b in combinations(cells, 2))
-                or any(in_triangle(p, *t) for t in combinations(cells, 3)))
+    return (p in cells
+            or any(on_segment(a, b) for a, b in combinations(cells, 2))
+            or any(in_triangle(*t) for t in combinations(cells, 3)))
 
+
+def naive_is_convex(domain: DiscreteDomain) -> bool:
+    """Convexity by Caratheodory's theorem in the plane, no hull.
+
+    D is convex iff no lattice point of its bounding box outside D lies
+    in the real hull of D (naive_in_hull).
+    """
+    cells = list(domain.cells)
     xs = [c.x for c in cells]
     ys = [c.y for c in cells]
-    return not any(in_hull(Vec2(x, y))
+    return not any(naive_in_hull(Vec2(x, y), cells)
                    for y in range(min(ys), max(ys) + 1)
                    for x in range(min(xs), max(xs) + 1)
                    if Vec2(x, y) not in domain)

@@ -1,4 +1,7 @@
+import math
+import random
 import warnings
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -101,6 +104,25 @@ def test_convex_matches_the_caratheodory_oracle_on_the_3x3_box():
     box = list(DiscreteDomain.rect(3, 3).cells)
     for mask in range(1, 1 << len(box)):
         d = DiscreteDomain([c for i, c in enumerate(box) if mask >> i & 1])
+        assert is_convex(d) == oracles.naive_is_convex(d), d.cells
+    # seeded domains in an offset 5x4 box: random subsets, the lattice
+    # points of the hull of 3-4 random cells, and those hulls minus a cell
+    rng = random.Random(27)
+    box = list(DiscreteDomain.rect(5, 4, Vec2(-2, 3)).cells)
+    domains, long_edges = [], 0
+    for _ in range(334):
+        domains.append(rng.sample(box, rng.randint(1, len(box))))
+        corners = rng.sample(box, rng.randint(3, 4))
+        hull = [p for p in box if oracles.naive_in_hull(p, corners)]
+        gone = rng.choice(hull)
+        domains += [hull, [p for p in hull if p != gone]]
+        a, b, c = corners[:3]
+        if len(corners) == 3 and (b - a).cross(c - a):  # sides are edges
+            long_edges += any(math.gcd(*(q - p)) > 1
+                              for p, q in combinations(corners, 2))
+    assert long_edges >= 50
+    for cells in domains:
+        d = DiscreteDomain(cells)
         assert is_convex(d) == oracles.naive_is_convex(d), d.cells
 
 

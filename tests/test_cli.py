@@ -250,13 +250,15 @@ def test_removed_decide_flags_are_usage_errors(tmp_path, capsys, flag):
      "--area-budget", "8"],
     ["determinism", "CB", "--dir", "1,0", "--R", "51"],
     ["balanced", "CONST", "--u", "0,1", "--n", "501", "--m", "500"],
+    ["decide", "CB", "--ascii"],
+    ["determinism", "CB", "--dir", "1,0", "--budget", "0"],
 ], ids=["k0", "R_below_k", "n0", "m0", "area_budget0", "area_budget_neg",
-        "area_budget8", "R51", "nm_over_box"])
+        "area_budget8", "R51", "nm_over_box", "ascii", "determinism_budget0"])
 def test_out_of_range_options_are_usage_errors(tmp_path, capsys, argv):
     files = {"CB": write(tmp_path, "cb.json", CHECKERBOARD),
              "CONST": write(tmp_path, "c.json", CONSTANT)}
     assert main([files.get(a, a) for a in argv]) == 3
-    capsys.readouterr()
+    assert capsys.readouterr().out == ""
 
 
 def _two_cell_set(dx):
@@ -586,36 +588,29 @@ def test_reports_byte_identical(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
-def test_ascii_mode(tmp_path, capsys):
-    f = write(tmp_path, "cb.json", CHECKERBOARD)
-    code, out = run(capsys, "decide", f, "--ascii")
-    assert code == 0
-    assert "10\n01" in out
-
-
-def test_env_budget(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("TILECRAFT_BUDGET", "2")
-    f = write(tmp_path, "cb.json", CHECKERBOARD)
-    code, out = run(capsys, "decide", f)
-    assert code == 2
-    assert report_of(out)["budget"]["limit"] == 2
-
-
-@pytest.mark.parametrize("budget", ["0", "-3", "abc"])
+@pytest.mark.parametrize("budget", ["0", "-3", "abc", "1e3",
+                                    pytest.param("", id="empty")])
 def test_bad_budget_is_input_error(tmp_path, capsys, budget):
     f = write(tmp_path, "cb.json", CHECKERBOARD)
-    code, out = run(capsys, "decide", f, "--budget", budget)
-    assert code == 3
-    assert "budget" in report_of(out)["error"]
+    assert main(["decide", f, "--budget", budget]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--budget" in captured.err
 
 
-@pytest.mark.parametrize("budget", ["abc", "0", pytest.param("", id="empty")])
-def test_bad_env_budget_is_input_error(tmp_path, capsys, monkeypatch, budget):
-    monkeypatch.setenv("TILECRAFT_BUDGET", budget)
+def test_reports_ignore_the_environment(tmp_path, capsys, monkeypatch):
     f = write(tmp_path, "cb.json", CHECKERBOARD)
-    code, out = run(capsys, "determinism", f, "--dir", "1,0")
-    assert code == 3
-    assert "budget" in report_of(out)["error"]
+    argvs = (["decide", f], ["determinism", f, "--dir", "1,0"])
+
+    def reports():
+        return [(code, report_of(out))
+                for code, out in (run(capsys, *argv) for argv in argvs)]
+
+    monkeypatch.delenv("TILECRAFT_BUDGET", raising=False)
+    plain = reports()
+    monkeypatch.setenv("TILECRAFT_BUDGET", "2")
+    assert reports() == plain
+    assert [code for code, _ in plain] == [0, 0]
 
 
 @pytest.mark.parametrize("doc", [CHECKERBOARD, CONVEX3],

@@ -2,6 +2,7 @@ import math
 import pickle
 import random
 import re
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -444,6 +445,19 @@ def test_find_periods_window_skips_degenerate():
     scan = find_periods(w, w.domain(), 2)
     # (2, 2) has no comparable cell pair inside a 2x2 window
     assert Vec2(2, 2) in scan.skipped
+
+
+def test_find_periods_without_a_window_fails_before_any_candidate():
+    # at bound 300 the candidates alone are 360,000 vectors, about 33 MB
+    w = WindowConfig.from_rows([[0, 1], [1, 0]])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="explicit window"):
+            find_periods(w, None, 300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_find_periods_contains_declared():
