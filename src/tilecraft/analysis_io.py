@@ -5,8 +5,8 @@ only its writer and only while a command emits it.  So configurations
 have configuration_from_json (checked as serialize checks a pattern set)
 and configuration_to_json; annihilator certificates, their polynomials
 and the determinism and balanced reports have only *_to_json.  HANDLERS
-maps each analysis command to its handler and the argument naming its
-input file: cli.main imports this module only when one of those
+maps each analysis command to its handler, called with the document
+cli.main has read; cli.main imports this module only when one of those
 commands runs, so a decision never loads it, nor colorings or probes.
 """
 
@@ -220,9 +220,5 @@ def _cmd_balanced(args, report: dict, doc) -> int:
     return 0
 
 
-HANDLERS = {
-    "complexity": (_cmd_complexity, "config_file"),
-    "annihilator": (_cmd_annihilator, "config_file"),
-    "determinism": (_cmd_determinism, "pattern_set_file"),
-    "balanced": (_cmd_balanced, "config_file"),
-}
+HANDLERS = {"complexity": _cmd_complexity, "annihilator": _cmd_annihilator,
+            "determinism": _cmd_determinism, "balanced": _cmd_balanced}

@@ -1,16 +1,16 @@
 """Command-line front end: parse instances, run analyses, emit reports.
 
-This module runs decide; the handlers of the analysis commands are in
-analysis_io, imported only when one of them runs.
+Each command reads its input file once, so input_digest is the sha256
+of the bytes parsed.  This module runs decide; the analysis commands'
+handlers are in analysis_io, imported only when one of them runs.
 
 Exit codes are frozen: 0 = a periodic witness exists, 1 = empty,
 2 = undecided within budget or a failed self-check (no verified
 verdict), 3 = input/usage error, 4 = domain error, 5 = the report
 could not be written (standard output was closed).
 Every setting comes from argv and is checked by argparse, so a bad
-option is a usage error (exit 3, empty stdout). Each command prints one
-report, canonical JSON (sorted keys); the only nondeterministic field is
-wall_time_s.
+option is a usage error (exit 3, empty stdout).  Each command prints one
+report, canonical JSON (sorted keys); only wall_time_s varies between runs.
 """
 
 from __future__ import annotations
@@ -63,22 +63,22 @@ except ImportError:
     from hashlib import sha256
 
 
-def _digest(path: str) -> str:
+def _read_input(path: str, report: dict):
+    """The JSON document at path, from one read; input_digest, set first,
+    is the sha256 of the bytes that are parsed."""
     with open(path, "rb") as fh:
-        return "sha256:" + sha256(fh.read()).hexdigest()
-
-
-def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ser.SchemaError(
-                f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
-        except ValueError as exc:  # over 4,300 digits, or not UTF-8
-            raise ser.SchemaError(f"{path}: {exc}") from None
-        except RecursionError:
-            raise ser.SchemaError(f"{path}: JSON nested too deeply") from None
+        data = fh.read()
+    report["input_digest"] = "sha256:" + sha256(data).hexdigest()
+    try:  # decoded as open(path, encoding="utf-8") would, newlines too
+        return json.loads(
+            data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
+    except json.JSONDecodeError as exc:
+        raise ser.SchemaError(
+            f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}")
+    except ValueError as exc:  # over 4,300 digits, or not UTF-8
+        raise ser.SchemaError(f"{path}: {exc}") from None
+    except RecursionError:
+        raise ser.SchemaError(f"{path}: JSON nested too deeply") from None
 
 
 def _bounded(detail: str) -> str:
@@ -97,21 +97,21 @@ def _parse_vec(text: str) -> Vec2:
             f"expected 'x,y' integers, got {text!r}") from None
 
 
-def _positive_int(text: str) -> int:
-    if int(text) < 1:  # argparse reports a ValueError as a usage error too
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
-
-
-def _at_most(limit: int, what: str):
-    """An argparse type: a positive integer of at most `limit`."""
-    def integer(text: str) -> int:  # argparse names it in a ValueError
-        value = _positive_int(text)
-        if value > limit:
+def _positive_int(limit: int | None = None, what: str = ""):
+    """An argparse type: a positive integer, of at most `limit` if given."""
+    def positive_int(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:  # else argparse names this function
+            value = 0
+        if value < 1:
+            raise argparse.ArgumentTypeError(
+                f"expected a positive integer, got {text!r}")
+        if limit is not None and value > limit:
             raise argparse.ArgumentTypeError(
                 f"expected {what} of at most {limit}, got {text!r}")
         return value
-    return integer
+    return positive_int
 
 
 def _parse_box(text: str) -> DiscreteDomain:
@@ -142,42 +142,42 @@ def _make_parser() -> argparse.ArgumentParser:
     box = f"'WxH' or 'WxH@x,y', at most {MAX_BOX_CELLS} cells"
 
     p = sub.add_parser("decide", help="emptiness/periodicity decision")
-    p.add_argument("pattern_set_file",
+    p.add_argument("input", metavar="pattern_set_file",
                    help="pattern set JSON whose first square, of side "
                         f"shape extent + 1, has at most {MAX_BOX_CELLS} cells")
-    p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_positive_int(), default=DEFAULT_BUDGET)
 
     p = sub.add_parser("complexity", help="pattern count on a shape")
-    p.add_argument("config_file")
+    p.add_argument("input", metavar="config_file")
     p.add_argument("--shape", type=_parse_box, required=True, help=box)
     p.add_argument("--window", type=_parse_box, required=True, help=box)
 
     p = sub.add_parser("annihilator", help="find or build an annihilator")
-    p.add_argument("config_file")
+    p.add_argument("input", metavar="config_file")
     p.add_argument("--support", type=_parse_box, default=None, help=box)
     p.add_argument("--window", type=_parse_box, default=None, help=box)
 
     p = sub.add_parser("determinism", help="direction forcing probe")
-    p.add_argument("pattern_set_file")
+    p.add_argument("input", metavar="pattern_set_file")
     p.add_argument("--dir", type=_parse_vec, required=True, dest="direction")
-    p.add_argument("--k", type=_positive_int, default=2)
-    p.add_argument("--R", type=_at_most(MAX_PROBE_RADIUS, "a probe radius"),
-                   default=4, dest="radius",
+    p.add_argument("--k", type=_positive_int(), default=2)
+    p.add_argument("--R", dest="radius", default=4,
+                   type=_positive_int(MAX_PROBE_RADIUS, "a probe radius"),
                    help=f"probe radius, from --k to {MAX_PROBE_RADIUS} "
                         "(default: %(default)s)")
-    p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_positive_int(), default=DEFAULT_BUDGET)
 
     p = sub.add_parser("balanced", help="balanced-set search")
-    p.add_argument("config_file")
+    p.add_argument("input", metavar="config_file")
     p.add_argument("--u", type=_parse_vec, required=True, dest="direction")
-    p.add_argument("--n", type=_positive_int, required=True,
+    p.add_argument("--n", type=_positive_int(), required=True,
                    help="rectangle width")
-    p.add_argument("--m", type=_positive_int, required=True,
+    p.add_argument("--m", type=_positive_int(), required=True,
                    help="rectangle height; --n x --m is at most "
                         f"{MAX_BOX_CELLS} cells")
     p.add_argument("--window", type=_parse_box, default=None, help=box)
     p.add_argument("--area-budget", default=6,
-                   type=_at_most(MAX_AREA_BUDGET, "an area budget"),
+                   type=_positive_int(MAX_AREA_BUDGET, "an area budget"),
                    help="largest candidate set in cells, from 1 to "
                         f"{MAX_AREA_BUDGET} (default: %(default)s)")
     return parser
@@ -215,17 +215,14 @@ def main(argv=None) -> int:
         # argparse exits 0 for --help, 2 for usage errors; 2 collides
         # with the undecided exit code, so usage errors map to 3
         return 0 if exc.code == 0 else EXIT_INPUT_ERROR
-    if args.command == "decide":
-        handler, input_attr = _cmd_decide, "pattern_set_file"
-    else:  # the analysis commands, loaded only when one of them runs
+    handler = _cmd_decide
+    if args.command != "decide":  # analysis_io is imported only here
         from .analysis_io import HANDLERS
-        handler, input_attr = HANDLERS[args.command]
+        handler = HANDLERS[args.command]
     started = time.monotonic()
     report = {"command": list(argv)}
     try:
-        path = getattr(args, input_attr)
-        report["input_digest"] = _digest(path)
-        code = handler(args, report, _load_json(path))
+        code = handler(args, report, _read_input(args.input, report))
     except (OSError, ser.SchemaError) as exc:
         report["error"] = str(exc)
         if isinstance(exc, ser.SchemaError) and exc.errors:

@@ -104,16 +104,11 @@ def _validate(data, name: str) -> None:
 _GLYPHS = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
-def color_glyph(alphabet: Alphabet, color: int) -> str:
-    idx = alphabet.index(color)
-    return _GLYPHS[idx] if idx < len(_GLYPHS) else "?"
-
-
 def render_rows(rows, alphabet: Alphabet) -> str:
-    """One character per cell, highest row printed first (y grows up)."""
-    return "\n".join(
-        "".join(color_glyph(alphabet, v) for v in row)
-        for row in reversed(rows))
+    """One character per cell, highest row printed first (y grows up); the
+    alphabet's colors take _GLYPHS in order, and '?' after the 62nd."""
+    glyph = dict(zip(alphabet.colors, _GLYPHS.ljust(len(alphabet), "?")))
+    return "\n".join("".join(glyph[v] for v in row) for row in reversed(rows))
 
 
 # --- domains and shapes ----------------------------------------------------

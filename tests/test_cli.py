@@ -1,3 +1,5 @@
+import builtins
+import hashlib
 import json
 import os
 import re
@@ -642,3 +644,115 @@ def test_a_closed_stdout_is_not_a_verdict(tmp_path):
         os.close(write_end)
     assert proc.returncode == EXIT_UNWRITTEN == 5
     assert proc.stderr == ""
+
+
+def test_determinism_golden_report(tmp_path, capsys):
+    f = write(tmp_path, "cb.json", CHECKERBOARD)
+    code, out = run(capsys, "determinism", f, "--dir", "1,0")
+    assert code == 0
+    got = json.loads(out)
+    del got["wall_time_s"]
+    got["command"] = ["determinism", "INPUT", "--dir", "1,0"]
+    got["input_digest"] = "sha256:INPUT"
+    expected = json.loads(
+        (Path(__file__).parent / "golden"
+         / "determinism_checkerboard.json").read_text())
+    assert got == expected
+
+
+def sha256_of(data: bytes) -> str:
+    return "sha256:" + hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"),
+                    reason="no /dev/stdin on this platform")
+def test_decide_reads_a_pipe(tmp_path):
+    data = json.dumps(CHECKERBOARD).encode()
+    proc = cold(["decide", "/dev/stdin"], input=data, capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    rep = json.loads(proc.stdout)
+    assert rep["outcome"]["kind"] == "non_empty_periodic"
+    assert rep["input_digest"] == sha256_of(data)
+
+
+@pytest.mark.parametrize("data, code", [
+    (json.dumps(CHECKERBOARD).encode(), 0),
+    (b'{"shape": "rect 2 2", "alphabet": [0, 1], "allowed": [}', 3),
+    (b'{"shape": "rect 2 2", "alphabet": [0, 1], "x": "\xe9"}', 3),
+], ids=["valid", "malformed", "not-utf-8"])
+def test_input_digest_is_the_sha256_of_the_file(tmp_path, capsys, data,
+                                                code):
+    path = tmp_path / "set.json"
+    path.write_bytes(data)
+    got, out = run(capsys, "decide", str(path))
+    assert got == code
+    assert report_of(out)["input_digest"] == sha256_of(data)
+
+
+# the messages the command line gave when it read the file in text mode
+@pytest.mark.parametrize("data, message", [
+    (b'{"shape": "rect 2 2",\r\n "alphabet": [0, 1],\r\n "allowed": [}\r\n',
+     "line 3 column 14: Expecting value"),
+    (b'{"shape": "rect 2 2",\r "alphabet": [0, 1],\r "allowed": [}\r',
+     "line 3 column 14: Expecting value"),
+    (b'{\r\n\r"a":\n\r\n 1,\r\r "b": }', "line 7 column 7: Expecting value"),
+    (b'\xef\xbb\xbf{"shape": "rect 2 2", "alphabet": [0, 1]}',
+     "line 1 column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    (b'{"shape": "rect 2 2", "alphabet": [0, 1], "x": "\xe9"}',
+     "'utf-8' codec can't decode byte 0xe9 in position 48: "
+     "invalid continuation byte"),
+], ids=["crlf", "bare-cr", "mixed-newlines", "utf-8-bom", "not-utf-8"])
+def test_parse_errors_read_as_in_text_mode(tmp_path, capsys, data, message):
+    path = tmp_path / "set.json"
+    path.write_bytes(data)
+    code, out = run(capsys, "decide", str(path))
+    assert code == 3
+    assert report_of(out)["error"] == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("doc, argv", [
+    (CHECKERBOARD, ["decide"]),
+    (PER23, ["complexity", "--shape", "2x2", "--window", "8x8"]),
+    (PER23, ["annihilator"]),
+    (CHECKERBOARD, ["determinism", "--dir", "1,0"]),
+    (PER23, ["balanced", "--u", "0,1", "--n", "2", "--m", "2"]),
+], ids=["decide", "complexity", "annihilator", "determinism", "balanced"])
+def test_each_command_opens_its_input_once(tmp_path, capsys, monkeypatch,
+                                           doc, argv):
+    f = write(tmp_path, "input.json", doc)
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    command, *options = argv
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", balanced.NotLowComplexityWarning)
+        code, out = run(capsys, command, f, *options)
+    monkeypatch.undo()
+    assert code == 0, out
+    assert opened.count(f) == 1
+
+
+@pytest.mark.parametrize("doc, argv", [
+    (CHECKERBOARD, ["decide", "--budget", "1e3"]),
+    (CHECKERBOARD, ["determinism", "--dir", "1,0", "--k", "two"]),
+    (CHECKERBOARD, ["determinism", "--dir", "1,0", "--R", "4.0"]),
+    (CHECKERBOARD, ["determinism", "--dir", "1,0", "--budget", "1e3"]),
+    (PER23, ["balanced", "--u", "0,1", "--n", "2.5", "--m", "2"]),
+    (PER23, ["balanced", "--u", "0,1", "--n", "2", "--m", "x"]),
+    (PER23, ["balanced", "--u", "0,1", "--n", "2", "--m", "2",
+             "--area-budget", "six"]),
+], ids=["decide-budget", "k", "R", "determinism-budget", "n", "m",
+        "area-budget"])
+def test_non_integer_options_name_no_function(tmp_path, capsys, doc, argv):
+    f = write(tmp_path, "input.json", doc)
+    command, *options = argv
+    assert main([command, f, *options]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected a positive integer" in captured.err
+    assert "_positive_int" not in captured.err

@@ -263,3 +263,15 @@ def test_schema_check_matches_jsonschema():
     assert mismatches[:3] == []
     # the corpus exercises both outcomes
     assert 2_000 < n_invalid < 18_000
+
+
+def test_render_rows_past_the_glyphs():
+    glyphs = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+    a = Alphabet.of(range(64))
+    assert render_rows((tuple(range(64)),), a) == glyphs + "??"
+
+
+def test_render_rows_negative_colors():
+    a = Alphabet.of([5, -2, -1])
+    # glyphs follow the sorted alphabet: -2 -> 0, -1 -> 1, 5 -> 2
+    assert render_rows(((-2, 5), (-1, -2)), a) == "10\n02"
