@@ -15,8 +15,7 @@ from functools import cached_property
 from itertools import chain
 from types import MappingProxyType
 
-from .colorings import (Configuration, PeriodicConfig, WindowConfig,
-                        _block_color, _block_rows)
+from .colorings import Configuration, PeriodicConfig, WindowConfig, _block_rows
 from .grid import CertificateError, DiscreteDomain, Frozen, Vec2
 from .linalg import nullspace_vector
 
@@ -169,17 +168,14 @@ def _fc_block(f: LaurentPoly, c: PeriodicConfig) -> list:
 
 
 def apply(f: LaurentPoly, c: Configuration, window: DiscreteDomain) -> dict[Vec2, int]:
-    """Values of the formal product f.c on the window cells.  f.c has the
-    periods of a periodic c: its one summed block is read by rows on a
-    rectangular window, else by cells.  A window c sums row slices on a
-    rectangle whose reads stay in c.rect, else cells (or OutOfWindow)."""
+    """Values of the formal product f.c on the window cells.  On a
+    rectangle, f.c of a periodic c is one summed block read by rows, and
+    a window c sums row slices when its reads stay in c.rect; anything
+    else sums cell by cell (or raises OutOfWindow)."""
     r = window.bounding_rect() if window.is_rectangle() else None
-    if isinstance(c, PeriodicConfig):
-        a, b, h = c.span_x, c.shear, c.span_y
-        block = _fc_block(f, c)
-        if r is None:
-            return {n: _block_color(a, b, h, block, n) for n in window.cells}
-        rows = _block_rows(a, b, h, block, r.x0, r.y0, r.width, r.height)
+    if r and isinstance(c, PeriodicConfig):
+        rows = _block_rows(c.span_x, c.shear, c.span_y, _fc_block(f, c),
+                           r.x0, r.y0, r.width, r.height)
         return dict(zip(window.cells, chain.from_iterable(rows)))
     box = c.rect if isinstance(c, WindowConfig) else None
     if r and box and all(box.contains((r.x0 - x, r.y0 - y))

@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import time
+import warnings
 
 from . import serialize as ser
 from .grid import CertificateError, DiscreteDomain, OutOfWindow, Vec2
@@ -222,7 +223,11 @@ def main(argv=None) -> int:
     started = time.monotonic()
     report = {"command": list(argv)}
     try:
-        code = handler(args, report, _read_input(args.input, report))
+        with warnings.catch_warnings():  # one stderr line per warning
+            warnings.showwarning = lambda message, category, *_: print(
+                f"tilecraft: warning: {category.__name__}: {message}",
+                file=sys.stderr)
+            code = handler(args, report, _read_input(args.input, report))
     except (OSError, ser.SchemaError) as exc:
         report["error"] = str(exc)
         if isinstance(exc, ser.SchemaError) and exc.errors:

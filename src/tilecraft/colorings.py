@@ -183,14 +183,6 @@ class WindowConfig(Configuration, Frozen):
         return DiscreteDomain.rect(r.width, r.height, Vec2(r.x0, r.y0))
 
 
-def translate(c: Configuration, t) -> Configuration:
-    return c.translate(Vec2(t[0], t[1]))
-
-
-def color_at(c: Configuration, n) -> int:
-    return c.color_at(Vec2(n[0], n[1]))
-
-
 def _fitting_translates(shape: DiscreteDomain,
                         window: DiscreteDomain) -> Iterator[Vec2]:
     """Translations t with shape + t inside the window, canonical order:

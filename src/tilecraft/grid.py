@@ -63,8 +63,7 @@ class Frozen:
     constructor takes the fields in order or by name; a class that
     validates its input ends its own __init__ with Frozen.__init__.
     Instances are equal when their classes are the same and their
-    fields are equal, and hash as the tuple of their fields; a class
-    may name other attributes to compare in ``_compared``.  The repr
+    fields are equal, and hash as the tuple of their fields.  The repr
     reads ``Name(field=value, ...)``.  Assignment and deletion raise
     AttributeError.  There are no __slots__: pickle and deepcopy
     restore the instance dict directly.
@@ -78,8 +77,7 @@ class Frozen:
         if not fields:  # a subclass adding no field keeps its base's
             return
         cls._fields = fields
-        compared = vars(cls).get("_compared", fields)
-        values = attrgetter(*compared)  # the tuple, or the one attribute
+        values = attrgetter(*fields)  # the tuple, or the one field
 
         def __eq__(self, other):
             if other.__class__ is self.__class__:
@@ -87,7 +85,7 @@ class Frozen:
             return NotImplemented
 
         def __hash__(self):
-            return hash(values(self) if len(compared) > 1 else (values(self),))
+            return hash(values(self) if len(fields) > 1 else (values(self),))
 
         cls.__eq__, cls.__hash__ = __eq__, __hash__
 
@@ -196,11 +194,6 @@ class Rect(namedtuple("Rect", "x0 y0 x1 y1")):
     def contains(self, v) -> bool:
         return self.x0 <= v[0] <= self.x1 and self.y0 <= v[1] <= self.y1
 
-    def cells(self) -> Iterator[Vec2]:
-        for y in range(self.y0, self.y1 + 1):
-            for x in range(self.x0, self.x1 + 1):
-                yield Vec2(x, y)
-
     def translate(self, t) -> "Rect":
         return Rect(self.x0 + t[0], self.y0 + t[1], self.x1 + t[0], self.y1 + t[1])
 
@@ -224,11 +217,6 @@ class Alphabet(Frozen):
         if len(set(cs)) != len(cs):
             raise ValueError("alphabet colors must be distinct")
         return cls(tuple(sorted(cs)))
-
-    def index(self, color: int) -> int:
-        if color not in self.colors:
-            raise ValueError(f"color {color} not in alphabet")
-        return self.colors.index(color)
 
     def __contains__(self, color: int) -> bool:
         return color in self.colors
@@ -338,6 +326,6 @@ class Pattern(Frozen):
 # the names that moved to colorings, resolved on first access
 _MOVED = dict.fromkeys((
     "ComplexityReport", "Configuration", "PeriodScan", "PeriodicConfig",
-    "WindowConfig", "color_at", "find_periods", "is_low_complexity",
-    "patterns_of", "translate"), "colorings")
+    "WindowConfig", "find_periods", "is_low_complexity", "patterns_of"),
+    "colorings")
 __getattr__ = _lazy(globals(), _MOVED)

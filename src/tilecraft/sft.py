@@ -65,14 +65,13 @@ class PatternSet(Frozen):
 
     The patterns are stored as ``value_tuples``, a frozenset of int
     tuples aligned with ``shape.cells``; ``allowed``, the same patterns
-    as Pattern objects, is built on first access.  Equality and hashing
-    read the tuples, so neither builds ``allowed``.
+    as Pattern objects, is built on first access.  Equality, hashing and
+    the repr read the tuples, so none of them builds ``allowed``.
     """
 
     shape: DiscreteDomain
     alphabet: Alphabet
-    allowed: frozenset[Pattern]
-    _compared = ("shape", "alphabet", "value_tuples")
+    value_tuples: frozenset[tuple[int, ...]]
 
     def __init__(self, shape: DiscreteDomain, alphabet: Alphabet,
                  allowed: Iterable[Pattern]):

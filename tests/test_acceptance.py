@@ -115,6 +115,30 @@ def test_criterion_2_witness_soundness(scan):
              f"{checked} witnesses re-validated, {violations} violations")
 
 
+def test_criterion_2b_witnesses_read_by_the_colorings_reader(scan):
+    # each unfolded witness, read through the row-slice reader rather than
+    # validate_witness: its patterns are allowed, its periods annihilate
+    # it, and the period scan finds the torus's own periods
+    violations = 0
+    checked = 0
+    for _, ps, out, _ in scan:
+        if not isinstance(out, NonEmptyPeriodic):
+            continue
+        checked += 1
+        p, q = out.witness.p, out.witness.q
+        c = out.witness.unfold()
+        window = DiscreteDomain.rect(2 * p + 1, 2 * q + 1)
+        values = {pat.values for pat in patterns_of(c, ps.shape, window)}
+        periodic_annihilator(c)  # raises CertificateError on a failure
+        periods = find_periods(c, None, max(p, q))
+        if (not values <= ps.value_tuples or (p, 0) not in periods
+                or (0, q) not in periods):
+            violations += 1
+    _verdict("2b", checked > 0 and violations == 0,
+             f"{checked} unfolded witnesses cross-checked, "
+             f"{violations} violations")
+
+
 def test_criterion_3_emptiness_soundness(scan):
     disagreements = 0
     checked = 0

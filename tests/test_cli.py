@@ -756,3 +756,22 @@ def test_non_integer_options_name_no_function(tmp_path, capsys, doc, argv):
     assert captured.out == ""
     assert "expected a positive integer" in captured.err
     assert "_positive_int" not in captured.err
+
+
+@pytest.mark.parametrize("doc, argv, line", [
+    (PER23, ["balanced", "--u", "0,1", "--n", "2", "--m", "2"],
+     "tilecraft: warning: NotLowComplexityWarning: coloring has 6 > 4 "
+     "patterns on the 2x2 rectangle; balanced set may not exist\n"),
+    ({"kind": "window", "rows": [[0] * 3] * 3},
+     ["annihilator", "--support", "2x2", "--window", "2x2@1,1"],
+     "tilecraft: warning: ZeroSeriesWarning: coloring is the zero series "
+     "on the window\n"),
+], ids=["not-low-complexity", "zero-series"])
+def test_a_warning_is_one_stderr_line(tmp_path, doc, argv, line):
+    f = write(tmp_path, "input.json", doc)
+    command, *options = argv
+    proc = cold([command, f, *options], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == line
+    assert ".py:" not in proc.stderr
+    json.loads(proc.stdout)

@@ -65,7 +65,7 @@ CASES = {
         lambda: PatternSet.from_value_tuples(Alphabet.of([0, 1]), _pair(),
                                              [(0, 1)]), "allowed",
         f"PatternSet(shape={PAIR}, alphabet=Alphabet(colors=(0, 1)), "
-        f"allowed=frozenset({{Pattern(domain={PAIR}, values=(0, 1))}}))"),
+        "value_tuples=frozenset({(0, 1)}))"),
     "TorusWitness": (lambda: TorusWitness(2, 1, [[0, 1]]), "p", TORUS),
     "Empty": (lambda: Empty(3), "n", "Empty(n=3)"),
     "NonEmptyPeriodic": (
@@ -151,6 +151,18 @@ def test_pickle_and_deepcopy_round_trip(case):
 def test_every_frozen_class_is_covered():
     made = {type(make()).__name__ for make, _f, _t in CASES.values()}
     assert made == set(CASES) and len(CASES) == 18
+
+
+def test_pattern_set_repr_builds_no_pattern():
+    # the repr prints value_tuples, a field; allowed stays unbuilt
+    alphabet, tuples = Alphabet.of([0, 1]), [(0, 1), (1, 1)]
+    ps = PatternSet.from_value_tuples(alphabet, _pair(), tuples)
+    assert "value_tuples=frozenset({" in repr(ps)
+    assert "allowed" not in vars(ps)
+    built = PatternSet(_pair(), alphabet,
+                       [Pattern(_pair(), t) for t in tuples])
+    assert built == ps and hash(built) == hash(ps)
+    assert built.allowed == ps.allowed
 
 
 def test_fields_are_taken_in_order_or_by_name_with_defaults():
