@@ -1,9 +1,9 @@
 """Determinism probes: does a box of cells force the next cell's color?
 
 A probe runs one sft search of a square around the center cell that
-assigns the box cells first and then the center, and reads one locally
-valid square per extendable box+center coloring.  A decision runs no
-probe, so it never loads this module.
+assigns the box cells first and then the center, and reads them off the
+first choices of one locally valid square per extendable box+center
+coloring.  A decision runs no probe, so it never loads this module.
 """
 
 from __future__ import annotations
@@ -69,11 +69,13 @@ def determinism_probe(ps: PatternSet, u, k: int, radius: int,
     """Check whether box contents force the center cell's color.
 
     One search of the square of the given radius around the center
-    assigns the box cells first, then the center, and yields one locally
-    valid square per extendable box+center coloring, in lexicographic
-    order.  The first box coloring that extends with two different
-    center colors is the non-forced witness; if every extendable box
-    coloring pins the center, the direction is reported forced.
+    assigns the box cells first, then the center, and yields the choices
+    of one locally valid square per extendable box+center coloring, in
+    lexicographic order; the first choices are the box and the center,
+    and no square is rendered.  The first box coloring that extends with
+    two different center colors is the non-forced witness; if every
+    extendable box coloring pins the center, the direction is reported
+    forced.
     ``box_colorings`` is the number of extendable box colorings
     examined, in lexicographic order, up to and including the witness.
     """
@@ -84,22 +86,24 @@ def determinism_probe(ps: PatternSet, u, k: int, radius: int,
     side = 2 * radius + 1
     center = Vec2(radius, radius)
     box_sq = [c + center for c in box.cells]
+    comp = _Compiled(ps)
+    colors = comp.colors
     colorings = 0
     last = first = witness = None
-    for grid, nodes in _search(_Compiled(ps), side, side, False, budget,
-                               head=(*box_sq, center)):
-        if grid is None or grid is BUDGET_EXCEEDED:
+    for choice, nodes in _search(comp, side, side, False, budget,
+                                 head=(*box_sq, center)):
+        if choice is None or choice is BUDGET_EXCEEDED:
             break
-        beta = tuple(grid[c.y][c.x] for c in box_sq)
-        value = grid[center.y][center.x]
+        beta, value = choice[:len(box)], choice[len(box)]
         if beta == last:
-            witness = NonForcedWitness(Pattern(box, beta), (first, value))
+            pattern = Pattern(box, [colors[i] for i in beta])
+            witness = NonForcedWitness(pattern, (colors[first], colors[value]))
             break
         colorings += 1
         last, first = beta, value
     if witness is not None:
         verdict, note = "non_forced", ""
-    elif grid is BUDGET_EXCEEDED:
+    elif choice is BUDGET_EXCEEDED:
         verdict, note = "inconclusive", "budget exhausted"
     else:
         verdict = "forced"

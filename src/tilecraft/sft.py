@@ -21,10 +21,13 @@ Search set-up has two parts.  The pattern-set part (_Compiled: color
 codes, pattern codes, their projections by mask, each built on first
 lookup) is built once per decision and shared by all of its square and
 torus searches.  The geometry part (_geometry, one pass over the steps:
-the step order and, per step, the checks as translate, kept mask, shift
-and mask index) depends only on the shape, the grid, the head cells and
-the bits per color, so one least-recently-used cache, bounded by total
-weight, shares it across pattern sets.
+per step, the checks as translate, kept mask, shift and mask index)
+depends only on the shape, the grid, the head cells and the bits per
+color, so one least-recently-used cache, bounded by total weight,
+shares it across pattern sets.
+
+A search yields its color choices; a square's solution is only a yes,
+so a decision renders (_Compiled.rows) its torus witness alone.
 """
 
 from __future__ import annotations
@@ -178,14 +181,16 @@ class _Prefixes(dict):
         self.codes = codes
 
     def __missing__(self, mask: int) -> frozenset:
-        projection = self[mask] = frozenset([c & mask for c in self.codes])
+        projection = self[mask] = frozenset(map(mask.__and__, self.codes))
         return projection
 
 
 class _Compiled:
     """The pattern-set part of a search, built once per pattern set: color
     codes, the shape extent, each pattern as one code (shape cell k's
-    color index at bit k * bits) and ``prefix``, its projections."""
+    color index at bit k * bits, packed by Horner's rule) and ``prefix``,
+    its projections.  ``rows`` renders a search's choices as colors; a
+    decision calls it for its torus witness alone."""
 
     __slots__ = ("bits", "cells", "extent", "n_colors", "colors", "prefix")
 
@@ -200,19 +205,25 @@ class _Compiled:
         codes = []
         for t in ps.value_tuples:
             code = 0
-            for k, v in enumerate(t):
-                code |= index[v] << (k * bits)
+            for v in reversed(t):
+                code = code << bits | index[v]
             codes.append(code)
         self.prefix = _Prefixes(codes)
+
+    def rows(self, choice: list[int], width: int, height: int) -> tuple:
+        """Rows of colors from a head-free search's row-major choices."""
+        colors = [self.colors[k] for k in choice]
+        return tuple(tuple(colors[y * width:(y + 1) * width])
+                     for y in range(height))
 
 
 def _geometry(cells: tuple, width: int, height: int, wrap: bool, head: tuple,
               bits: int):
-    """The pattern-set-free part of a search: (steps, masks, checks, n).
+    """The pattern-set-free part of a search: (masks, checks, n).
 
     Cells go row-major, or head cells first and then the rest by
-    Chebyshev distance from the last head cell, ties row-major; ``steps``
-    gives each step's cell, row-major index.  Each of the ``n`` translates
+    Chebyshev distance from the last head cell, ties row-major; step i
+    places the i-th cell of that order.  Each of the ``n`` translates
     of the shape keeps one code during a search, shape cell k's color at
     bit k * bits.  One pass over the steps builds ``checks[step]``: each
     shape cell k names the translate ``cell - k``, which gets the check
@@ -268,8 +279,7 @@ def _geometry(cells: tuple, width: int, height: int, wrap: bool, head: tuple,
             at.append((t, low, shift, i, blamed[t]))
             blamed[t] |= blame
         checks.append(at)
-    return ([y * width + x for x, y in order], list(mask_index), checks,
-            nx * ny)
+    return list(mask_index), checks, nx * ny
 
 
 class _GeometryCache:
@@ -314,11 +324,13 @@ def _search(comp: _Compiled, width: int, height: int, wrap: bool,
             budget: int, head: tuple = ()) -> Iterator[tuple]:
     """Backtracking over the grid in _geometry order, ascending colors.
 
-    Yields (rows, nodes) per solution, rows of colors and the nodes spent
-    so far, then exactly one final item: (None, nodes) when the search
-    space is exhausted, (BUDGET_EXCEEDED, nodes) when the budget runs
-    out.  So next(_search(...)) is the first solution or how the search
-    ended.
+    Yields (choice, nodes) per solution, then exactly one final item:
+    (None, nodes) when the search space is exhausted, (BUDGET_EXCEEDED,
+    nodes) when the budget runs out; nodes is the count spent so far.
+    So next(_search(...)) is the first solution or how the search ended.
+    ``choice`` is the search's own list of color indices in step order,
+    not a copy: it is valid until the generator resumes.  Without head
+    cells the steps go row-major, so _Compiled.rows renders it.
 
     With no budget left it yields (BUDGET_EXCEEDED, 0) before any set-up.
     The geometry comes from a cache shared by all pattern sets, and
@@ -351,7 +363,7 @@ def _search(comp: _Compiled, width: int, height: int, wrap: bool,
         yield BUDGET_EXCEEDED, 0
         return
     ncells = width * height
-    steps, masks, checks_at, n_translates = _GEOMETRIES.get(
+    masks, checks_at, n_translates = _GEOMETRIES.get(
         comp.cells, width, height, wrap, head, comp.bits)
     prefix = comp.prefix
     sets = [prefix[mask] for mask in masks]
@@ -395,11 +407,7 @@ def _search(comp: _Compiled, width: int, height: int, wrap: bool,
         if pos < ncells:
             conflict[pos] = ci = 0
             continue
-        grid = [None] * ncells
-        for cell, k in zip(steps, choice):
-            grid[cell] = comp.colors[k]
-        yield tuple(tuple(grid[y * width:(y + 1) * width])
-                    for y in range(height)), nodes
+        yield choice, nodes
         pos = back
         conflict[pos] = (1 << pos) - 1  # skip no head step from here
         ci = choice[pos] + 1
@@ -415,7 +423,8 @@ def valid_square(ps: PatternSet, n: int, budget: int = DEFAULT_BUDGET):
     if n < comp.extent:
         raise ValueError(
             f"square side {n} smaller than shape extent {comp.extent}")
-    return next(_search(comp, n, n, False, budget))[0]
+    choice, _ = next(_search(comp, n, n, False, budget))
+    return comp.rows(choice, n, n) if isinstance(choice, list) else choice
 
 
 def torus_search(ps: PatternSet, p: int, q: int,
@@ -423,10 +432,11 @@ def torus_search(ps: PatternSet, p: int, q: int,
     """First valid p x q wraparound coloring, None, or BUDGET_EXCEEDED."""
     if p < 1 or q < 1:
         raise ValueError("torus sides must be >= 1")
-    rows, _ = next(_search(_Compiled(ps), p, q, True, budget))
-    if rows is None or rows is BUDGET_EXCEEDED:
-        return rows
-    return TorusWitness(p, q, rows)
+    comp = _Compiled(ps)
+    choice, _ = next(_search(comp, p, q, True, budget))
+    if not isinstance(choice, list):
+        return choice
+    return TorusWitness(p, q, comp.rows(choice, p, q))
 
 
 def validate_witness(ps: PatternSet, witness: TorusWitness) -> bool:
@@ -461,10 +471,10 @@ def decide(ps: PatternSet, budget: int = DEFAULT_BUDGET) -> DecisionOutcome:
     with max(p, q) = s in lexicographic order.  The first exhausted
     square certifies emptiness; the first torus witness certifies
     non-emptiness, after validate_witness has re-checked it (a witness
-    that fails raises CertificateError).  Empty rests on the square
-    search's exhaustion alone: no independent check re-reads it yet.
-    Budgets are counted in search nodes, so equal inputs give equal
-    outcomes.
+    that fails raises CertificateError); it is the one search result
+    rendered as colors.  Empty rests on the square search's exhaustion
+    alone: no independent check re-reads it yet.  Budgets are counted in
+    search nodes, so equal inputs give equal outcomes.
     """
     outcome, _ = decide_with_usage(ps, budget)
     return outcome
@@ -479,19 +489,23 @@ def decide_with_usage(ps: PatternSet, budget: int = DEFAULT_BUDGET
         stage += 1
         n = comp.extent + stage
         for p, q, wrap in _stage_tasks(n, stage):
-            rows, used = next(_search(comp, p, q, wrap, budget - nodes_total))
+            # only a solution stops early: an ended search returns, unclosed
+            for choice, used in _search(comp, p, q, wrap,
+                                        budget - nodes_total):
+                if isinstance(choice, list):
+                    break
             nodes_total += used
-            if rows is BUDGET_EXCEEDED:
+            if choice is BUDGET_EXCEEDED:
                 break  # nodes_total == budget, so the stage loop ends too
             if not wrap:
                 max_n = n
-                if rows is None:
+                if choice is None:
                     return Empty(n), nodes_total
-            elif rows is not None:
-                # the search's rows are int tuples of the right shape, so
-                # the witness skips the public constructor's checks
+            elif choice is not None:
+                # rows renders int tuples of the right shape, so the
+                # witness skips the public constructor's checks
                 witness = TorusWitness.__new__(TorusWitness)
-                Frozen.__init__(witness, p, q, rows)
+                Frozen.__init__(witness, p, q, comp.rows(choice, p, q))
                 if not validate_witness(ps, witness):
                     raise CertificateError(
                         f"the {p}x{q} torus witness fails re-validation")

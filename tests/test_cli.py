@@ -397,7 +397,7 @@ def test_decide_failed_self_check_is_an_error_report(tmp_path, capsys,
     # every search "finds" the all-zero grid, which the checkerboard set
     # forbids, so the witness re-check fails: no verified verdict
     def all_zero(comp, width, height, wrap, budget):
-        yield tuple((0,) * width for _ in range(height)), 1
+        yield [0] * (width * height), 1
     monkeypatch.setattr(sft, "_search", all_zero)
     f = write(tmp_path, "cb.json", CHECKERBOARD)
     code, out = run(capsys, "decide", f)

@@ -167,10 +167,53 @@ def test_decide_rejects_a_witness_that_fails_validation(monkeypatch,
     # every search "finds" the all-zero grid, which the checkerboard set
     # forbids, so the first torus witness must fail its re-check
     def all_zero(comp, width, height, wrap, budget):
-        yield tuple((0,) * width for _ in range(height)), 1
+        yield [0] * (width * height), 1
     monkeypatch.setattr(sft, "_search", all_zero)
     with pytest.raises(RuntimeError, match="1x1 torus witness"):
         decide(checkerboard_set, 1_000)
+
+
+def test_decide_renders_only_the_witness(monkeypatch, checkerboard_set):
+    empty = make_pattern_set([(0, 0, 0, 1), (0, 0, 1, 0), (1, 1, 0, 0)])
+    assert valid_square(empty, 3) is not None  # stage 1's square is solved
+    three = PatternSet.from_value_tuples(
+        Alphabet.of([3, 5, 7]), DiscreteDomain.rect(2, 1),
+        [(5, 3), (5, 7), (3, 5), (7, 5)])
+    calls = []
+    rows = sft._Compiled.rows
+    monkeypatch.setattr(sft._Compiled, "rows",
+                        lambda *args: calls.append(args[2:]) or rows(*args))
+    assert decide(empty) == Empty(4)
+    assert calls == []
+    assert decide(checkerboard_set) == NonEmptyPeriodic(
+        TorusWitness(2, 2, ((0, 1), (1, 0))))
+    assert calls == [(2, 2)]
+    # a probe reads its box and center from the first choices
+    forced = determinism_probe(checkerboard_set, Vec2(1, 0), 2, 3)
+    assert (forced.verdict, forced.box_colorings, forced.nodes_used) == (
+        "forced", 2, 149)
+    probe = determinism_probe(three, Vec2(1, 0), 2, 3)
+    assert (probe.verdict, probe.box_colorings, probe.nodes_used) == (
+        "non_forced", 4, 356)
+    assert probe.witness.box_pattern.values == (3, 5, 3)
+    assert probe.witness.centers == (3, 7)
+    assert calls == [(2, 2)]
+
+
+@pytest.mark.parametrize("colors, bits", [
+    ((0, 1), 1), ((3, 5, 7), 2), ((-2, 0, 1, 4, 9), 3)])
+def test_pattern_codes_match_a_per_cell_packing(colors, bits):
+    rng = random.Random(len(colors))
+    for shape in (DiscreteDomain.rect(3, 2),
+                  DiscreteDomain([(0, 0), (2, 0), (1, 1), (0, 2)])):
+        full = list(itertools.product(colors, repeat=len(shape)))
+        ps = PatternSet.from_value_tuples(Alphabet.of(colors), shape,
+                                          rng.sample(full, 12))
+        comp = sft._Compiled(ps)
+        assert comp.bits == bits
+        assert comp.prefix.codes == [
+            sum(colors.index(v) << k * bits for k, v in enumerate(t))
+            for t in ps.value_tuples]
 
 
 def test_witness_unfolding_patterns_allowed(checkerboard_set):
@@ -495,17 +538,26 @@ def test_geometry_without_head_cells_carries_no_blame():
     # only a search with head cells reads the blame masks
     cells = DiscreteDomain([(0, 0), (1, 0), (0, 1), (2, 1)]).cells
     for wrap in (False, True):
-        _, _, checks, _ = sft._geometry(cells, 5, 4, wrap, (), 1)
+        _, checks, _ = sft._geometry(cells, 5, 4, wrap, (), 1)
         assert sum(map(len, checks)) > 0
         assert all(check[4] == 0 for at in checks for check in at)
-    _, _, checks, _ = sft._geometry(cells, 5, 5, False, ((2, 2), (3, 2)), 1)
+    _, checks, _ = sft._geometry(cells, 5, 5, False, ((2, 2), (3, 2)), 1)
     assert any(check[4] for at in checks for check in at)
 
 
 def _check_geometry(cells, width, height, wrap, head, bits):
     """Compare _geometry with a direct reading of the grid and the shape."""
-    steps, masks, checks, n = sft._geometry(cells, width, height, wrap, head,
-                                            bits)
+    masks, checks, n = sft._geometry(cells, width, height, wrap, head, bits)
+    # the step order: row-major, or the head cells first and then the rest
+    # by Chebyshev distance from the last head cell, ties row-major
+    grid = [(x, y) for y in range(height) for x in range(width)]
+    if head:
+        hx, hy = head[-1]
+        rest = [c for c in grid if c not in head]
+        rest.sort(key=lambda c: (max(abs(c[0] - hx), abs(c[1] - hy)),
+                                 c[1], c[0]))
+        grid = [*head, *rest]
+    steps = [y * width + x for x, y in grid]
     xs, ys = [c[0] for c in cells], [c[1] for c in cells]
     if wrap:
         origins = [(x, y) for y in range(height) for x in range(width)]
