@@ -52,9 +52,9 @@ MAX_AREA_BUDGET = 7
 # 215 B per cell.
 MAX_BOX_CELLS = 250_000
 
-# The ceiling on determinism's --R: the probe's head geometry keeps one
-# blame bit per earlier step for each check, so memory grows as R^4
-# (checkerboard at budget 1: 48 MB at R = 50, 454 MB at 100, 6.6 GB at 200).
+# The ceiling on determinism's --R: a probe check's blame int is about one
+# ring of the square wide, so memory grows faster than R^2 (checkerboard
+# at budget 1: 23 MB at R = 50, 53 MB at 100, 201 MB at 200).
 MAX_PROBE_RADIUS = 50
 
 

@@ -15,13 +15,14 @@ the allowed patterns restricted to the translate's cells assigned so
 far (prefix pruning), so a check is one lookup, however large the
 shape.  That prefix set is the projection {code & mask} of the pattern
 codes onto the assigned cells, shared by every translate and search
-that has assigned the same cells.
+that has assigned the same cells.  Every search backjumps, on blame
+counted back from the current step (_geometry, _search).
 
 Search set-up has two parts.  The pattern-set part (_Compiled: color
 codes, pattern codes, their projections by mask, each built on first
 lookup) is built once per decision and shared by all of its square and
 torus searches.  The geometry part (_geometry, one pass over the steps:
-per step, the checks as translate, kept mask, shift and mask index)
+per step, the checks as translate, kept mask, shift, mask index, blame)
 depends only on the shape, the grid, the head cells and the bits per
 color, so one least-recently-used cache, bounded by total weight,
 shares it across pattern sets.
@@ -230,9 +231,10 @@ def _geometry(cells: tuple, width: int, height: int, wrap: bool, head: tuple,
     (translate, low, shift, i, earlier).  The code keeps its bits under
     ``low``, the mask of the translate's cells already placed, takes the
     color at ``shift`` = k * bits, and is looked up among the pattern
-    codes restricted to ``masks[i]`` = low plus cell k.  ``earlier`` is a
-    bit mask of the steps of those placed cells, blamed when the check
-    fails (zero without head cells, whose search never reads blame).  In
+    codes restricted to ``masks[i]`` = low plus cell k.  ``earlier``, the
+    blame if the check fails, has bit d for each placed cell of the
+    translate at step ``step - d``; bit 0 is set only where a torus
+    narrower than the shape places one cell twice in a translate.  In
     a square k goes in reverse canonical order, so each step's checks
     come in ascending translate order, which the blame follows.  On a
     torus k goes in canonical order: narrower than the shape, a
@@ -258,11 +260,11 @@ def _geometry(cells: tuple, width: int, height: int, wrap: bool, head: tuple,
              for k in ks]
     placed = [0] * (nx * ny)
     blamed = [0] * (nx * ny)
+    last = [0] * (nx * ny)
     mask_index: dict[int, int] = {}
     checks: list[list[tuple]] = []
     for step, (x, y) in enumerate(order):
         at = []
-        blame = 1 << step if head else 0  # only head searches read blame
         for dx, dy, shift, cell_mask in shape:
             tx, ty = x - dx, y - dy
             if wrap:
@@ -276,8 +278,9 @@ def _geometry(cells: tuple, width: int, height: int, wrap: bool, head: tuple,
             i = mask_index.get(mask)
             if i is None:
                 i = mask_index[mask] = len(mask_index)
-            at.append((t, low, shift, i, blamed[t]))
-            blamed[t] |= blame
+            earlier = blamed[t] << step - last[t]
+            at.append((t, low, shift, i, earlier))
+            blamed[t], last[t] = earlier | 1, step
         checks.append(at)
     return list(mask_index), checks, nx * ny
 
@@ -322,7 +325,7 @@ _GEOMETRIES = _GeometryCache(2048)
 
 def _search(comp: _Compiled, width: int, height: int, wrap: bool,
             budget: int, head: tuple = ()) -> Iterator[tuple]:
-    """Backtracking over the grid in _geometry order, ascending colors.
+    """Backjumping search over the grid in _geometry order, ascending colors.
 
     Yields (choice, nodes) per solution, then exactly one final item:
     (None, nodes) when the search space is exhausted, (BUDGET_EXCEEDED,
@@ -343,21 +346,20 @@ def _search(comp: _Compiled, width: int, height: int, wrap: bool,
     budget before each node.  A color whose checks all pass (the checks'
     for-else) is kept in ``choice[pos]`` and the search advances to the
     next step, which starts at color 0; only after an advance does it
-    test for a full grid.  When every color fails (the color loop's
-    while-else) it backs up and resumes one color past the kept choice,
-    so a search exhausted on its last node ends as exhausted, however
-    little budget remains.
+    test for a full grid.  A failed check ORs its blame into
+    ``conflict[pos]``, bit d naming step pos - d.  When every color fails
+    (the color loop's while-else) the search backs up to the latest step
+    blamed but pos itself (Prosser's conflict-directed backjumping),
+    hands the rest of the blame down and resumes one color past the kept
+    choice.  The skipped steps cannot mend the failure, so the first
+    solution, and every outcome, is that of step-by-step backtracking.
+    No blame left means exhaustion, so a search exhausted on its last
+    node ends as exhausted, however little budget remains.
 
-    With head cells, the search backs up into the last head cell after
-    each solution, so it yields exactly one solution per extendable
-    coloring of the head, in lexicographic order.  It also backjumps: a
-    step whose colors all fail returns to the latest step its failed
-    checks read, or that failures below it were blamed on, so a head
-    coloring that cannot extend is refuted without trying every coloring
-    of the steps in between.  ``conflict[step]`` holds that blame as a
-    bit mask of steps.  Without head cells the search backtracks one
-    step at a time: decide reports its node counts, and backjumping
-    would change them.
+    After each solution the search backs up into its last head cell (its
+    last cell without head cells), blaming every earlier step, so a probe
+    yields exactly one solution per extendable coloring of the head, in
+    lexicographic order.
     """
     if budget <= 0:
         yield BUDGET_EXCEEDED, 0
@@ -389,17 +391,15 @@ def _search(comp: _Compiled, width: int, height: int, wrap: bool,
             else:
                 break  # every check passed: ci stays at pos
             ci += 1
-        else:  # every color failed: back up
-            if head:
-                culprits = conflict[pos]
-                pos = culprits.bit_length() - 1
-                if pos >= 0:
-                    conflict[pos] |= culprits ^ (1 << pos)
-            else:
-                pos -= 1
-            if pos < 0:
+        else:  # every color failed: back up to the latest culprit
+            culprits = conflict[pos] & -2  # bit 0, pos itself, is none
+            if not culprits:
                 yield None, nodes
                 return
+            while not culprits & 1:
+                culprits >>= 1
+                pos -= 1
+            conflict[pos] |= culprits
             ci = choice[pos] + 1
             continue
         choice[pos] = ci
@@ -409,7 +409,7 @@ def _search(comp: _Compiled, width: int, height: int, wrap: bool,
             continue
         yield choice, nodes
         pos = back
-        conflict[pos] = (1 << pos) - 1  # skip no head step from here
+        conflict[pos] = (2 << pos) - 2  # skip no earlier step from here
         ci = choice[pos] + 1
 
 

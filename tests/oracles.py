@@ -14,8 +14,9 @@ import numpy as np
 
 from tilecraft.balanced import (BalancedSearchResult, NotLowComplexityWarning,
                                 is_balanced, is_convex)
-from tilecraft.grid import DiscreteDomain, Vec2, ZeroVector, is_low_complexity
-from tilecraft.sft import box_cells
+from tilecraft.grid import (Alphabet, DiscreteDomain, Vec2, ZeroVector,
+                            is_low_complexity)
+from tilecraft.sft import PatternSet, TorusWitness, box_cells
 
 
 def exhaustive_square_exists(tuples, n):
@@ -240,6 +241,45 @@ def naive_probe(tuples, shape_cells, colors, u, k, radius):
         if len(centers) >= 2:
             return "non_forced", (beta, tuple(centers[:2])), count
     return "forced", None, count
+
+
+# the eight symmetries of the square, as matrices ((a, b), (c, d)) that
+# send (x, y) to (ax + by, cx + dy)
+SQUARE_SYMMETRIES = tuple(((a, b), (c, d)) for a, b, c, d in (
+    (1, 0, 0, 1), (0, -1, 1, 0), (-1, 0, 0, -1), (0, 1, -1, 0),
+    (-1, 0, 0, 1), (1, 0, 0, -1), (0, 1, 1, 0), (0, -1, -1, 0)))
+
+
+def act(ps, g, perm):
+    """g . ps for a square symmetry g and a color permutation perm.
+
+    The shape's cells move by g, and each pattern P becomes the pattern
+    that gives g(z) the color perm[P(z)].  Nothing is re-based, so the
+    moved shape may hold negative cells.
+    """
+    (a, b), (c, d) = g
+    moved = [(a * z.x + b * z.y, c * z.x + d * z.y) for z in ps.shape.cells]
+    shape = DiscreteDomain(moved)
+    tuples = []
+    for t in ps.value_tuples:
+        color = dict(zip(moved, (perm[v] for v in t)))
+        tuples.append(tuple(color[z.x, z.y] for z in shape.cells))
+    return PatternSet.from_value_tuples(
+        Alphabet.of(perm[v] for v in ps.alphabet.colors), shape, tuples)
+
+
+def act_on_witness(w, g, perm):
+    """g . W: the periodic coloring of the torus witness W moved by g.
+
+    It gives g(z) the color perm[W(z)], so it reads W at g^-1(z), the
+    transpose of g.  Its periods are g(p, 0) and g(0, q): a p x q torus,
+    or q x p when g swaps the axes.
+    """
+    (a, b), (c, d) = g
+    p, q = (w.p, w.q) if b == 0 else (w.q, w.p)
+    return TorusWitness(p, q, tuple(
+        tuple(perm[w.values[(b * x + d * y) % w.q][(a * x + c * y) % w.p]]
+              for x in range(p)) for y in range(q)))
 
 
 def naive_in_hull(p: Vec2, cells) -> bool:

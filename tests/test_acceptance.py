@@ -39,8 +39,9 @@ def all_low_complexity_sets():
 
 
 # Total search nodes of the scan at SCAN_BUDGET: node counts are part of
-# the determinism contract, so any change to the search order shows here.
-SCAN_NODES = 94_025
+# the determinism contract, so any change to the search order or to the
+# back-up rule shows here.
+SCAN_NODES = 86_501
 
 
 @pytest.fixture(scope="module")

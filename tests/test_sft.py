@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -534,17 +535,6 @@ def test_geometry_cache_stays_under_its_cap(monkeypatch, checkerboard_set):
     assert list(cache.entries) == kept
 
 
-def test_geometry_without_head_cells_carries_no_blame():
-    # only a search with head cells reads the blame masks
-    cells = DiscreteDomain([(0, 0), (1, 0), (0, 1), (2, 1)]).cells
-    for wrap in (False, True):
-        _, checks, _ = sft._geometry(cells, 5, 4, wrap, (), 1)
-        assert sum(map(len, checks)) > 0
-        assert all(check[4] == 0 for at in checks for check in at)
-    _, checks, _ = sft._geometry(cells, 5, 5, False, ((2, 2), (3, 2)), 1)
-    assert any(check[4] for at in checks for check in at)
-
-
 def _check_geometry(cells, width, height, wrap, head, bits):
     """Compare _geometry with a direct reading of the grid and the shape."""
     masks, checks, n = sft._geometry(cells, width, height, wrap, head, bits)
@@ -592,9 +582,12 @@ def _check_geometry(cells, width, height, wrap, head, bits):
             assert not low & color << shift
             assert masks[i] == low | color << shift
             kept[t] = masks[i]
-            assert earlier == (sum({1 << step_of[cell]
-                                    for k, cell in enumerate(translates[t])
-                                    if step_of[cell] < pos}) if head else 0)
+            # blame counted back from this step: bit d for each placed
+            # cell of the translate at step pos - d, with or without head
+            # (bit 0 for a cell a narrow torus has placed at this step)
+            assert earlier == sum({1 << pos - step_of[cell]
+                                   for k, cell in enumerate(translates[t])
+                                   if low >> k * bits & color})
     assert kept == [color * sum(1 << k * bits for k in range(len(cells)))] * n
     assert len(set(masks)) == len(masks)
     return masks
@@ -678,14 +671,107 @@ def test_empty_and_torus_never_both_fire():
                     assert torus_search(ps, p, q, 100_000) is None
 
 
+def test_decide_commutes_with_the_square_symmetries():
+    # a symmetry g of the square and a color permutation keep whether an
+    # n x n square or a p x q torus (q x p when g swaps the axes) has a
+    # valid coloring, so where both are decided, decide(g . ps) has the
+    # outcome kind, Empty's n and the witness's max(p, q) of decide(ps),
+    # and g . W validates on g . ps; node counts may differ, since the
+    # moved shape has other masks and cell orders
+    rng = random.Random(15)
+    box = [(x, y) for y in range(3) for x in range(3)]
+    decided = {Empty: 0, NonEmptyPeriodic: 0}
+    for _ in range(250):
+        cells = rng.sample(box, rng.randint(2, 5))
+        colors = rng.sample(range(5), rng.randint(2, 4))
+        tuples = rng.sample(
+            list(itertools.product(colors, repeat=len(cells))),
+            rng.randint(1, len(cells) + 2))
+        ps = PatternSet.from_value_tuples(Alphabet.of(colors),
+                                          DiscreteDomain(cells), tuples)
+        base = decide(ps, 20_000)
+        for g in oracles.SQUARE_SYMMETRIES:
+            perm = dict(zip(colors, rng.sample(colors, len(colors))))
+            moved_ps = oracles.act(ps, g, perm)
+            moved = decide(moved_ps, 20_000)
+            if isinstance(base, NonEmptyPeriodic):
+                assert validate_witness(moved_ps, oracles.act_on_witness(
+                    base.witness, g, perm)), (ps, g)
+            if isinstance(base, Undecided) or isinstance(moved, Undecided):
+                continue
+            assert type(moved) is type(base), (ps, g)
+            if isinstance(base, Empty):
+                assert moved.n == base.n, (ps, g)
+            else:
+                assert max(moved.witness.p, moved.witness.q) == max(
+                    base.witness.p, base.witness.q), (ps, g)
+            decided[type(base)] += 1
+    assert min(decided.values()) >= 200
+
+
+# --- backjumping -------------------------------------------------------------
+# Every search backjumps, so on a sparse shape, whose bad choices a
+# row-major search sees rows later, it skips the rows in between instead
+# of trying each of their colorings.
+
+def test_sparse_sets_decide_within_a_small_budget():
+    for cells, tuples, pq in (
+            (((1, 0), (0, 2), (2, 2)), [(0, 0, 1), (1, 1, 0)], (4, 8)),
+            (((0, 0), (2, 1), (0, 2)), [(0, 0, 1), (0, 1, 1), (1, 1, 0)],
+             (8, 4))):
+        ps = PatternSet.from_value_tuples(Alphabet.of([0, 1]),
+                                          DiscreteDomain(cells), tuples)
+        outcome = decide(ps, 20_000)
+        assert isinstance(outcome, NonEmptyPeriodic), cells
+        assert (outcome.witness.p, outcome.witness.q) == pq
+        assert validate_witness(ps, outcome.witness)
+
+
+def test_convex_four_cell_census_slice_is_decided():
+    # the paper's claim: a set with at most |D| patterns on a convex D is
+    # empty or has a periodic point, so decide ends on each of them
+    box = [(x, y) for y in range(3) for x in range(3)]
+    shapes = [DiscreteDomain(cells) for cells in itertools.combinations(box, 4)
+              if min(x for x, _ in cells) == 0 == min(y for _, y in cells)
+              and is_convex(DiscreteDomain(cells))]
+    assert len(shapes) == 29
+    tuples = list(itertools.product((0, 1), repeat=4))
+    census = [(shape, chosen) for shape in shapes for size in range(5)
+              for chosen in itertools.combinations(tuples, size)]
+    assert len(census) == 72_993
+    for shape, chosen in random.Random(31).sample(census, 2_000):
+        ps = PatternSet.from_value_tuples(Alphabet.of([0, 1]), shape, chosen)
+        assert not isinstance(decide(ps, 20_000), Undecided), (shape, chosen)
+
+
+def test_probe_setup_memory_grows_with_a_ring_not_the_grid(checkerboard_set):
+    # a check's blame spans about one ring of the probe's Chebyshev order,
+    # so a radius-100 probe square holds no int per check as wide as the
+    # grid
+    tracemalloc.start()
+    try:
+        report = determinism_probe(checkerboard_set, Vec2(1, 1), 2, 100, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.verdict, report.nodes_used) == ("inconclusive", 1)
+    assert peak < 64 << 20
+
+
 # --- node-count pins ---------------------------------------------------------
 # Node counts are part of the determinism contract.  The benchmark's
-# recorded pools exercise what the 2,517-set scan does not: the
-# backjumping probe search, 3-color and 3x3 shapes, and tori narrower
+# recorded pools exercise what the 2,517-set scan does not: the probe
+# search with head cells, 3-color and 3x3 shapes, and tori narrower
 # than the shape.
 
 REFERENCE = (Path(__file__).resolve().parent.parent / "perfbench"
              / "reference.json")
+# each census pool entry's nodes at the recorded budget, in pool order:
+# recorded from the backjumping search after checking every outcome
+# against reference.json, whose counts come from a search that stepped
+# back one cell at a time
+POOL_NODES = (Path(__file__).resolve().parent / "golden"
+              / "census_pool_nodes.json")
 
 # box_colorings of each recorded probe, in pool order
 ORBIT_BOX_COLORINGS = [1] * 8 + [3] * 8 + [4] * 16 + [6] * 8 + [9] * 8
@@ -696,6 +782,12 @@ WALK_BOX_COLORINGS = [1, 2, 3, 1, 1, 1, 1, 0, 1, 1, 2, 2, 1, 1, 1, 1, 1, 1,
 @pytest.fixture(scope="module")
 def reference():
     with open(REFERENCE, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.fixture(scope="module")
+def pool_nodes():
+    with open(POOL_NODES, encoding="utf-8") as fh:
         return json.load(fh)
 
 
@@ -737,18 +829,21 @@ def test_probe_pools_keep_verdicts_and_node_counts(reference):
         assert nodes == total, cls
 
 
-def test_census_pools_keep_outcomes_and_node_counts(reference):
+def test_census_pools_keep_outcomes_and_node_counts(reference, pool_nodes):
     r = reference["census"]
     totals = {}
     for pool in r["pools"]:
         nodes = 0
-        for idx, code, recorded in pool["items"]:
+        for (idx, code, recorded), pinned in zip(
+                pool["items"], pool_nodes[pool["name"]], strict=True):
             ps = _pool_set(pool["colors"], pool["w"], pool["h"], idx)
             outcome, used = sft.decide_with_usage(ps, r["budget"])
-            assert (_outcome_code(outcome), used) == (code, recorded), idx
+            assert (_outcome_code(outcome), used) == (code, pinned), idx
+            # a backjump skips nodes, never adds one
+            assert used <= recorded, idx
             nodes += used
         totals[pool["name"]] = nodes
-    assert totals == {"c3_2x2": 61_268, "bin3x2": 64_700, "bin3x3": 45_288}
+    assert totals == {"c3_2x2": 56_870, "bin3x2": 62_640, "bin3x3": 43_580}
 
 
 # --- budget boundaries ---------------------------------------------------------
@@ -756,17 +851,20 @@ def test_census_pools_keep_outcomes_and_node_counts(reference):
 # that run on its last node, and the recorded budget reproduces it, also
 # when that last node exhausts a square (Empty, not Undecided).
 
-def test_census_budget_boundary(reference):
+def test_census_budget_boundary(reference, pool_nodes):
     r = reference["census"]
     empty_on_last_node = 0
     for pool in r["pools"]:
-        for idx, code, recorded in pool["items"][::10]:
+        for (idx, code, recorded), pinned in zip(
+                pool["items"][::10], pool_nodes[pool["name"]][::10],
+                strict=True):
+            assert pinned <= recorded, idx
             ps = _pool_set(pool["colors"], pool["w"], pool["h"], idx)
-            short, used = sft.decide_with_usage(ps, recorded - 1)
+            short, used = sft.decide_with_usage(ps, pinned - 1)
             assert isinstance(short, Undecided), idx
-            assert used == short.nodes_used == recorded - 1, idx
-            outcome, used = sft.decide_with_usage(ps, recorded)
-            assert (_outcome_code(outcome), used) == (code, recorded), idx
+            assert used == short.nodes_used == pinned - 1, idx
+            outcome, used = sft.decide_with_usage(ps, pinned)
+            assert (_outcome_code(outcome), used) == (code, pinned), idx
             if isinstance(outcome, NonEmptyPeriodic):
                 w = outcome.witness
                 assert w == TorusWitness(w.p, w.q, w.values)
