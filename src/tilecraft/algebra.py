@@ -232,7 +232,11 @@ def periodic_annihilator(c: PeriodicConfig) -> AnnihilatorCertificate:
     in each direction, 2a x 2h, built when it is first read.
     """
     a, b, h = c.span_x, c.shear, c.span_y
-    poly = LaurentPoly({(a + b, h): 1, (a, 0): -1, (b, h): -1, (0, 0): 1})
+    # the terms are clean already, so the poly skips __init__'s checks
+    poly = object.__new__(LaurentPoly)
+    poly._terms = {Vec2(a + b, h): 1, Vec2(a, 0): -1, Vec2(b, h): -1,
+                   Vec2(0, 0): 1}
+    poly._hash = None
     if any(map(any, _fc_block(poly, c))):
         raise CertificateError("period difference product failed to annihilate")
     cert = object.__new__(AnnihilatorCertificate)

@@ -18,24 +18,29 @@ codes onto the assigned cells, shared by every translate and search
 that has assigned the same cells.  Every search backjumps, on blame
 counted back from the current step (_geometry, _search).
 
-Search set-up has two parts.  The pattern-set part (_Compiled: color
-codes, pattern codes, their projections by mask, each built on first
-lookup) is built once per decision and shared by all of its square and
-torus searches.  The geometry part (_geometry, one pass over the steps:
-per step, the checks as translate, kept mask, shift, mask index, blame)
-depends only on the shape, the grid, the head cells and the bits per
-color, so one least-recently-used cache, bounded by total weight,
-shares it across pattern sets.
+Search set-up has three parts.  A pattern's code depends on the
+alphabet alone, so one memo per alphabet (_Packing; the last few kept)
+packs each value tuple once across pattern sets.  The pattern-set part
+(_Compiled: color codes, pattern codes from that memo, their
+projections by mask, each built on first lookup) is built once per
+decision and shared by all of its square and torus searches.  The
+geometry part (_geometry, one pass over the steps: per step, the checks
+as translate, kept mask, shift, mask index, blame) depends only on the
+shape, the grid, the head cells and the bits per color, so one
+least-recently-used cache, bounded by total weight, shares it across
+pattern sets.
 
 A search yields its color choices; a square's solution is only a yes,
-so a decision renders (_Compiled.rows) its torus witness alone.
+so a decision renders (_Compiled.rows) its torus witness alone.  A
+search without head cells ends at its first solution, so its callers
+read it to its end.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from collections.abc import Iterable, Iterator, Sequence
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .grid import (Alphabet, CertificateError, DiscreteDomain, Frozen, Pattern,
                    _lazy)
@@ -186,30 +191,52 @@ class _Prefixes(dict):
         return projection
 
 
+class _Packing(dict):
+    """value tuple -> code over one alphabet: the k-th color's index at
+    bit k * bits, packed by Horner's rule on first lookup.  The code does
+    not depend on the shape, so every pattern set over the alphabet
+    shares the memo.  It keeps at most ``CAP`` codes."""
+
+    __slots__ = ("index", "bits")
+    CAP = 1 << 13
+
+    def __init__(self, colors: tuple[int, ...]):
+        self.index = {c: i for i, c in enumerate(colors)}
+        self.bits = max(1, (len(colors) - 1).bit_length())
+
+    def __missing__(self, t: tuple[int, ...]) -> int:
+        index, bits, code = self.index, self.bits, 0
+        for v in reversed(t):
+            code = code << bits | index[v]
+        if len(self) < self.CAP:
+            self[t] = code
+        return code
+
+
+# _packing(colors) is the alphabet's memo; the last 8 alphabets keep
+# theirs, so at most 8 * _Packing.CAP codes are kept in all
+_packing = lru_cache(maxsize=8)(_Packing)
+
+
 class _Compiled:
     """The pattern-set part of a search, built once per pattern set: color
-    codes, the shape extent, each pattern as one code (shape cell k's
-    color index at bit k * bits, packed by Horner's rule) and ``prefix``,
-    its projections.  ``rows`` renders a search's choices as colors; a
-    decision calls it for its torus witness alone."""
+    codes, the shape extent, each pattern's code, read from its
+    alphabet's packing memo, and ``prefix``, their projections.  ``rows``
+    renders a search's choices as colors; a decision calls it for its
+    torus witness alone."""
 
     __slots__ = ("bits", "cells", "extent", "n_colors", "colors", "prefix")
 
     def __init__(self, ps: PatternSet):
-        self.colors = ps.alphabet.colors
-        self.n_colors = len(self.colors)
-        self.bits = bits = max(1, (self.n_colors - 1).bit_length())
+        self.colors = colors = ps.alphabet.colors
+        self.n_colors = len(colors)
+        packing = _packing(colors)
+        self.bits = packing.bits
         self.cells = ps.shape.cells
         x0, y0, x1, y1 = ps.shape._rect
         self.extent = max(x1 - x0, y1 - y0) + 1
-        index = {c: i for i, c in enumerate(self.colors)}
-        codes = []
-        for t in ps.value_tuples:
-            code = 0
-            for v in reversed(t):
-                code = code << bits | index[v]
-            codes.append(code)
-        self.prefix = _Prefixes(codes)
+        self.prefix = _Prefixes(list(map(packing.__getitem__,
+                                         ps.value_tuples)))
 
     def rows(self, choice: list[int], width: int, height: int) -> tuple:
         """Rows of colors from a head-free search's row-major choices."""
@@ -330,10 +357,12 @@ def _search(comp: _Compiled, width: int, height: int, wrap: bool,
     Yields (choice, nodes) per solution, then exactly one final item:
     (None, nodes) when the search space is exhausted, (BUDGET_EXCEEDED,
     nodes) when the budget runs out; nodes is the count spent so far.
-    So next(_search(...)) is the first solution or how the search ended.
-    ``choice`` is the search's own list of color indices in step order,
-    not a copy: it is valid until the generator resumes.  Without head
-    cells the steps go row-major, so _Compiled.rows renders it.
+    Without head cells it returns after the first solution, so it yields
+    exactly one item, the first solution or how the search ended, and
+    ``[(choice, nodes)] = _search(...)`` reads it to its end.  ``choice``
+    is the search's own list of color indices in step order, not a copy:
+    it is valid until the generator resumes.  Without head cells the
+    steps go row-major, so _Compiled.rows renders it.
 
     With no budget left it yields (BUDGET_EXCEEDED, 0) before any set-up.
     The geometry comes from a cache shared by all pattern sets, and
@@ -356,8 +385,8 @@ def _search(comp: _Compiled, width: int, height: int, wrap: bool,
     No blame left means exhaustion, so a search exhausted on its last
     node ends as exhausted, however little budget remains.
 
-    After each solution the search backs up into its last head cell (its
-    last cell without head cells), blaming every earlier step, so a probe
+    With head cells, after each solution the search backs up into its
+    last head cell (``back``), blaming every earlier step, so a probe
     yields exactly one solution per extendable coloring of the head, in
     lexicographic order.
     """
@@ -370,7 +399,7 @@ def _search(comp: _Compiled, width: int, height: int, wrap: bool,
     prefix = comp.prefix
     sets = [prefix[mask] for mask in masks]
     n_colors = comp.n_colors
-    back = (len(head) or ncells) - 1
+    back = len(head) - 1
 
     codes = [0] * n_translates
     choice = [0] * ncells
@@ -408,6 +437,8 @@ def _search(comp: _Compiled, width: int, height: int, wrap: bool,
             conflict[pos] = ci = 0
             continue
         yield choice, nodes
+        if not head:
+            return
         pos = back
         conflict[pos] = (2 << pos) - 2  # skip no earlier step from here
         ci = choice[pos] + 1
@@ -423,7 +454,7 @@ def valid_square(ps: PatternSet, n: int, budget: int = DEFAULT_BUDGET):
     if n < comp.extent:
         raise ValueError(
             f"square side {n} smaller than shape extent {comp.extent}")
-    choice, _ = next(_search(comp, n, n, False, budget))
+    [(choice, _)] = _search(comp, n, n, False, budget)
     return comp.rows(choice, n, n) if isinstance(choice, list) else choice
 
 
@@ -433,7 +464,7 @@ def torus_search(ps: PatternSet, p: int, q: int,
     if p < 1 or q < 1:
         raise ValueError("torus sides must be >= 1")
     comp = _Compiled(ps)
-    choice, _ = next(_search(comp, p, q, True, budget))
+    [(choice, _)] = _search(comp, p, q, True, budget)
     if not isinstance(choice, list):
         return choice
     return TorusWitness(p, q, comp.rows(choice, p, q))
@@ -482,18 +513,17 @@ def decide(ps: PatternSet, budget: int = DEFAULT_BUDGET) -> DecisionOutcome:
 
 def decide_with_usage(ps: PatternSet, budget: int = DEFAULT_BUDGET
                       ) -> tuple[DecisionOutcome, int]:
-    """decide, plus the total number of search nodes spent."""
+    """decide, plus the total number of search nodes spent.
+
+    Each stage task's search yields one item and is read to its end.
+    """
     comp = _Compiled(ps)
     nodes_total = max_n = max_pq = stage = 0
     while nodes_total < budget:
         stage += 1
         n = comp.extent + stage
         for p, q, wrap in _stage_tasks(n, stage):
-            # only a solution stops early: an ended search returns, unclosed
-            for choice, used in _search(comp, p, q, wrap,
-                                        budget - nodes_total):
-                if isinstance(choice, list):
-                    break
+            [(choice, used)] = _search(comp, p, q, wrap, budget - nodes_total)
             nodes_total += used
             if choice is BUDGET_EXCEEDED:
                 break  # nodes_total == budget, so the stage loop ends too

@@ -217,6 +217,75 @@ def test_pattern_codes_match_a_per_cell_packing(colors, bits):
             for t in ps.value_tuples]
 
 
+def test_pattern_codes_come_from_one_memo_per_alphabet():
+    sft._packing.cache_clear()
+    shape = DiscreteDomain.rect(2, 2)
+    for colors in ((0, 1), (5, 7), (0, 1, 2), (1, 2, 3)):
+        full = list(itertools.product(colors, repeat=len(shape)))
+        bits = max(1, (len(colors) - 1).bit_length())
+        for sample in (full[:5], full[3:11]):
+            ps = PatternSet.from_value_tuples(Alphabet.of(colors), shape,
+                                              sample)
+            comp = sft._Compiled(ps)
+            assert comp.prefix.codes == [
+                sum(colors.index(v) << k * bits for k, v in enumerate(t))
+                for t in ps.value_tuples]
+        # one memo holds both sets' codes, full[3:5] packed once
+        assert sft._packing(colors).keys() == set(full[:11])
+
+
+def test_packing_memos_stay_within_their_bound(monkeypatch):
+    limit = sft._packing.cache_info().maxsize
+    for first in range(limit + 3):
+        colors = (first, first + 1)
+        ps = PatternSet.from_value_tuples(
+            Alphabet.of(colors), DiscreteDomain.rect(2, 1), [colors])
+        sft._Compiled(ps)
+        assert sft._packing.cache_info().currsize <= limit
+    # past CAP codes a memo packs each further tuple on every lookup
+    monkeypatch.setattr(sft._Packing, "CAP", 3)
+    packing = sft._Packing((0, 1, 2))
+    tuples = list(itertools.product((0, 1, 2), repeat=2))
+    assert [packing[t] for t in tuples] == [a | b << 2 for a, b in tuples]
+    assert len(packing) == 3
+
+
+def test_a_search_without_head_cells_ends_at_its_first_solution(
+        checkerboard_set):
+    comp = sft._Compiled(checkerboard_set)
+    for width, height, wrap in ((3, 3, False), (2, 2, True)):
+        [(choice, nodes)] = list(sft._search(comp, width, height, wrap,
+                                             10_000))
+        assert len(choice) == width * height
+        assert (choice, nodes) == next(sft._search(comp, width, height, wrap,
+                                                   10_000))
+
+
+def test_a_head_search_yields_one_solution_per_head_coloring(full_shift_set):
+    comp = sft._Compiled(full_shift_set)
+    head = ((1, 1), (2, 1))
+    heads = [choice if choice is None else choice[:2]
+             for choice, _ in sft._search(comp, 3, 3, False, 10_000, head)]
+    assert heads == [[0, 0], [0, 1], [1, 0], [1, 1], None]
+
+
+def test_decide_on_a_tall_shape_starts_above_its_height():
+    # the shape is 2 wide and 3 tall, so its extent is 3; each pattern
+    # colors (0, 2) with 0 and (1, 2) with 1, so two side-by-side
+    # translates disagree and every square of side >= 3 is refuted, but
+    # stage 1 squares side extent + 1 = 4
+    shape = DiscreteDomain([(0, 0), (0, 1), (0, 2), (1, 2)])
+    ps = PatternSet.from_value_tuples(
+        Alphabet.of([0, 1]), shape,
+        [(0, 0, 0, 1), (0, 1, 0, 1), (1, 0, 0, 1), (1, 1, 0, 1)])
+    assert ps.low_complexity
+    assert sft._Compiled(ps).extent == 3
+    assert valid_square(ps, 3) is None
+    with pytest.raises(ValueError, match="smaller than shape extent 3"):
+        valid_square(ps, 2)
+    assert decide_with_usage(ps, 20_000) == (Empty(4), 134)
+
+
 def test_witness_unfolding_patterns_allowed(checkerboard_set):
     w = torus_search(checkerboard_set, 2, 2)
     c = w.unfold()
