@@ -3,15 +3,15 @@
 A convex cell set D is balanced for a direction u in a coloring when
 (i) the coloring is low complexity on D, (ii) dropping the edge of D
 in direction u loses almost no patterns, and (iii) no cut of D
-perpendicular to u is much shorter than that edge.  All counting goes
-through colorings._box_reader, whose counts are the value tuples of
-patterns_of, so the numbers here are the same numbers the complexity
-reports show.  A search counts all its sets from one box, is_balanced
-from its domain's bounding box.  On a periodic coloring and a
+perpendicular to u is much shorter than that edge.  Every count is a
+set of patterns_of's value tuples, so the numbers here are the same
+numbers the complexity reports show.  is_balanced reads its domain and
+the domain minus its edge by colorings._pattern_values, so a sparse
+domain costs its cells, not its bounding box.  A search counts all its
+sets through one colorings._box_reader: on a periodic coloring and a
 rectangular window that leaves the box a translate in every lattice
 coset, the box is read once per coset and each count projects those
-tuples onto its set's cells.  Otherwise each set is read on its own by
-_pattern_values, from row slices of one block read or cell by cell.
+tuples onto its set's cells; otherwise each set is read on its own.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import warnings
 from collections.abc import Callable
 from functools import cache
 
-from .colorings import Configuration, _box_reader
+from .colorings import Configuration, _box_reader, _pattern_values
 from .colorings import patterns_of  # noqa: F401  perfbench's tracer wraps it here
 from .grid import ORIGIN, DiscreteDomain, Frozen, Vec2
 
@@ -121,9 +121,9 @@ def is_balanced(c: Configuration, domain: DiscreteDomain, u,
     u = Vec2.nonzero(u, "balanced direction must be nonzero")
     if not is_convex(domain):
         raise NotConvex("balanced sets must be convex")
-    box = domain.bounding_rect()  # an empty domain raises ValueError
-    read = _box_reader(c, window, box.width, box.height)  # D and its inner
-    return _report(read, domain, u, len(read(domain)))
+    domain.bounding_rect()  # an empty domain raises ValueError
+    return _report(lambda shape: _pattern_values(c, shape, window), domain,
+                   u, len(_pattern_values(c, domain, window)))
 
 
 def _report(read: Callable[[DiscreteDomain], set], domain: DiscreteDomain,

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import tilecraft
 from tilecraft.grid import (Alphabet, DiscreteDomain, PeriodicConfig, Vec2,
                             WindowConfig)
 from tilecraft.sft import PatternSet
@@ -17,6 +23,20 @@ DE_BRUIJN_ROWS = ((1, 1, 1, 0, 1),
                   (0, 1, 0, 0, 0),
                   (1, 0, 0, 0, 1),
                   (1, 1, 1, 0, 1))
+
+
+def fresh_python(*args, env=(), **kwargs):
+    """Run a fresh interpreter on args, with env over this environment.
+
+    The child imports the tilecraft this process imported: the directory
+    that holds it goes first on PYTHONPATH, whether that is a checkout's
+    src/ or an installed package's site-packages.
+    """
+    home = Path(tilecraft.__file__).parent.parent
+    path = filter(None, [str(home), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path), **dict(env)}
+    return subprocess.run([sys.executable, *args], env=env, timeout=120,
+                          **kwargs)
 
 
 @pytest.fixture

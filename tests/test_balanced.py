@@ -181,13 +181,24 @@ def test_balanced_rejects_nonconvex(constant_zero):
                     Vec2(0, 1), W(8, 8))
 
 
+def test_balanced_rejects_an_empty_domain(constant_zero):
+    with pytest.raises(ValueError, match="empty domain"):
+        is_balanced(constant_zero, DiscreteDomain([]), Vec2(0, 1), W(8, 8))
+
+
 def test_balanced_counts_shared_with_patterns_of(checkerboard):
-    d = DiscreteDomain.rect(2, 2)
-    rep = is_balanced(checkerboard, d, Vec2(0, 1), W(10, 10))
-    assert rep.pattern_count == len(patterns_of(checkerboard, d, W(10, 10)))
-    inner = d.minus(rep.edge_cells)
-    assert rep.inner_pattern_count == len(
-        patterns_of(checkerboard, inner, W(10, 10)))
+    # the 200-cell diagonal segment is sparse: its bounding box is 200x200
+    block = PeriodicConfig.from_block([[0, 1, 2, 0], [1, 1, 0, 2],
+                                       [2, 0, 1, 1], [0, 2, 2, 1]])
+    segment = DiscreteDomain([(i, i) for i in range(200)])
+    for c, d, u, window, counts in (
+            (checkerboard, W(2, 2), Vec2(0, 1), W(10, 10), (2, 2, 2)),
+            (block, segment, Vec2(1, 0), W(208, 208), (11, 11, 1))):
+        rep = is_balanced(c, d, u, window)
+        assert rep.counts == counts
+        assert rep.pattern_count == len(patterns_of(c, d, window))
+        inner = d.minus(rep.edge_cells)
+        assert rep.inner_pattern_count == len(patterns_of(c, inner, window))
 
 
 # --- balanced_search ----------------------------------------------------------------
@@ -367,9 +378,9 @@ def test_search_reads_the_block_once(monkeypatch):
     assert len(reads) == 1
 
 
-def test_is_balanced_reads_the_block_once(monkeypatch):
-    # the domain and the domain minus its edge are projections of one
-    # read of the domain's bounding box
+def test_is_balanced_reads_the_block_once_per_set(monkeypatch):
+    # the domain and the domain minus its edge are each read from row
+    # slices of a block read of their own, not from the domain's box
     config = PeriodicConfig(2, 1, 2, ((0, 1), (1, 1)))
     window = W(9, 8, Vec2(-3, 2))
     found = oracles.naive_balanced_search(config, 2, 2, Vec2(1, 0),
@@ -387,4 +398,4 @@ def test_is_balanced_reads_the_block_once(monkeypatch):
         return real(*args)
     monkeypatch.setattr(colorings, "_block_rows", counted)
     assert [is_balanced(config, d, u, window) for d, u in cases] == expected
-    assert len(reads) == len(cases)
+    assert len(reads) == 2 * len(cases)

@@ -4,7 +4,6 @@ import json
 import os
 import re
 import subprocess
-import sys
 import warnings
 from pathlib import Path
 
@@ -15,6 +14,8 @@ from tilecraft import cli
 from tilecraft.analysis_io import MAX_ELIMINATION_WORK
 from tilecraft.cli import EXIT_UNWRITTEN, MAX_BOX_CELLS, MAX_PROBE_RADIUS, main
 from tilecraft.grid import DiscreteDomain
+
+from conftest import fresh_python
 
 CHECKERBOARD = {"shape": "rect 2 2", "alphabet": [0, 1],
                 "allowed": [[[0, 1], [1, 0]], [[1, 0], [0, 1]]]}
@@ -32,7 +33,12 @@ CONVEX3 = {"shape": CONVEX_CELLS, "alphabet": [0, 1, 2],
            "allowed": [[[x, y, v] for (x, y), v in zip(CONVEX_CELLS, values)]
                        for values in [(0, 1, 0, 2), (1, 0, 1, 1),
                                       (1, 2, 1, 1), (2, 1, 2, 0)]]}
-SRC = Path(__file__).resolve().parent.parent / "src"
+# two patterns on the sparse shape {(1,0), (0,2), (2,2)}: a backjumping
+# decide finds its 4x8 torus within 20,000 nodes
+SPARSE_CELLS = [[1, 0], [0, 2], [2, 2]]
+SPARSE = {"shape": SPARSE_CELLS, "alphabet": [0, 1],
+          "allowed": [[[x, y, v] for (x, y), v in zip(SPARSE_CELLS, values)]
+                      for values in [(0, 0, 1), (1, 1, 0)]]}
 
 
 def write(tmp_path, name, obj):
@@ -51,14 +57,6 @@ def report_of(out):
     rep = json.loads(out)
     rep.pop("wall_time_s", None)
     return rep
-
-
-def cold(argv, env=(), **kwargs):
-    """Run the command line in a fresh interpreter."""
-    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path), **dict(env)}
-    return subprocess.run([sys.executable, "-m", "tilecraft.cli", *argv],
-                          env=env, timeout=120, **kwargs)
 
 
 def test_decide_checkerboard(tmp_path, capsys):
@@ -600,6 +598,14 @@ def test_bad_budget_is_input_error(tmp_path, capsys, budget):
     assert "--budget" in captured.err
 
 
+def test_determinism_echoes_its_budget(tmp_path, capsys):
+    f = write(tmp_path, "cb.json", CHECKERBOARD)
+    code, out = run(capsys, "determinism", f, "--dir", "1,0",
+                    "--budget", "1000")
+    assert code == 0
+    assert report_of(out)["budget"] == {"limit": 1000}
+
+
 def test_reports_ignore_the_environment(tmp_path, capsys, monkeypatch):
     f = write(tmp_path, "cb.json", CHECKERBOARD)
     argvs = (["decide", f], ["determinism", f, "--dir", "1,0"])
@@ -615,18 +621,21 @@ def test_reports_ignore_the_environment(tmp_path, capsys, monkeypatch):
     assert [code for code, _ in plain] == [0, 0]
 
 
-@pytest.mark.parametrize("doc", [CHECKERBOARD, CONVEX3],
-                         ids=["checkerboard", "convex3"])
+@pytest.mark.parametrize("doc, budget", [
+    (CHECKERBOARD, []), (CONVEX3, []), (SPARSE, ["--budget", "20000"]),
+], ids=["checkerboard", "convex3", "sparse"])
 @pytest.mark.parametrize("options", [["decide"],
                                      ["determinism", "--dir", "1,0"]],
                          ids=["decide", "determinism"])
-def test_reports_do_not_depend_on_the_hash_seed(tmp_path, doc, options):
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path, doc, budget,
+                                                options):
     f = write(tmp_path, "set.json", doc)
     command, *rest = options
     reports = set()
     for seed in "012":
-        proc = cold([command, f, *rest], {"PYTHONHASHSEED": seed},
-                    capture_output=True)
+        proc = fresh_python("-m", "tilecraft.cli", command, f, *rest,
+                            *budget, env={"PYTHONHASHSEED": seed},
+                            capture_output=True)
         assert proc.returncode == 0, proc.stderr
         reports.add(re.sub(rb',"wall_time_s":[^,}]*', b"", proc.stdout))
     assert len(reports) == 1
@@ -638,8 +647,9 @@ def test_a_closed_stdout_is_not_a_verdict(tmp_path):
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = cold(["decide", f], stdout=write_end, stderr=subprocess.PIPE,
-                    text=True)
+        proc = fresh_python("-m", "tilecraft.cli", "decide", f,
+                            stdout=write_end, stderr=subprocess.PIPE,
+                            text=True)
     finally:
         os.close(write_end)
     assert proc.returncode == EXIT_UNWRITTEN == 5
@@ -668,7 +678,8 @@ def sha256_of(data: bytes) -> str:
                     reason="no /dev/stdin on this platform")
 def test_decide_reads_a_pipe(tmp_path):
     data = json.dumps(CHECKERBOARD).encode()
-    proc = cold(["decide", "/dev/stdin"], input=data, capture_output=True)
+    proc = fresh_python("-m", "tilecraft.cli", "decide", "/dev/stdin",
+                        input=data, capture_output=True)
     assert proc.returncode == 0, proc.stderr
     rep = json.loads(proc.stdout)
     assert rep["outcome"]["kind"] == "non_empty_periodic"
@@ -770,7 +781,8 @@ def test_non_integer_options_name_no_function(tmp_path, capsys, doc, argv):
 def test_a_warning_is_one_stderr_line(tmp_path, doc, argv, line):
     f = write(tmp_path, "input.json", doc)
     command, *options = argv
-    proc = cold([command, f, *options], capture_output=True, text=True)
+    proc = fresh_python("-m", "tilecraft.cli", command, f, *options,
+                        capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == line
     assert ".py:" not in proc.stderr

@@ -1,33 +1,27 @@
-"""Every script under demos/ runs to completion against src/."""
+"""Every script under demos/ runs to completion against the package the
+tests import."""
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import fresh_python
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-def _run(script):
-    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    return subprocess.run([sys.executable, str(script)], env=env,
-                          capture_output=True, text=True, timeout=120)
-
-
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(script):
-    proc = _run(script)
+    proc = fresh_python(str(script), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 
 def test_balanced_demo_states_the_stripe_argument():
     # the band's interior agrees, its edge column differs, and (0, 1) is
     # a period perpendicular to the band direction (1, 0)
-    proc = _run(ROOT / "demos" / "04_balanced_sets.py")
+    proc = fresh_python(str(ROOT / "demos" / "04_balanced_sets.py"),
+                        capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert "band interior x = -2, -1 agrees: True" in lines

@@ -1,15 +1,16 @@
 """A decision loads only the decision path, and every exported name
-still resolves: the analysis modules load on first use."""
+still resolves: the analysis modules load on first use.  A fresh
+interpreter imports the same package as the tests."""
 
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+import tilecraft
+
+from conftest import fresh_python
+
 CHECKERBOARD = {"shape": "rect 2 2", "alphabet": [0, 1],
                 "allowed": [[[0, 1], [1, 0]], [[1, 0], [0, 1]]]}
 NOT_LOADED = ("dataclasses", "tilecraft.algebra", "tilecraft.balanced",
@@ -24,25 +25,27 @@ except ImportError:
     pass
 
 
-def _python(code: str, *args: str) -> list[str]:
-    """Standard output lines of a fresh interpreter running code."""
-    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
-                          capture_output=True, text=True, timeout=120)
+def test_a_fresh_interpreter_imports_the_tested_package():
+    proc = fresh_python("-c", "import tilecraft; print(tilecraft.__file__)",
+                        capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()
+    assert Path(proc.stdout.strip()).resolve() == Path(
+        tilecraft.__file__).resolve()
 
 
 def test_decide_loads_no_analysis_module(tmp_path):
     doc = tmp_path / "set.json"
     doc.write_text(json.dumps(CHECKERBOARD))
-    *_, code, modules = _python(
+    proc = fresh_python(
+        "-c",
         "import json, sys\n"
         "import tilecraft.cli\n"
         "code = tilecraft.cli.main(['decide', sys.argv[1]])\n"
         "print(code)\n"
-        "print(json.dumps(sorted(sys.modules)))\n", str(doc))
+        "print(json.dumps(sorted(sys.modules)))\n", str(doc),
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    *_, code, modules = proc.stdout.splitlines()
     assert code == "0"
     loaded = set(json.loads(modules))
     assert {m for m in loaded if m.startswith("tilecraft")} == DECIDE_PATH
@@ -52,14 +55,18 @@ def test_decide_loads_no_analysis_module(tmp_path):
 def test_value_imports_and_probes_load_no_moved_module():
     # importlib asks hasattr(module, "__path__") on a from-import, so the
     # moved-name lookups of grid and sft must not answer every name
-    *_, modules = _python(
+    proc = fresh_python(
+        "-c",
         "import json, sys\n"
         "import tilecraft.grid, tilecraft.sft\n"
         "assert not hasattr(tilecraft.grid, '__path__')\n"
         "assert not hasattr(tilecraft.sft, '__path__')\n"
         "from tilecraft.grid import Vec2\n"
         "from tilecraft.sft import decide\n"
-        "print(json.dumps(sorted(sys.modules)))\n")
+        "print(json.dumps(sorted(sys.modules)))\n",
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    modules = proc.stdout.splitlines()[-1]
     assert set(json.loads(modules)).isdisjoint(NOT_LOADED)
 
 
@@ -79,13 +86,16 @@ def test_each_analysis_command_loads_what_it_runs(tmp_path, command):
     doc, options, extra = ANALYSIS_LOADS[command]
     path = tmp_path / "input.json"
     path.write_text(json.dumps(doc))
-    *_, code, modules = _python(
+    proc = fresh_python(
+        "-c",
         "import json, sys\n"
         "import tilecraft.cli\n"
         "code = tilecraft.cli.main(sys.argv[1:])\n"
         "print(code)\n"
         "print(json.dumps(sorted(sys.modules)))\n",
-        command, str(path), *options)
+        command, str(path), *options, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    *_, code, modules = proc.stdout.splitlines()
     assert code == "0"
     loaded = {m for m in json.loads(modules) if m.startswith("tilecraft")}
     assert loaded == DECIDE_PATH | {"tilecraft.analysis_io"} | {
@@ -93,7 +103,8 @@ def test_each_analysis_command_loads_what_it_runs(tmp_path, command):
 
 
 def test_every_exported_name_resolves_on_first_use():
-    lines = _python(
+    proc = fresh_python(
+        "-c",
         "import json, sys, tilecraft\n"
         "names = tilecraft.__all__\n"
         "before = sorted(m for m in sys.modules if m.startswith('tilecraft'))\n"
@@ -101,8 +112,11 @@ def test_every_exported_name_resolves_on_first_use():
         "star = {}\n"
         "exec('from tilecraft import *', star)\n"
         "print(json.dumps([names, before, got, sorted(star),\n"
-        "                  sorted(dir(tilecraft))]))\n")
-    names, before, got, star, listed = json.loads(lines[-1])
+        "                  sorted(dir(tilecraft))]))\n",
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    names, before, got, star, listed = json.loads(
+        proc.stdout.splitlines()[-1])
     assert len(names) == 59 and names == sorted(set(names))
     assert before == ["tilecraft", "tilecraft.grid", "tilecraft.sft"]
     assert got["algebra"] == got["balanced"] == got["linalg"] == "module"

@@ -778,6 +778,41 @@ def test_decide_commutes_with_the_square_symmetries():
     assert min(decided.values()) >= 200
 
 
+def test_probe_verdicts_commute_with_the_square_symmetries():
+    # box_cells(g . u, k) is g . box_cells(u, k) and the probe square is
+    # centered, so g and a color permutation map the extendable box +
+    # center colorings of (ps, u) one to one onto those of (g . ps, g . u):
+    # where both are decided, the verdicts agree
+    rng = random.Random(15)
+    box = [(x, y) for y in range(3) for x in range(3)]
+    directions = [(1, 0), (0, 1), (-1, 0), (1, 1), (1, -1), (2, 1), (-1, 2)]
+    decided = {"forced": 0, "non_forced": 0}
+    for _ in range(120):
+        cells = rng.sample(box, rng.randint(2, 4))
+        colors = rng.sample(range(5), rng.randint(2, 3))
+        tuples = rng.sample(
+            list(itertools.product(colors, repeat=len(cells))),
+            rng.randint(1, len(cells) + 2))
+        ps = PatternSet.from_value_tuples(Alphabet.of(colors),
+                                          DiscreteDomain(cells), tuples)
+        u = rng.choice(directions)
+        k = rng.randint(1, 2)
+        radius = rng.randint(k, k + 2)
+        base = determinism_probe(ps, u, k, radius, 20_000).verdict
+        for g in oracles.SQUARE_SYMMETRIES:
+            (a, b), (c, d) = g
+            perm = dict(zip(colors, rng.sample(colors, len(colors))))
+            moved = determinism_probe(
+                oracles.act(ps, g, perm), (a * u[0] + b * u[1],
+                                           c * u[0] + d * u[1]),
+                k, radius, 20_000).verdict
+            if "inconclusive" in (base, moved):
+                continue
+            assert moved == base, (ps, u, k, radius, g)
+            decided[base] += 1
+    assert min(decided.values()) >= 200, decided
+
+
 # --- backjumping -------------------------------------------------------------
 # Every search backjumps, so on a sparse shape, whose bad choices a
 # row-major search sees rows later, it skips the rows in between instead
